@@ -23,6 +23,7 @@ import sys
 from typing import Optional
 
 from . import converse, freeprod, ovdist
+from .algebra import DEFAULT_TOL
 from .cpmaps import eta_minus_id_cp, is_cp
 from .serialize import (
     array_to_json,
@@ -36,7 +37,6 @@ from .serialize import (
 
 DEFAULT_ORDER = 6
 DEFAULT_LEVEL = 3
-DEFAULT_TOL = 1e-9
 ORDER_CAP = 8
 
 EXIT_OK = 0

@@ -29,10 +29,10 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, PSDReport, dagger, psd_check
 from .cpmaps import CPMap, eta_minus_id_cp
-from .multimap import MultiMap, kappa_map, moment_map
-from .ncpart import enumerate_nc
+from .multimap import MultiMap
 from .ovdist import (
     OVDistribution,
+    _interval_dp,
     bernoulli,
     cumulants_from_moments,
     moments_from_cumulants,
@@ -76,32 +76,16 @@ class TupleDistribution:
     ) -> "TupleDistribution":
         """Joint moments from joint cumulants; missing words mean zero maps."""
         _check_tuple_size(s, order)
-
-        def lookup(word: Tuple[int, ...]) -> MultiMap:
-            got = cums.get(word)
-            return got if got is not None else MultiMap.zero(k, len(word) - 1)
-
-        moments: Dict[Tuple[int, ...], MultiMap] = {}
-        for n in range(1, order + 1):
-            for word in product(range(s), repeat=n):
-                moments[word] = moment_map(n, k, lambda block: lookup(tuple(word[p] for p in block)))
-        return cls(k=k, s=s, order=order, moments=moments)
+        known = {w: c.tensor for w, c in cums.items() if len(w) <= order}
+        moments = _interval_dp(k, s, order, known, inverse=False)
+        return cls(k=k, s=s, order=order, moments={w: MultiMap(k, t) for w, t in moments.items()})
 
     def cumulants(self) -> Dict[Tuple[int, ...], MultiMap]:
-        """Joint free cumulants by the same subtraction recursion as the
-        one-variable transform, restricted blockwise to index subwords."""
-        cums: Dict[Tuple[int, ...], MultiMap] = {}
-        for n in range(1, self.order + 1):
-            for word in product(range(self.s), repeat=n):
-                correction = MultiMap.zero(self.k, n - 1)
-                for p in enumerate_nc(n):
-                    if len(p.blocks()) == 1:
-                        continue
-                    correction = correction + kappa_map(
-                        p.roots, self.k, lambda block: cums[tuple(word[q] for q in block)]
-                    )
-                cums[word] = self.moments[word] - correction
-        return cums
+        """Joint free cumulants by the same interval recursion as the
+        one-variable transform, keyed by index word."""
+        known = {w: m.tensor for w, m in self.moments.items()}
+        cums = _interval_dp(self.k, self.s, self.order, known, inverse=True)
+        return {w: MultiMap(self.k, t) for w, t in cums.items()}
 
     def eta_power(self, eta: CPMap) -> "TupleDistribution":
         """Compose every joint cumulant with eta and regenerate the moments."""

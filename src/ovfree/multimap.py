@@ -1,5 +1,5 @@
-"""Dense tensors for C-multilinear maps (M_k)^n -> M_k and the nested
-non-crossing evaluation they support.
+"""Dense tensors for C-multilinear maps (M_k)^n -> M_k, their slot algebra,
+and the reference oracle for the moment <-> cumulant transform.
 
 A map of arity n is stored as an array of shape (k*k,)*n + (k, k): slot t is
 the coordinate index of argument t in the matrix-unit basis (row-major, so an
@@ -8,6 +8,11 @@ argument a enters as a.reshape(k*k)), and the final two axes are the output.
 Storage is exact but dense: a map of arity n costs (k^2)^n * k^2 complex
 entries, which caps practical use around k <= 3, n <= 7.  Oversized requests
 are rejected rather than silently thrashing.
+
+kappa_map and moment_map evaluate the nested partition terms one enumerated
+non-crossing partition at a time, Catalan(n) of them for order n.  No library
+path calls them: the transforms of ovfree.ovdist run an interval recursion
+instead, and the tests check it against this oracle for orders up to 8.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ def plug_all(omega: MultiMap, plugs: Sequence[Optional[MultiMap]]) -> MultiMap:
     return MultiMap(omega.k, t)
 
 
-# -- nested evaluation over a non-crossing forest -----------------------------
+# -- reference oracle: nested evaluation over a non-crossing forest ----------
 
 BlockValue = Callable[[Tuple[int, ...]], MultiMap]
 

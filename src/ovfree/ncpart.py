@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Optional, Tuple
 
-MAX_GROUND_SET = 12  # Catalan(12) = 208012; enough for every supported order
+MAX_GROUND_SET = 12  # Catalan(12) = 208012; bounds only the reference oracle, not the transform order
 
 
 def catalan(n: int) -> int:

@@ -5,23 +5,24 @@ A distribution is the truncated family of moment maps
     M_n(a_1, ..., a_{n-1}) = E(X a_1 X a_2 ... a_{n-1} X),   n = 1..order,
 
 stored as MultiMap tensors.  The module provides construction from concrete
-matrix realizations, the moment <-> cumulant transforms over non-crossing
-partitions, eta-convolution powers (compose every cumulant with eta), and
-block moment-matrix positivity certificates.
+matrix realizations, the moment <-> cumulant transforms (one interval
+recursion over index words, shared with the tuple distributions of
+ovfree.converse), eta-convolution powers (compose every cumulant with eta),
+and block moment-matrix positivity certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AMatrix, PSDReport, dagger, flatten, is_hermitian, matrix_units, psd_check, unit_adjoint_index
 from .cpmaps import CPMap
-from .multimap import MultiMap, kappa_map, moment_map
-from .ncpart import enumerate_nc
+from .multimap import MultiMap, _check_size
 
 MAX_REALIZATION_ORDER = 10
 HERMITIAN_SYMMETRY_TOL = 1e-8
@@ -150,29 +151,125 @@ def moments_from_realization(r: Realization, N: int, label: str = "realized") ->
     return OVDistribution(k=k, order=N, moments=tuple(moments), label=label)
 
 
+# -- the moment <-> cumulant transform ------------------------------------------
+#
+# Both directions run one interval recursion over index words (Speicher,
+# Mem. AMS 627, 1998; Nica-Speicher, Lecture 11).  Split a non-crossing
+# partition of the positions of a word w at the last element e of the block
+# containing the first position.  Then
+#
+#     M_w = Node(w) + sum_{e < |w|} Node(w[:e]) a_e M_{w[e:]},
+#
+# where Node(w) sums the partitions whose first block contains both ends of w:
+# kappa of that block's subword, with every non-empty gap g between block
+# positions u < v filled by a_u M_{w[g]} a_{v-1}.  The moment map of a gap is
+# itself an earlier entry of the recursion, so no partition is enumerated.
+#
+# Internally an arity-n tensor is viewed with every slot split into its
+# matrix-unit (row, col) pair, shape (k,) * (2n + 2).  Label 2t / 2t + 1 is
+# the row / column of slot t of the result and 2L - 2, 2L - 1 its output.
+# Every term is then an outer product whose operands carry a subset of the
+# result's labels (e_pq M e_uv = M[q, u] e_pv), so one einsum per term
+# accumulates into the result with no contraction and no padded
+# intermediates.
+
+Word = Tuple[int, ...]
+Labels = Tuple[int, ...]
+MAX_TRANSFORM_ORDER = 26  # einsum takes 52 labels, two per position
+
+
+def _slot_labels(lo: int, hi: int) -> Labels:
+    return tuple(lab for t in range(lo, hi) for lab in (2 * t, 2 * t + 1))
+
+
+@lru_cache(maxsize=None)
+def _node_plan(L: int) -> Tuple[Tuple[Word, Labels, Tuple[Tuple[int, int, Labels], ...]], ...]:
+    """(V, labels of kappa_V, (start, stop, labels) per non-empty gap) for
+    every block V of positions of a length-L word holding both ends; the
+    one-block term comes first."""
+    if L == 1:
+        return (((0,), (0, 1), ()),)
+    plan = []
+    for size in range(L - 2, -1, -1):
+        for inner in combinations(range(1, L - 1), size):
+            V = (0,) + inner + (L - 1,)
+            kappa_labels: Labels = ()
+            gaps = []
+            for u, v in zip(V, V[1:]):
+                kappa_labels += (2 * u, 2 * v - 1)
+                if v > u + 1:
+                    gaps.append((u + 1, v, _slot_labels(u + 1, v - 1) + (2 * u + 1, 2 * v - 2)))
+            plan.append((V, kappa_labels + (2 * L - 2, 2 * L - 1), tuple(gaps)))
+    return tuple(plan)
+
+
+def _interval_dp(
+    k: int, s: int, order: int, known: Dict[Word, np.ndarray], inverse: bool
+) -> Dict[Word, np.ndarray]:
+    """Moment <-> cumulant transform of an s-variable distribution over M_k.
+
+    Forward: known maps index words to cumulant tensors, a missing word
+    meaning the zero map, and the moment tensor of every word of length
+    <= order is returned.  Inverse: known holds every moment tensor and the
+    cumulants are returned; kappa_w enters M_w only as the one-block term, so
+    it is M_w minus every other term of the recursion.  Above the inputs and
+    outputs, memory holds one einsum temporary and Node(w) of the words
+    shorter than order, which later joins need.
+    """
+    if order > MAX_TRANSFORM_ORDER:
+        raise ValueError(f"transform order {order} exceeds the supported {MAX_TRANSFORM_ORDER}")
+    expanded = {w: np.asarray(t).reshape((k,) * (2 * len(w))) for w, t in known.items()}
+    cums, moms = ({}, expanded) if inverse else (expanded, {})
+    add = np.subtract if inverse else np.add
+    nodes: Dict[Word, np.ndarray] = {}
+    out: Dict[Word, np.ndarray] = {}
+    for L in range(1, order + 1):
+        _check_size(k, L - 1)
+        shape = (k,) * (2 * L)
+        labels = tuple(range(2 * L))
+        keep = L < order
+        node_plan = _node_plan(L)[1:] if inverse else _node_plan(L)
+        # Node(w[:e]) e_xy M_{w[e:]} has output entries Node[.., i, x] M[.., y, j]
+        join_plan = [
+            (e, _slot_labels(0, e - 1) + (2 * L - 2, 2 * e - 2), _slot_labels(e, L - 1) + (2 * e - 1, 2 * L - 1))
+            for e in range(1, L)
+        ]
+        for w in product(range(s), repeat=L):
+            acc = moms[w].copy() if inverse else np.zeros(shape, dtype=complex)
+            for e, head_labels, tail_labels in join_plan:
+                add(acc, np.einsum(nodes[w[:e]], head_labels, moms[w[e:]], tail_labels, labels), out=acc)
+            if inverse and keep:
+                nodes[w] = acc.copy()  # M_w minus the joins
+            node = np.zeros(shape, dtype=complex) if keep and not inverse else acc
+            for V, kappa_labels, gaps in node_plan:
+                kappa = cums.get(tuple(w[p] for p in V))
+                if kappa is None:
+                    continue
+                operands: List[object] = [kappa, kappa_labels]
+                for start, stop, gap_labels in gaps:
+                    operands += [moms[w[start:stop]], gap_labels]
+                add(node, np.einsum(*operands, labels), out=node)
+            if keep and not inverse:
+                nodes[w] = node
+                acc += node
+            (cums if inverse else moms)[w] = acc
+            out[w] = acc.reshape((k * k,) * (L - 1) + (k, k))
+    return out
+
+
 def cumulants_from_moments(dist: OVDistribution) -> Tuple[MultiMap, ...]:
-    """Free cumulant maps, by subtracting all proper nested partition terms."""
-    k = dist.k
-    cums: List[MultiMap] = []
-
-    def block_value(block: Tuple[int, ...]) -> MultiMap:
-        return cums[len(block) - 1]
-
-    for n in range(1, dist.order + 1):
-        correction = MultiMap.zero(k, n - 1)
-        for p in enumerate_nc(n):
-            if len(p.blocks()) == 1:
-                continue  # the one-block partition carries the unknown cumulant
-            correction = correction + kappa_map(p.roots, k, block_value)
-        cums.append(dist.moments[n - 1] - correction)
-    return tuple(cums)
+    """Free cumulant maps: each kappa_n is M_n minus every non-crossing
+    partition term but the one-block one, by the interval recursion."""
+    moments = {(0,) * (n + 1): m.tensor for n, m in enumerate(dist.moments)}
+    cums = _interval_dp(dist.k, 1, dist.order, moments, inverse=True)
+    return tuple(MultiMap(dist.k, cums[(0,) * n]) for n in range(1, dist.order + 1))
 
 
 def moments_from_cumulants(
     cums: Sequence[MultiMap], k: int | None = None, label: str = "cumulant-generated"
 ) -> OVDistribution:
     """Distribution with the given cumulants: M_n = sum over NC(n) of the
-    nested evaluations."""
+    nested evaluations, summed by the interval recursion."""
     cums = list(cums)
     if not cums:
         raise ValueError("need at least the first cumulant")
@@ -180,12 +277,10 @@ def moments_from_cumulants(
     for i, c in enumerate(cums):
         if c.arity != i or c.k != k:
             raise ValueError(f"cumulant {i + 1} has wrong shape")
-
-    def block_value(block: Tuple[int, ...]) -> MultiMap:
-        return cums[len(block) - 1]
-
-    moments = tuple(moment_map(n, k, block_value) for n in range(1, len(cums) + 1))
-    return OVDistribution(k=k, order=len(cums), moments=moments, label=label)
+    N = len(cums)
+    moms = _interval_dp(k, 1, N, {(0,) * (n + 1): c.tensor for n, c in enumerate(cums)}, inverse=False)
+    moments = tuple(MultiMap(k, moms[(0,) * n]) for n in range(1, N + 1))
+    return OVDistribution(k=k, order=N, moments=moments, label=label)
 
 
 def eta_power(dist: OVDistribution, eta: CPMap) -> OVDistribution:

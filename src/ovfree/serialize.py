@@ -98,6 +98,11 @@ def realization_from_spec(k: int, real: dict) -> Realization:
     """{"d", "X", "embedding": "tensor-block", "p", "state"}; the state is a
     density matrix or a unit vector (taken as the corresponding vector
     state)."""
+    if not isinstance(real, dict):
+        raise ValueError("realization spec must be an object")
+    for field in ("p", "X", "state"):
+        if field not in real:
+            raise ValueError(f"realization spec is missing the '{field}' field")
     if real.get("embedding", "tensor-block") != "tensor-block":
         raise ValueError("only the tensor-block embedding is supported")
     p = int(real["p"])

@@ -241,3 +241,21 @@ def test_deterministic_output(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--in", "x.json"])
+
+
+@pytest.mark.parametrize("field", ["p", "X", "state"])
+@pytest.mark.parametrize("command", ["positivity", "convolve-power", "verify-realization"])
+def test_realization_missing_field_exit_2(tmp_path, capsys, command, field):
+    spec = realization_spec(np.random.default_rng(14), k=1, p=2, order=2)
+    del spec["realization"][field]
+    inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})
+    assert main([command, "--in", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{field}'" in err and "Traceback" not in err
+
+
+def test_realization_not_an_object_exit_2(tmp_path, capsys):
+    spec = {"k": 1, "order": 2, "realization": []}
+    inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})
+    assert main(["convolve-power", "--in", inp]) == 2
+    assert "realization spec must be an object" in capsys.readouterr().err

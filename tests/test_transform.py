@@ -1,0 +1,178 @@
+"""The interval-recursion transform against the partition-enumeration oracle.
+
+ovfree.multimap.kappa_map / moment_map over ovfree.ncpart.enumerate_nc sum
+the nested evaluations one non-crossing partition at a time; the library's
+transforms must agree with them, beat them on peak memory, and keep working
+above the oracle's ground-set bound.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ovfree import (
+    MultiMap,
+    OVDistribution,
+    TupleDistribution,
+    bernoulli,
+    catalan,
+    cumulants_from_moments,
+    enumerate_nc,
+    moments_from_cumulants,
+    semicircular,
+)
+from ovfree.multimap import kappa_map, moment_map
+from ovfree.ncpart import MAX_GROUND_SET
+from ovfree.ovdist import MAX_TRANSFORM_ORDER
+
+from conftest import random_complex, random_symmetric_cumulants
+
+REL_TOL = 1e-12
+
+
+def assert_close(got, want, moment):
+    """Equal up to REL_TOL relative to the word's moment: both directions sum
+    or cancel terms of that size."""
+    scale = max(1.0, float(np.max(np.abs(moment))))
+    assert float(np.max(np.abs(got - want))) <= REL_TOL * scale
+
+
+def oracle_moments(k, words, cums):
+    """Moment map of every word: the sum over NC(n), missing words zero."""
+
+    def value(w):
+        return cums[w] if w in cums else MultiMap.zero(k, len(w) - 1)
+
+    return {w: moment_map(len(w), k, lambda block: value(tuple(w[q] for q in block))) for w in words}
+
+
+def oracle_cumulants(k, words, moments):
+    """Cumulants by subtracting every enumerated partition but the one-block
+    one; words must come in order of increasing length."""
+    cums = {}
+    for w in words:
+        correction = MultiMap.zero(k, len(w) - 1)
+        for p in enumerate_nc(len(w)):
+            if len(p.blocks()) > 1:
+                correction = correction + kappa_map(p.roots, k, lambda block: cums[tuple(w[q] for q in block)])
+        cums[w] = moments[w] - correction
+    return cums
+
+
+def scalar_value(m):
+    return complex(m.tensor.reshape(-1)[0]).real
+
+
+# -- one variable ------------------------------------------------------------------
+
+CASES = [(1, n) for n in range(1, 9)] + [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 6)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2**32 - 1))
+def test_both_directions_match_oracle(case, seed):
+    k, order = case
+    cums = random_symmetric_cumulants(np.random.default_rng(seed), k, order)
+    words = [(0,) * n for n in range(1, order + 1)]
+    dist = moments_from_cumulants(cums)
+    want = oracle_moments(k, words, dict(zip(words, cums)))
+    for w, m in zip(words, dist.moments):
+        assert_close(m.tensor, want[w].tensor, want[w].tensor)
+    want_cums = oracle_cumulants(k, words, dict(zip(words, dist.moments)))
+    for w, m, c in zip(words, dist.moments, cumulants_from_moments(dist)):
+        assert_close(c.tensor, want_cums[w].tensor, m.tensor)
+
+
+# -- tuples ------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    s=st.sampled_from([2, 3]),
+    order=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tuple_distribution_matches_oracle(k, s, order, seed):
+    rng = np.random.default_rng(seed)
+    words = [w for n in range(1, order + 1) for w in product(range(s), repeat=n)]
+    # a random quarter of the words is left out: missing cumulants are zero
+    cums = {
+        w: MultiMap(k, random_complex(rng, (k * k,) * (len(w) - 1) + (k, k)))
+        for w in words
+        if rng.random() > 0.25
+    }
+    td = TupleDistribution.from_cumulants(k, s, order, cums)
+    want = oracle_moments(k, words, cums)
+    assert set(td.moments) == set(words)
+    for w in words:
+        assert_close(td.moments[w].tensor, want[w].tensor, want[w].tensor)
+    got_cums = td.cumulants()
+    want_cums = oracle_cumulants(k, words, td.moments)
+    for w in words:
+        assert_close(got_cums[w].tensor, want_cums[w].tensor, td.moments[w].tensor)
+        expected = cums[w].tensor if w in cums else np.zeros_like(want_cums[w].tensor)
+        assert np.max(np.abs(got_cums[w].tensor - expected)) < 1e-9
+
+
+# -- beyond the oracle's ground set ------------------------------------------------
+
+
+def test_semicircle_catalan_moments_at_order_16():
+    assert 16 > MAX_GROUND_SET
+    d = semicircular(16)
+    for m in range(1, 9):
+        assert abs(scalar_value(d.moment(2 * m)) - catalan(m)) < 1e-9
+        assert abs(scalar_value(d.moment(2 * m - 1))) < 1e-12
+
+
+def test_bernoulli_round_trip_at_order_16():
+    d = bernoulli(16)
+    cums = cumulants_from_moments(d)
+    # free cumulants of the symmetric Bernoulli law: (-1)^(m-1) catalan(m-1)
+    for m in range(1, 9):
+        assert abs(scalar_value(cums[2 * m - 1]) - (-1) ** (m - 1) * catalan(m - 1)) < 1e-9
+        assert abs(scalar_value(cums[2 * m - 2])) < 1e-12
+    assert moments_from_cumulants(cums).max_deviation(d) < 1e-9
+
+
+def test_order_above_einsum_labels_rejected_up_front():
+    order = MAX_TRANSFORM_ORDER + 1
+    cums = [MultiMap(1, np.zeros((1,) * (n - 1) + (1, 1), dtype=complex)) for n in range(1, order + 1)]
+    with pytest.raises(ValueError, match="transform order"):
+        moments_from_cumulants(cums)
+
+
+# -- peak memory -------------------------------------------------------------------
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_peak_memory_within_oracle():
+    k, order = 3, 6
+    cums = random_symmetric_cumulants(np.random.default_rng(5), k, order)
+    words = [(0,) * n for n in range(1, order + 1)]
+    dist = moments_from_cumulants(cums)
+
+    def oracle_forward():
+        moments = oracle_moments(k, words, dict(zip(words, cums)))
+        return OVDistribution(k=k, order=order, moments=tuple(moments[w] for w in words))
+
+    def oracle_inverse():
+        return oracle_cumulants(k, words, dict(zip(words, dist.moments)))
+
+    assert traced_peak(lambda: moments_from_cumulants(cums)) <= traced_peak(oracle_forward)
+    assert traced_peak(lambda: cumulants_from_moments(dist)) <= traced_peak(oracle_inverse)
