@@ -26,10 +26,12 @@ from . import converse, freeprod, ovdist
 from .algebra import DEFAULT_TOL
 from .cpmaps import eta_minus_id_cp, is_cp
 from .serialize import (
-    array_to_json,
     canonical_dumps,
+    cumulants_from_spec,
     dist_from_spec,
     dist_to_spec,
+    gc_paused,
+    int_field,
     map_from_spec,
     psd_report_to_json,
     realization_from_spec,
@@ -50,10 +52,13 @@ class InputError(Exception):
 
 def _load(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+            spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InputError(f"JSON input {path} must be an object")
+    return spec
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -84,21 +89,24 @@ def _cmd_check_cp(args) -> int:
 
 def _cmd_convolve_power(args) -> int:
     spec = _load(args.infile)
-    if "distribution" not in spec or "map" not in spec:
-        raise InputError("input must carry 'distribution' and 'map' objects")
-    dist = dist_from_spec(_with_order(spec["distribution"], args))
-    eta = map_from_spec(spec["map"])
-    if eta.k != dist.k:
-        raise InputError(f"dimension mismatch: map on M_{eta.k}, distribution over M_{dist.k}")
-    powered = ovdist.eta_power(dist, eta)
-    cums = ovdist.cumulants_from_moments(powered)
-    _emit(dist_to_spec(powered, cumulants=cums), args.out)
+    dist_spec, map_spec = _parts(spec, "distribution", "map")
+    cums, label = cumulants_from_spec(_with_order(dist_spec, args))
+    eta = map_from_spec(map_spec)
+    del spec, dist_spec, map_spec  # frees the parsed input lists before the output is built
+    k = cums[0].k
+    if eta.k != k:
+        raise InputError(f"dimension mismatch: map on M_{eta.k}, distribution over M_{k}")
+    # the power's cumulants are eta composed with the given ones, and one
+    # forward transform gives its moments
+    twisted = [c.compose(eta) for c in cums]
+    powered = ovdist.moments_from_cumulants(twisted, k=k, label=f"eta_power({label})")
+    _emit(dist_to_spec(powered, cumulants=twisted), args.out)
     return EXIT_OK
 
 
 def _cmd_positivity(args) -> int:
     spec = _load(args.infile)
-    dist_spec = spec.get("distribution", spec)
+    dist_spec = _parts(spec, "distribution")[0] if "distribution" in spec else spec
     dist = dist_from_spec(_with_order(dist_spec, args))
     report = ovdist.positivity_certificate(dist, args.level, args.tol)
     payload = {
@@ -113,13 +121,11 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_verify_realization(args) -> int:
     spec = _load(args.infile)
-    if "distribution" not in spec or "map" not in spec:
-        raise InputError("input must carry 'distribution' and 'map' objects")
-    dist_spec = spec["distribution"]
+    dist_spec, map_spec = _parts(spec, "distribution", "map")
     if "realization" not in dist_spec:
         raise InputError("verify-realization needs a realization-based distribution")
     order = _order_of(dist_spec, args)
-    eta = map_from_spec(spec["map"])
+    eta = map_from_spec(map_spec)
     cp_report = eta_minus_id_cp(eta, args.tol)
     if not cp_report.is_psd:
         _emit(
@@ -133,7 +139,7 @@ def _cmd_verify_realization(args) -> int:
         return EXIT_PRECONDITION
     cap = _max_order()
     max_order = max(freeprod.MAX_COMPRESSED_ORDER, cap) if cap else None
-    r = realization_from_spec(int(dist_spec["k"]), dist_spec["realization"])
+    r = realization_from_spec(int_field(dist_spec, "k"), dist_spec["realization"])
     dist = ovdist.moments_from_realization(r, order)
     depth = args.depth if args.depth is not None else order + 2
     compressed = freeprod.compressed_distribution(r, eta, order, depth=depth, tol=args.tol, max_order=max_order)
@@ -163,8 +169,8 @@ def _cmd_counterexample(args) -> int:
     if report.witness is not None:
         payload["witness"] = {
             "m": report.witness.m,
-            "a": array_to_json(report.witness.a),
-            "phi": array_to_json(report.witness.phi),
+            "a": report.witness.a,
+            "phi": report.witness.phi,
             "kappa": report.witness.kappa,
         }
     if report.nonpositivity is not None:
@@ -172,16 +178,21 @@ def _cmd_counterexample(args) -> int:
         payload["nonpositivity"] = {
             "level": cert.level,
             "min_eigenvalue": cert.report.min_eigenvalue,
-            "witness_vector": None
-            if cert.report.witness is None
-            else [[float(z.real), float(z.imag)] for z in cert.report.witness],
+            "witness_vector": cert.report.witness,
         }
     _emit(payload, args.out)
     return EXIT_OK
 
 
+def _parts(spec: dict, *names: str) -> list:
+    """The named parts of an input, each of which must be an object."""
+    if not all(isinstance(spec.get(name), dict) for name in names):
+        raise InputError("input must carry " + " and ".join(f"'{name}'" for name in names) + " objects")
+    return [spec[name] for name in names]
+
+
 def _order_of(dist_spec: dict, args) -> int:
-    order = args.order if args.order is not None else int(dist_spec.get("order", DEFAULT_ORDER))
+    order = args.order if args.order is not None else int_field(dist_spec, "order", DEFAULT_ORDER)
     cap = _max_order() or ORDER_CAP
     if order > cap:
         raise InputError(f"order {order} exceeds the hard guard {cap}; set OVFREE_MAX_ORDER to override")

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import matrix_units, unit_adjoint_index
+from .algebra import matrix_units
 from .ncpart import NCNode, enumerate_nc
 
 MAX_TENSOR_ENTRIES = 50_000_000
@@ -82,18 +82,30 @@ class MultiMap:
             raise ValueError("dimension mismatch in composition")
         return MultiMap(self.k, np.einsum("...pq,piqj->...ij", self.tensor, eta.choi4))
 
+    def _split_reflected(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of the tensor and of its herm_reflect before conjugation,
+        with every axis split into k-sized (row, col) parts.
+
+        Reversing the slot order and taking each e_pq to e_pq^* = e_qp is one
+        reversal of the 2n split slot axes; the output pair swaps as well.
+        """
+        k, n = self.k, self.arity
+        split = self.tensor.reshape((k,) * (2 * n + 2))
+        return split, split.transpose(tuple(range(2 * n - 1, -1, -1)) + (2 * n + 1, 2 * n))
+
     def herm_reflect(self) -> "MultiMap":
         """The map (a_1, ..., a_n) -> f(a_n^*, ..., a_1^*)^*.
 
         Distributional moment maps are fixed points of this involution.
         """
-        k, n = self.k, self.arity
-        swap = [unit_adjoint_index(c, k) for c in range(k * k)]
-        t = self.tensor
-        t = np.transpose(t, tuple(range(n - 1, -1, -1)) + (n + 1, n))
-        for axis in range(n):
-            t = np.take(t, swap, axis=axis)
-        return MultiMap(k, np.conjugate(t))
+        _, reflected = self._split_reflected()
+        return MultiMap(self.k, np.conjugate(reflected).reshape(self.tensor.shape))
+
+    def herm_defect(self) -> float:
+        """max |f - herm_reflect(f)|, one leading slice at a time, so that no
+        temporary as large as the tensor is built."""
+        split, reflected = self._split_reflected()
+        return max(float(np.max(np.abs(a - np.conjugate(b)))) for a, b in zip(split, reflected))
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return MultiMap(self.k, self.tensor + other.tensor)

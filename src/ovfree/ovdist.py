@@ -96,6 +96,14 @@ class Realization:
             raise ValueError("condexp is not positive")
 
 
+def require_hermitian(m: MultiMap, what: str) -> None:
+    """Raise unless m is a fixed point of MultiMap.herm_reflect, as every
+    moment and every cumulant map of a distribution is."""
+    scale = max(1.0, float(np.max(np.abs(m.tensor))))
+    if m.herm_defect() > HERMITIAN_SYMMETRY_TOL * scale:
+        raise ValueError(f"{what} violates Hermitian symmetry")
+
+
 @dataclass(frozen=True)
 class OVDistribution:
     """Truncated M_k-valued distribution: moment maps of arity 0..order-1.
@@ -117,9 +125,7 @@ class OVDistribution:
         for i, m in enumerate(moments):
             if m.k != self.k or m.arity != i:
                 raise ValueError(f"moment {i + 1} has wrong shape")
-            scale = max(1.0, float(np.max(np.abs(m.tensor))))
-            if m.max_deviation(m.herm_reflect()) > HERMITIAN_SYMMETRY_TOL * scale:
-                raise ValueError(f"moment {i + 1} violates Hermitian symmetry")
+            require_hermitian(m, f"moment {i + 1}")
         object.__setattr__(self, "moments", moments)
 
     def moment(self, n: int) -> MultiMap:

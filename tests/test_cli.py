@@ -6,7 +6,7 @@ import pytest
 from ovfree.cli import main
 from ovfree.serialize import array_to_json
 
-from conftest import random_cp, random_density, random_hermitian
+from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
 
 
 def write(tmp_path, name, payload):
@@ -259,3 +259,114 @@ def test_realization_not_an_object_exit_2(tmp_path, capsys):
     inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})
     assert main(["convolve-power", "--in", inp]) == 2
     assert "realization spec must be an object" in capsys.readouterr().err
+
+
+BAD_LEAVES = {"short": [1.0], "string": ["x", 0.0], "long": [0.0, 0.0, 3.0]}
+
+
+def assert_one_line_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("leaf", sorted(BAD_LEAVES))
+def test_check_cp_malformed_leaf_exit_2(tmp_path, capsys, leaf):
+    spec = map_spec_id_plus_transpose()
+    spec["choi"][0][1] = BAD_LEAVES[leaf]  # after the valid leaf choi[0][0]
+    assert_one_line_exit_2(capsys, ["check-cp", "--in", write(tmp_path, "map.json", spec)], "[re, im]")
+
+
+@pytest.mark.parametrize("leaf", sorted(BAD_LEAVES))
+def test_convolve_malformed_leaf_exit_2(tmp_path, capsys, leaf):
+    dist = semicircle_spec(3)
+    dist["cumulants"][1][0][0] = [[0.5, 0.0], BAD_LEAVES[leaf]]
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)})
+    assert_one_line_exit_2(capsys, ["convolve-power", "--in", inp], "[re, im]")
+
+
+BAD_INTEGERS = {"null": None, "list": [2], "object": {"k": 2}, "string": "2", "fraction": 1.5}
+
+
+@pytest.mark.parametrize("value", sorted(BAD_INTEGERS))
+def test_check_cp_non_integer_k_exit_2(tmp_path, capsys, value):
+    spec = map_spec_id_plus_transpose()
+    spec["k"] = BAD_INTEGERS[value]
+    assert_one_line_exit_2(capsys, ["check-cp", "--in", write(tmp_path, "map.json", spec)], "'k'")
+
+
+@pytest.mark.parametrize("value", sorted(BAD_INTEGERS))
+@pytest.mark.parametrize("where", ["k", "order", "map.k", "realization.p", "realization.d"])
+def test_convolve_non_integer_field_exit_2(tmp_path, capsys, where, value):
+    rng = np.random.default_rng(15)
+    dist = realization_spec(rng, k=1, p=2, order=2) if where.startswith("realization") else semicircle_spec(3)
+    payload = {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)}
+    part, _, field = where.rpartition(".")
+    target = {"": dist, "map": payload["map"], "realization": dist.get("realization")}[part]
+    target[field] = BAD_INTEGERS[value]
+    assert_one_line_exit_2(capsys, ["convolve-power", "--in", write(tmp_path, "in.json", payload)], f"'{field}'")
+
+
+def test_convolve_distribution_not_an_object_exit_2(tmp_path, capsys):
+    inp = write(tmp_path, "in.json", {"distribution": [1], "map": map_spec_scaled_id(1, 1.0)})
+    assert_one_line_exit_2(capsys, ["convolve-power", "--in", inp, "--order", "2"], "'distribution'")
+
+
+@pytest.mark.parametrize("command", ["check-cp", "convolve-power", "positivity", "counterexample"])
+def test_input_not_an_object_exit_2(tmp_path, capsys, command):
+    assert_one_line_exit_2(capsys, [command, "--in", write(tmp_path, "in.json", [1, 2])], "must be an object")
+
+
+def _count_transforms(monkeypatch):
+    from ovfree import ovdist
+
+    calls = []
+    engine = ovdist._interval_dp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("inverse"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(ovdist, "_interval_dp", counted)
+    return calls
+
+
+def test_convolve_cumulant_spec_runs_one_forward_transform(tmp_path, monkeypatch):
+    from ovfree import CPMap, eta_power, moments_from_cumulants
+    from ovfree.serialize import json_to_array
+
+    rng = np.random.default_rng(16)
+    cums = random_symmetric_cumulants(rng, 2, 4)
+    eta = CPMap(2, CPMap.identity(2).choi + random_cp(rng, 2).choi)
+    dist = {"k": 2, "cumulants": [array_to_json(c.tensor) for c in cums]}
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": {"k": 2, "choi": array_to_json(eta.choi)}})
+    out = str(tmp_path / "out.json")
+    calls = _count_transforms(monkeypatch)
+    assert main(["convolve-power", "--in", inp, "--out", out]) == 0
+    assert calls == [False]
+    monkeypatch.undo()
+    result = read(out)
+    want = eta_power(moments_from_cumulants(cums), eta)
+    assert result["label"] == want.label == "eta_power(cumulant-generated)"
+    for n, c in enumerate(cums):
+        # the printed cumulants are eta composed with the input ones; the
+        # moments agree with the inverse-and-forward route of eta_power
+        pairs = ((result["cumulants"][n], c.compose(eta).tensor), (result["moments"][n], want.moments[n].tensor))
+        for got, exact in pairs:
+            assert np.max(np.abs(json_to_array(got) - exact)) <= 1e-11 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_convolve_realization_spec_runs_two_transforms(tmp_path, monkeypatch):
+    spec = {"distribution": realization_spec(np.random.default_rng(17)), "map": map_spec_scaled_id(2, 1.5)}
+    inp = write(tmp_path, "in.json", spec)
+    calls = _count_transforms(monkeypatch)
+    assert main(["convolve-power", "--in", inp, "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == [True, False]
+    assert read(str(tmp_path / "out.json"))["label"] == "eta_power(realized)"
+
+
+def test_convolve_rejects_non_hermitian_cumulants(tmp_path, capsys):
+    dist = semicircle_spec(3)
+    dist["cumulants"][0] = [[[0.0, 1.0]]]  # E(X) = i is not self-adjoint
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)})
+    assert_one_line_exit_2(capsys, ["convolve-power", "--in", inp], "cumulant 1 violates Hermitian symmetry")

@@ -84,6 +84,27 @@ def test_herm_reflect_semantics(rng):
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
+def take_herm_reflect(f):
+    """The reflection built slot by slot: reverse the slots, swap the output
+    axes, then map every slot index c to that of e_c^* with one np.take."""
+    from ovfree.algebra import unit_adjoint_index
+
+    k, n = f.k, f.arity
+    swap = [unit_adjoint_index(c, k) for c in range(k * k)]
+    t = np.transpose(f.tensor, tuple(range(n - 1, -1, -1)) + (n + 1, n))
+    for axis in range(n):
+        t = np.take(t, swap, axis=axis)
+    return np.conjugate(t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_herm_reflect_equals_take_oracle(rng, k):
+    for arity in range(4):
+        f = random_map(rng, k, arity)
+        assert np.array_equal(f.herm_reflect().tensor, take_herm_reflect(f))
+        assert f.herm_defect() == np.max(np.abs(f.tensor - take_herm_reflect(f)))
+
+
 def test_kappa_two_singletons(rng):
     # kappa for {{0}, {1}} is a -> w1 a w1
     k = 2

@@ -1,14 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovfree import CPMap, bernoulli, cumulants_from_moments
 from ovfree.serialize import (
+    _round_array,
+    _round_sig,
     array_to_json,
     canonical_dumps,
     dist_from_spec,
     dist_to_spec,
+    int_field,
     json_to_array,
     map_from_spec,
     map_to_spec,
@@ -31,6 +37,139 @@ def test_scalar_leaf():
 def test_malformed_leaf_rejected():
     with pytest.raises(ValueError, match="re, im"):
         json_to_array([[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, 2.0], [1.0]],  # a short leaf after a valid one
+        [[1.0, 2.0], ["x", 2.0]],  # a string leaf after a valid one
+        [[1.0, 2.0], [1.0, 2.0, 3.0]],  # a long leaf after a valid one
+        [[[1.0, 2.0]], [1.0, 2.0]],  # leaves at two depths
+        [[1.0, 2.0], [None, 2.0]],
+        [[True, False]],
+        [[1.0, 2.0], {"re": 1.0}],
+        [],
+        [[]],
+        None,
+        "1.0",
+        3.0,
+    ],
+)
+def test_malformed_arrays_raise_one_line_value_error(data):
+    with pytest.raises(ValueError, match="re, im") as info:
+        json_to_array(data)
+    assert "\n" not in str(info.value)
+
+
+def test_json_to_array_keeps_every_bit():
+    values = [0.0, -0.0, 1e-320, -5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1, -2.5]
+    arr = np.array(values)[:, None] + 1j * np.array(values[::-1])[:, None]
+    back = json_to_array(array_to_json(arr))
+    assert back.shape == arr.shape
+    assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+    assert json_to_array([[1, 2], [3, -4]]).tolist() == [1 + 2j, 3 - 4j]
+
+
+# -- the vectorised rounding against the per-element oracle --------------------
+
+
+def _neighbours(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else -np.inf))
+    return x
+
+
+_near_ties = st.builds(  # within a few ulps of a 13th-digit 5: d.ddddddddddd5 x 10^e
+    lambda m, e, steps, sign: sign * _neighbours(float(f"{m}5e{e - 12}"), steps),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-310, 300),
+    st.integers(-3, 3),
+    st.sampled_from([1.0, -1.0]),
+)
+_powers_of_ten = st.builds(
+    lambda e, steps: _neighbours(float(f"1e{e}"), steps), st.integers(-323, 308), st.integers(-3, 3)
+)
+_magnitudes = st.builds(  # d.dddddddddddddddd x 10^e from 1e-320 to 1e308
+    lambda sign, lead, digits, e: float(f"{sign}{lead}.{digits:016d}e{e}"),
+    st.sampled_from(["", "-"]),
+    st.integers(1, 9),
+    st.integers(0, 10**16 - 1),
+    st.integers(-320, 307),
+)
+_any_float = st.one_of(st.floats(), _near_ties, _powers_of_ten, _magnitudes, st.sampled_from([0.0, -0.0, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_float, min_size=1, max_size=64))
+def test_round_array_matches_round_sig(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf, nan and zeros raise no RuntimeWarning
+        got = _round_array(np.array(values)).tolist()
+    assert [repr(v) for v in got] == [repr(_round_sig(v)) for v in values]
+
+
+def _old_array_to_json(arr):
+    arr = np.asarray(arr)
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [float(np.real(z)), float(np.imag(z))]
+    return [_old_array_to_json(sub) for sub in arr]
+
+
+def _old_round_tree(obj):
+    if isinstance(obj, np.ndarray):
+        return _old_round_tree(_old_array_to_json(obj))
+    if isinstance(obj, float):
+        return _round_sig(obj)
+    if isinstance(obj, dict):
+        return {key: _old_round_tree(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_round_tree(val) for val in obj]
+    return obj
+
+
+def old_canonical_dumps(obj):
+    """The per-element tree walk the array codec replaced: every array becomes
+    nested [re, im] lists of Python floats, and then each float is rounded on
+    its own."""
+    return json.dumps(_old_round_tree(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _random_array(rng):
+    shape = tuple(rng.integers(1, 4, size=rng.integers(0, 4)))
+    z = np.asarray(random_complex(rng, shape) * 10.0 ** rng.integers(-14, 14, size=shape))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 0.5e-3, 123456789012.5, 1e12, 1e-11])
+    mask = rng.random(shape) < 0.2
+    z[mask] = rng.choice(specials, size=int(mask.sum())) + 1j * rng.choice(specials, size=int(mask.sum()))
+    return z if rng.random() < 0.8 else z.real
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonical_dumps_matches_per_element_walk(seed):
+    rng = np.random.default_rng(seed)
+    payload = {
+        "arrays": [_random_array(rng) for _ in range(3)],
+        "nested": {"a": _random_array(rng), "x": float(rng.standard_normal()), "n": None, "ok": True, "s": "t"},
+        "floats": [float(v) for v in rng.standard_normal(4) * 10.0 ** rng.integers(-20, 20, 4)],
+        "int": int(rng.integers(100)),
+    }
+    assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+@pytest.mark.parametrize("value", [None, [], {}, "3", 2.5, True, 0, -1, float("nan")])
+def test_int_field_rejects_non_integers(value):
+    with pytest.raises(ValueError, match="'k' must be a positive integer"):
+        int_field({"k": value}, "k")
+
+
+def test_int_field_accepts_integers_and_default():
+    assert int_field({"k": 3}, "k") == 3
+    assert int_field({"k": 3.0}, "k") == 3
+    assert int_field({}, "order", 6) == 6
+    with pytest.raises(ValueError, match="missing the integer field 'p'"):
+        int_field({}, "p")
 
 
 def test_canonical_dumps_rounds_and_sorts():
