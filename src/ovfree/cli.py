@@ -1,7 +1,6 @@
 """Command-line interface.
 
-    ovfree <command> --in <path> [--out <path>] [--order N] [--level L]
-                     [--depth D] [--tol T]
+    ovfree <command> --in <path> [--out <path>] [--order N] [--level L] [--tol T]
 
 Commands: check-cp, convolve-power, positivity, verify-realization,
 counterexample.  Input and output are JSON; output is canonical (sorted keys,
@@ -141,8 +140,7 @@ def _cmd_verify_realization(args) -> int:
     max_order = max(freeprod.MAX_COMPRESSED_ORDER, cap) if cap else None
     r = realization_from_spec(int_field(dist_spec, "k"), dist_spec["realization"])
     dist = ovdist.moments_from_realization(r, order)
-    depth = args.depth if args.depth is not None else order + 2
-    compressed = freeprod.compressed_distribution(r, eta, order, depth=depth, tol=args.tol, max_order=max_order)
+    compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol, max_order=max_order)
     powered = ovdist.eta_power(dist, eta)
     deviation = compressed.max_deviation(powered)
     payload = {
@@ -220,7 +218,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", dest="out", default=None)
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.set_defaults(handler=fn)
     args = parser.parse_args(argv)

@@ -14,12 +14,18 @@ they are stored as sparse complex matrices on the flattened coordinates
 (word, row) for speed, with the dense matrix-over-A view available through
 FockOp.to_amatrix().
 
-The compression operator v prepends xi (+) 1 and truncates the top degree to
-zero, so with eta = psi + id the identities v^* v = eta(1) and
+The compression operator v prepends xi (+) 1, raising the degree by one, and
+maps the top degree to zero; v^* lowers the degree and lambda(a) keeps it.
+With eta = psi + id the identities v^* v = eta(1) and
 v^* lambda(a) v = lambda(eta(a)) hold exactly below the truncation boundary.
 The conditional expectation reads the diagonal A-block at the degree-one
-basis vector 0 (+) 1; expectations of operator words are exact whenever the
-truncation depth exceeds the word length, which word_expectation enforces.
+basis vector 0 (+) 1.  The expectation of an operator word is exact when,
+applying its letters to 0 (+) 1 from the right, v never acts on a vector of
+the top degree; that holds once the depth is at least 1 + the largest sum,
+over contiguous runs of the word's letters, of +1 per v and -1 per v*.
+word_expectation, which multiplies the whole word out, asks for the cruder
+depth >= length + 1; freeprod.required_depth gives the depth the freeness
+recursion needs, which is 2 for the compression words v* X (v a v*) ... X v.
 """
 
 from __future__ import annotations

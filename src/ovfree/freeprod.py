@@ -16,23 +16,38 @@ Coefficient arguments of a moment map enter the word as extra tensor axes
 ("slots") on the letters, so a single recursion pass evaluates the map on the
 whole matrix-unit basis at once instead of once per coefficient tuple.
 
-C-letters are kept as unevaluated expression trees (products, centerings and
-A-scalar insertions over the sparse Fock atoms); their expectations are read
-off by pushing the 0 (+) 1 state vector through the tree, so no operator
-product on the Fock module is ever materialized.  Expectations stay exact as
-long as the Fock depth exceeds the number of raising letters in any subword,
-which compressed_distribution guarantees by construction.
+A C-letter T is held as its bra slab T* Omega, where Omega = 0 (+) 1 is the
+state vector; the recursion reads nothing else from it.  E(T) = <T* Omega,
+Omega> is the conjugate transpose of the slab's Omega coordinate, centering
+zeroes that coordinate, and a fused letter L e R has the slab
+R* e* (L* Omega), so it costs the pushes of the one input letter R.  No
+operator product on the Fock module is ever formed.
+
+Depth.  v raises the Fock degree by one, v* lowers it and A-scalars keep it;
+Omega has degree 1, and E(P) = <Omega, P Omega> vanishes unless the degrees
+of P's atoms sum to zero.  Expanding the centerings, each C-product the
+recursion evaluates is a sum of products of the word's C atoms in order, and
+a stretch of atoms left out of one sits inside such an expectation, so it
+sums to zero where it contributes.  The partial degree sums of every product
+are therefore sums over contiguous runs of the word's v/v* atoms.  The
+truncated v drops only vectors of the top degree, so on a module whose depth
+is required_depth(word) -- one more than the largest such run sum, and at
+least 2 -- every value is exact.  For the compression words
+v* X (v a v*) X ... X v of compressed_distribution that depth is 2 at every
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from string import ascii_uppercase
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from .algebra import matrix_units
+from .algebra import dagger, matrix_units
 from .cpmaps import CPMap, NotCompletelyPositiveError
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
@@ -93,106 +108,46 @@ class MixedWord:
         return [(tag, tuple(items)) for tag, items in runs]
 
 
-# -- internal letter representations ------------------------------------------
+def required_depth(atoms: Sequence[Atom]) -> int:
+    """Fock depth at which every expectation of this word is exact.
+
+    That is 1 + the largest sum, over contiguous runs of the word's v/v*
+    atoms, of +1 per v and -1 per v*, and never less than 2 (see the module
+    docstring).
+    """
+    best = run = 0
+    for atom in atoms:
+        if isinstance(atom, str) and atom != "X":
+            run = max(0, run + (1 if atom == "v" else -1))
+            best = max(best, run)
+    return max(2, 1 + best)
 
 
-class _BLetter:
-    """Matrix in the realization algebra, with optional slot axes in front."""
+# -- internal letter representation -------------------------------------------
 
-    __slots__ = ("tensor", "sids", "is_zero", "_e")
 
-    def __init__(self, tensor: np.ndarray, sids: Tuple[int, ...]):
+class _Letter:
+    """One letter of an alternating word, with slot axes recorded in sids.
+
+    Tag "B": tensor is a matrix on the realization space, shape
+    (*slots, kp, kp).  Tag "C": tensor is the bra slab T* Omega of a Fock
+    operator T, shape (D, k, *slots, k); on input letters, ops lists the
+    adjoints of T's factors in the order they act on a slab.
+    """
+
+    __slots__ = ("tag", "tensor", "sids", "ops", "is_zero", "_e")
+
+    def __init__(self, tag: str, tensor: np.ndarray, sids: Tuple[int, ...], ops: tuple = ()):
+        self.tag = tag
         self.tensor = tensor
         self.sids = sids
+        self.ops = ops
         self.is_zero = not np.any(tensor)
-        self._e = None
-
-    tag = "B"
-
-
-class _CNode:
-    tag = "C"
-    __slots__ = ()
-
-
-class _COpAtom(_CNode):
-    """Sparse operator atom on the Fock module (v or v*); no slots."""
-
-    __slots__ = ("mat", "sids", "is_zero", "_e")
-
-    def __init__(self, mat):
-        self.mat = mat
-        self.sids: Tuple[int, ...] = ()
-        self.is_zero = False
-        self._e = None
-
-    def push(self, arr: np.ndarray) -> np.ndarray:
-        shape = arr.shape
-        out = self.mat @ arr.reshape(shape[0] * shape[1], -1)
-        return np.asarray(out).reshape(shape)
-
-
-class _CScalar(_CNode):
-    """Left multiplication by an A-valued tensor carrying its own slots."""
-
-    __slots__ = ("tensor", "sids", "is_zero", "_e")
-
-    def __init__(self, tensor: np.ndarray, sids: Tuple[int, ...] = ()):
-        self.tensor = tensor
-        self.sids = sids
-        self.is_zero = not np.any(tensor)
-        self._e = None
-
-    def push(self, arr: np.ndarray) -> np.ndarray:
-        tn = self.tensor.ndim - 2
-        an = arr.ndim - 3
-        ts = ascii_uppercase[:tn]
-        ss = ascii_uppercase[tn:tn + an]
-        out = np.einsum(f"{ts}ab,db{ss}j->da{ts}{ss}j", self.tensor, arr)
-        return out
-
-
-class _CSeq(_CNode):
-    """Product of C factors, applied right to left when pushed."""
-
-    __slots__ = ("factors", "sids", "is_zero", "_e")
-
-    def __init__(self, factors: Tuple[_CNode, ...]):
-        self.factors = factors
-        sids: Tuple[int, ...] = ()
-        for f in factors:
-            sids = sids + f.sids
-        self.sids = sids
-        self.is_zero = any(f.is_zero for f in factors)
-        self._e = None
-
-    def push(self, arr: np.ndarray) -> np.ndarray:
-        for f in reversed(self.factors):
-            arr = f.push(arr)
-        return arr
-
-
-class _CCentered(_CNode):
-    """inner - lambda(E(inner)); the expectation tensor shares inner's slots."""
-
-    __slots__ = ("inner", "scalar", "sids", "is_zero", "_e")
-
-    def __init__(self, inner: _CNode, e_tensor: np.ndarray):
-        self.inner = inner
-        self.scalar = _CScalar(e_tensor, inner.sids)
-        self.sids = inner.sids
-        self.is_zero = inner.is_zero
-        self._e = None
-
-    def push(self, arr: np.ndarray) -> np.ndarray:
-        return self.inner.push(arr) - self.scalar.push(arr)
-
-
-_Letter = Union[_BLetter, _CNode]
+        self._e: Optional[np.ndarray] = None
 
 
 class _Env:
-    """Evaluation context: the realization, the Fock module and caches."""
+    """Evaluation context: the realization and the Fock module."""
 
     def __init__(self, r: Realization, f: FockSpace):
         if r.k != f.k:
@@ -200,9 +155,8 @@ class _Env:
         self.r = r
         self.f = f
         self.k = r.k
-        self.v = _COpAtom(f.v_op().mat)
-        self.vstar = _COpAtom(f.v_op().adjoint().mat)
-        self._unit_slab = f.unit_slab().reshape(f.D, f.k, f.k)
+        self.v = f.v_op().mat
+        self.vstar = f.v_op().adjoint().mat
 
     def embed(self, tensor: np.ndarray) -> np.ndarray:
         # a (x) 1_p on the trailing output axes, batched over slots
@@ -216,24 +170,51 @@ class _Env:
         t4 = tensor.reshape(tensor.shape[:-2] + (k, p, k, p))
         return np.einsum("ts,...isjt->...ij", self.r.rho, t4)
 
+    def push(self, op, op_sids: Tuple[int, ...], slab: np.ndarray,
+             sids: Tuple[int, ...]) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """Apply a sparse Fock matrix, or left multiplication by an A-valued
+        tensor of shape (*op slots, k, k), to a slab; new slots go in front."""
+        if sp.issparse(op):
+            return (op @ slab.reshape(self.f.dim, -1)).reshape(slab.shape), sids
+        k = self.k
+        n = op.size // (k * k)
+        rows = op.reshape(n, k, k).transpose(1, 0, 2).reshape(k * n, k)
+        out = rows @ slab.reshape(self.f.D, k, -1)
+        return out.reshape((self.f.D, k) + op.shape[:-2] + slab.shape[2:]), op_sids + sids
+
+    def c_letter(self, factors: Sequence) -> _Letter:
+        """Input C-letter for the product of factors, each "v", "v*" or an
+        A-valued (tensor, sids) pair, held as its bra slab."""
+        ops = []
+        for fac in factors:
+            if isinstance(fac, str):
+                ops.append((self.vstar if fac == "v" else self.v, ()))
+            else:
+                ops.append((dagger(fac[0]), fac[1]))
+        slab, sids = self.f.unit_slab(), ()
+        for op, op_sids in ops:
+            slab, sids = self.push(op, op_sids, slab, sids)
+        return _Letter("C", slab, sids, tuple(ops))
+
 
 def _expect(letter: _Letter, env: _Env) -> np.ndarray:
     """Marginal expectation; tensor shape (*slots of the letter, k, k)."""
-    if letter._e is not None:
-        return letter._e
-    if letter.tag == "B":
-        e = env.cond_exp_b(letter.tensor)
-    else:
-        out = letter.push(env._unit_slab)
-        e = np.moveaxis(out[env.f.state_index], 0, -2)
-    letter._e = e
-    return e
+    if letter._e is None:
+        if letter.tag == "B":
+            letter._e = env.cond_exp_b(letter.tensor)
+        else:
+            # <T* Omega, Omega>: the adjoint of the Omega coordinate
+            letter._e = np.moveaxis(letter.tensor[env.f.state_index], 0, -1).conj()
+    return letter._e
 
 
 def _center(letter: _Letter, e: np.ndarray, env: _Env) -> _Letter:
     if letter.tag == "B":
-        return _BLetter(letter.tensor - env.embed(e), letter.sids)
-    return _CCentered(letter, e)
+        return _Letter("B", letter.tensor - env.embed(e), letter.sids)
+    # (T - E(T))* Omega = T* Omega - E(T)* Omega
+    slab = letter.tensor.copy()
+    slab[env.f.state_index] = 0
+    return _Letter("C", slab, letter.sids)
 
 
 def _b_mul(t1: np.ndarray, n1: int, t2: np.ndarray, n2: int) -> np.ndarray:
@@ -251,11 +232,13 @@ def _merge(left: Optional[_Letter], e: np.ndarray, esids: Tuple[int, ...],
         if left is not None:
             t = _b_mul(left.tensor, len(left.sids), t, len(sids))
             sids = left.sids + sids
-        return _BLetter(t, sids)
-    factors: Tuple[_CNode, ...] = (_CScalar(e, esids), right)
-    if left is not None:
-        factors = (left,) + factors
-    return _CSeq(factors)
+        return _Letter("B", t, sids)
+    # (L e R)* Omega = R* e* (L* Omega)
+    slab, sids = (env.f.unit_slab(), ()) if left is None else (left.tensor, left.sids)
+    slab, sids = env.push(dagger(e), esids, slab, sids)
+    for op, op_sids in right.ops:
+        slab, sids = env.push(op, op_sids, slab, sids)
+    return _Letter("C", slab, sids)
 
 
 class _Accumulator:
@@ -309,85 +292,29 @@ def _expect_word(letters: Sequence[_Letter], env: _Env, n_slots: int) -> np.ndar
 # -- public operations ---------------------------------------------------------
 
 
-def _letters_from_atoms(word: MixedWord, env: _Env) -> Tuple[List[_Letter], Optional[np.ndarray]]:
-    """Normalize an atom list into alternating letters.
-
-    A-atoms are absorbed into the preceding letter when one is open and into
-    the following letter otherwise.  If the word contains no X/v atoms at
-    all, the second return value carries the plain A-product instead.
-    """
-    k = env.k
-    letters: List[_Letter] = []
-    group_tag: Optional[str] = None
-    group: list = []
-    pending: List[np.ndarray] = []
-
-    def flush() -> None:
-        nonlocal group_tag, group
-        if group_tag is None:
-            return
-        if group_tag == "B":
-            t = group[0]
-            for m in group[1:]:
-                t = t @ m
-            letters.append(_BLetter(t, ()))
-        else:
-            letters.append(_CSeq(tuple(group)) if len(group) > 1 else group[0])
-        group_tag, group = None, []
-
-    for atom in word.atoms:
-        if not isinstance(atom, str):
-            a = np.asarray(atom[1], dtype=complex)
-            if a.shape != (k, k):
-                raise ValueError(f"A-coefficients must be {k}x{k}")
-            if group_tag == "B":
-                group.append(env.embed(a))
-            elif group_tag == "C":
-                group.append(_CScalar(a))
-            else:
-                pending.append(a)
-            continue
-        tag = "B" if atom == "X" else "C"
-        if tag != group_tag:
-            flush()
-            group_tag = tag
-        if pending:
-            if tag == "B":
-                group.extend(env.embed(a) for a in pending)
-            else:
-                group.extend(_CScalar(a) for a in pending)
-            pending = []
-        if atom == "X":
-            group.append(env.r.X)
-        elif atom == "v":
-            group.append(env.v)
-        else:
-            group.append(env.vstar)
-    if pending and group_tag is None:
-        # the word is a pure A-product
-        prod = np.eye(k, dtype=complex)
-        for a in pending:
-            prod = prod @ a
-        return [], prod
-    if pending:
-        if group_tag == "B":
-            group.extend(env.embed(a) for a in pending)
-        else:
-            group.extend(_CScalar(a) for a in pending)
-    flush()
-    return letters, None
-
-
 def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
     """Expectation of a mixed word onto A, using only the freeness axiom.
 
-    The Fock depth must exceed the number of "v" atoms in the word; this is
-    the caller's responsibility (compressed_distribution sizes it itself).
+    Raises ValueError when f is shallower than required_depth(word.atoms),
+    where the truncated module would give wrong values.
     """
+    need = required_depth(word.atoms)
+    if f.depth < need:
+        raise ValueError(f"Fock depth {f.depth} is too small for this word; need depth >= {need}")
     env = _Env(r, f)
-    letters, scalar = _letters_from_atoms(word, env)
-    if scalar is not None:
-        return scalar
+    k = env.k
+    letters: List[_Letter] = []
+    for tag, atoms in word.normal_form():
+        mats = [atom[1] for atom in atoms if not isinstance(atom, str)]
+        if any(a.shape != (k, k) for a in mats):
+            raise ValueError(f"A-coefficients must be {k}x{k}")
+        if tag == "A":
+            return reduce(np.matmul, mats, np.eye(k, dtype=complex))
+        if tag == "B":
+            t = reduce(np.matmul, [env.embed(a[1]) if isinstance(a, tuple) else r.X for a in atoms])
+            letters.append(_Letter("B", t, ()))
+        else:
+            letters.append(env.c_letter([a if isinstance(a, str) else (a[1], ()) for a in atoms]))
     return _expect_word(letters, env, 0)
 
 
@@ -395,14 +322,16 @@ def compressed_distribution(
     r: Realization,
     eta: CPMap,
     N: int,
-    depth: Optional[int] = None,
     tol: float = 1e-9,
     max_order: Optional[int] = None,
 ) -> OVDistribution:
     """Moment maps of v* X v, assembled purely from the freeness recursion.
 
-    Requires eta - id completely positive (otherwise the Fock model for
-    psi = eta - id does not exist; the raised error carries the witness).
+    The n-th moment map is E(v* X (v a_1 v*) X ... (v a_{n-1} v*) X v) with
+    a matrix-unit slot per coefficient, evaluated on the Fock module of
+    psi = eta - id at the depth required_depth gives for that word, which is
+    2 at every order.  Requires eta - id completely positive (otherwise the
+    Fock model for psi does not exist; the raised error carries the witness).
     """
     cap = MAX_COMPRESSED_ORDER if max_order is None else max_order
     if not 1 <= N <= cap:
@@ -417,7 +346,7 @@ def compressed_distribution(
             f"{report.min_eigenvalue:.3e}); no compression model exists",
             report,
         )
-    f = build_fock(psi, depth if depth is not None else N + 2, tol)
+    f = build_fock(psi, required_depth(["v*"] + ["v", "v*"] * (N - 1) + ["v"]), tol)
     # slabs carry one k^2 axis per coefficient slot on top of the module
     if f.D * r.k**2 * (r.k * r.k) ** (N - 1) > 200_000_000:
         raise ValueError(
@@ -426,16 +355,16 @@ def compressed_distribution(
         )
     env = _Env(r, f)
     k = r.k
-    units = matrix_units(k)
-    X = _BLetter(r.X, ())
+    units = np.asarray(matrix_units(k))
+    X = _Letter("B", r.X, ())
+    first, last = env.c_letter(["v*"]), env.c_letter(["v"])
+    middles = [env.c_letter(["v", (units, (t,)), "v*"]) for t in range(N - 1)]
     moments = []
     for n in range(1, N + 1):
-        letters: List[_Letter] = [env.vstar]
-        for t in range(n - 1):
-            letters.append(X)
-            letters.append(_CSeq((env.v, _CScalar(np.asarray(units), (t,)), env.vstar)))
-        letters.append(X)
-        letters.append(env.v)
+        letters: List[_Letter] = [first]
+        for middle in middles[:n - 1]:
+            letters += [X, middle]
+        letters += [X, last]
         tensor = _expect_word(letters, env, n - 1)
         moments.append(MultiMap(k, tensor))
     return OVDistribution(k=k, order=N, moments=tuple(moments), label="compressed")

@@ -44,8 +44,11 @@ class Realization:
     rho: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=complex)
-        rho = np.asarray(self.rho, dtype=complex)
+        # private read-only copies: a caller mutating its arrays cannot void the checks below
+        X = np.array(self.X, dtype=complex)
+        rho = np.array(self.rho, dtype=complex)
+        X.setflags(write=False)
+        rho.setflags(write=False)
         d = self.k * self.p
         if X.shape != (d, d):
             raise ValueError(f"X must be {d}x{d} for k={self.k}, p={self.p}")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovfree import (
     CPMap,
@@ -11,9 +13,11 @@ from ovfree import (
     eta_power,
     evaluate,
     moments_from_realization,
+    word_expectation,
 )
+from ovfree.freeprod import required_depth
 
-from conftest import random_complex, random_cp, random_realization
+from conftest import random_complex, random_cp, random_eta, random_realization
 
 
 def make_env(rng, k=2, rank=1, depth=6):
@@ -164,3 +168,94 @@ def test_normal_form_alternates(rng):
     assert len(nf[1][1]) == 3  # X X and the attached coefficient
     nf_scalar = MixedWord.from_atoms([("A", a)]).normal_form()
     assert len(nf_scalar) == 1 and nf_scalar[0][0] == "A"
+
+
+@pytest.mark.parametrize("atoms, depth", [
+    ([], 2),
+    (["v*"], 2),
+    (["v", "X", "v*"], 2),
+    (["v*", "v*", "v", "v"], 3),
+    (["v", "X", "v"], 3),  # X does not break the run: E(v E(X) v) is formed
+    (["v", ("A", np.eye(2)), "v", "v*", "v", "v"], 4),
+] + [
+    # the compression words v* X (v a v*) X ... X v of every order up to 8
+    (["v*"] + ["X", "v", ("A", np.eye(2)), "v*"] * (N - 1) + ["X", "v"], 2) for N in range(1, 9)
+])
+def test_required_depth(atoms, depth):
+    assert required_depth(atoms) == depth
+
+
+def test_evaluate_rejects_shallow_module(rng):
+    r = random_realization(rng)
+    psi = random_cp(rng, 2, rank=1)
+    word = MixedWord.from_atoms(["v*", "v*", "v", "v"])
+    with pytest.raises(ValueError, match="need depth >= 3"):
+        evaluate(word, r, build_fock(psi, 2))
+    deep = evaluate(word, r, build_fock(psi, 6))
+    assert np.max(np.abs(deep)) > 0.1
+    assert np.max(np.abs(evaluate(word, r, build_fock(psi, 3)) - deep)) < 1e-12 * np.max(np.abs(deep))
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), rank=st.sampled_from([1, 2]), N=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_compressed_matches_eta_power(k, rank, N, seed):
+    rng = np.random.default_rng(seed)
+    r = random_realization(rng, k=k, p=2)
+    eta = random_eta(rng, k, rank=rank)
+    comp = compressed_distribution(r, eta, N)
+    powered = eta_power(moments_from_realization(r, N), eta)
+    for n in range(1, N + 1):
+        want = powered.moment(n).tensor
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(comp.moment(n).tensor - want)) <= 1e-10 * scale
+
+
+def _random_atoms(rng, alphabet, length, k):
+    atoms = []
+    for _ in range(length):
+        atom = alphabet[rng.integers(len(alphabet))]
+        atoms.append(("A", random_complex(rng, (k, k))) if atom == "A" else atom)
+    return atoms
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from([1, 2]), rank=st.sampled_from([1, 2]), length=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_fock_words_match_sparse_product(k, rank, length, seed):
+    # the bra-slab recursion against the product of sparse Fock operators
+    rng = np.random.default_rng(seed)
+    atoms = _random_atoms(rng, ["v", "v*", "A"], length, k)
+    f = build_fock(random_cp(rng, k, rank=rank), length + 1)
+    want = word_expectation(f, [a if isinstance(a, str) else a[1] for a in atoms])
+    got = evaluate(MixedWord.from_atoms(atoms), random_realization(rng, k=k), f)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 2]), rank=st.sampled_from([1, 2]), pairs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_mixed_words_exact_at_required_depth(k, rank, pairs, seed):
+    # v/v* pairs in random order, so that E is not zero by degree counting,
+    # with up to six atoms in all and X and A atoms at random places
+    rng = np.random.default_rng(seed)
+    atoms = [str(a) for a in rng.permutation(["v", "v*"] * pairs)]
+    for extra in _random_atoms(rng, ["X", "A"], rng.integers(7 - 2 * pairs), k):
+        atoms.insert(rng.integers(len(atoms) + 1), extra)
+    r = random_realization(rng, k=k)
+    psi = random_cp(rng, k, rank=rank)
+    word = MixedWord.from_atoms(atoms)
+    got = evaluate(word, r, build_fock(psi, required_depth(atoms)))
+    want = evaluate(word, r, build_fock(psi, len(atoms) + 2))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_runs_of_v_atoms_cross_b_letters(rng):
+    # the recursion forms E(v* E(X) v* E(X) v E(X) v), which needs depth 3
+    atoms = ["v*", "X", "v*", "X", "v", "X", "v"]
+    r = random_realization(rng)
+    psi = random_cp(rng, 2, rank=1)
+    word = MixedWord.from_atoms(atoms)
+    got = evaluate(word, r, build_fock(psi, required_depth(atoms)))
+    want = evaluate(word, r, build_fock(psi, 6))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

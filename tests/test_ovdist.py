@@ -14,7 +14,7 @@ from ovfree import (
     semicircular,
 )
 
-from conftest import random_complex, random_eta, random_realization, random_symmetric_cumulants
+from conftest import random_complex, random_eta, random_hermitian, random_realization, random_symmetric_cumulants
 
 
 # -- independent oracles -------------------------------------------------------
@@ -293,3 +293,16 @@ def test_scalar_cumulant_scaling_matches_classical(rng):
     powered = cumulants_from_moments(eta_power(d, CPMap.scaled_identity(1, t)))
     for c, ct in zip(cums, powered):
         assert np.max(np.abs(ct.tensor - t * c.tensor)) < 1e-10
+
+
+def test_realization_owns_read_only_copies(rng):
+    X = random_hermitian(rng, 4)
+    rho = np.eye(2, dtype=complex) / 2
+    r = Realization(k=2, p=2, X=X, rho=rho)
+    X[0, 1] += 1.0
+    rho[0, 0] = 5.0
+    assert np.array_equal(r.X, r.X.conj().T)
+    assert r.rho[0, 0] == 0.5
+    assert not r.X.flags.writeable and not r.rho.flags.writeable
+    with pytest.raises(ValueError):
+        r.X[0, 0] = 1.0
