@@ -9,8 +9,10 @@ counterexample.  Input and output are JSON; output is canonical (sorted keys,
 Exit codes: 0 success, 2 input error, 3 precondition violation (the emitted
 JSON then carries the certificate).
 
-The environment variable OVFREE_MAX_ORDER raises the hard order guard of the
-freeness-recursion commands; expert use only, runtimes grow exponentially.
+The environment variable OVFREE_MAX_ORDER, a positive integer, replaces the
+hard order guard: 8 for the transform commands and
+freeprod.MAX_COMPRESSED_ORDER = 6 for verify-realization; expert use only,
+runtimes grow exponentially.
 """
 
 from __future__ import annotations
@@ -71,7 +73,15 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _max_order() -> Optional[int]:
     value = os.environ.get("OVFREE_MAX_ORDER")
-    return int(value) if value else None
+    if not value:
+        return None
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputError(f"OVFREE_MAX_ORDER must be a positive integer, got {value!r}")
+    return cap
 
 
 def _cmd_check_cp(args) -> int:
@@ -123,7 +133,7 @@ def _cmd_verify_realization(args) -> int:
     dist_spec, map_spec = _parts(spec, "distribution", "map")
     if "realization" not in dist_spec:
         raise InputError("verify-realization needs a realization-based distribution")
-    order = _order_of(dist_spec, args)
+    order = _order_of(dist_spec, args, freeprod.MAX_COMPRESSED_ORDER)
     eta = map_from_spec(map_spec)
     cp_report = eta_minus_id_cp(eta, args.tol)
     if not cp_report.is_psd:
@@ -136,11 +146,9 @@ def _cmd_verify_realization(args) -> int:
             args.out,
         )
         return EXIT_PRECONDITION
-    cap = _max_order()
-    max_order = max(freeprod.MAX_COMPRESSED_ORDER, cap) if cap else None
     r = realization_from_spec(int_field(dist_spec, "k"), dist_spec["realization"])
     dist = ovdist.moments_from_realization(r, order)
-    compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol, max_order=max_order)
+    compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol, max_order=args.max_order)
     powered = ovdist.eta_power(dist, eta)
     deviation = compressed.max_deviation(powered)
     payload = {
@@ -189,9 +197,9 @@ def _parts(spec: dict, *names: str) -> list:
     return [spec[name] for name in names]
 
 
-def _order_of(dist_spec: dict, args) -> int:
+def _order_of(dist_spec: dict, args, default_cap: int = ORDER_CAP) -> int:
     order = args.order if args.order is not None else int_field(dist_spec, "order", DEFAULT_ORDER)
-    cap = _max_order() or ORDER_CAP
+    cap = args.max_order or default_cap
     if order > cap:
         raise InputError(f"order {order} exceeds the hard guard {cap}; set OVFREE_MAX_ORDER to override")
     return order
@@ -222,6 +230,7 @@ def main(argv=None) -> int:
         p.set_defaults(handler=fn)
     args = parser.parse_args(argv)
     try:
+        args.max_order = _max_order()
         return args.handler(args)
     except (InputError, ValueError) as exc:
         print(f"ovfree: {exc}", file=sys.stderr)

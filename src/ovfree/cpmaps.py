@@ -39,16 +39,17 @@ class CPMap:
     """A linear map on M_k stored through its k^2 x k^2 Choi matrix.
 
     The name is aspirational: instances may hold arbitrary linear maps (for
-    example eta - id); complete positivity is what is_cp certifies.
+    example eta - id); complete positivity is what is_cp certifies.  The map
+    owns a read-only copy of its Choi matrix.
     """
 
-    def __init__(self, k: int, choi: np.ndarray, kraus: Sequence[np.ndarray] | None = None):
-        choi = np.asarray(choi, dtype=complex)
+    def __init__(self, k: int, choi: np.ndarray):
+        choi = np.array(choi, dtype=complex)
         if choi.shape != (k * k, k * k):
             raise ValueError(f"choi must be {k * k}x{k * k} for k={k}")
+        choi.setflags(write=False)
         self.k = int(k)
         self.choi = choi
-        self._kraus = None if kraus is None else [np.asarray(K, dtype=complex) for K in kraus]
 
     # -- constructors ------------------------------------------------------
 
@@ -89,7 +90,7 @@ class CPMap:
                 raise ValueError("Kraus operators must be k x k")
             v = _vec(K)
             choi += np.outer(v, v.conj())
-        return cls(k, choi, kraus=kraus)
+        return cls(k, choi)
 
     @classmethod
     def identity(cls, k: int) -> "CPMap":

@@ -8,14 +8,29 @@ family of psi then satisfies <xi, a xi> = psi(a).  The truncated Fock module
     F = A (+) K (+) K (x)_A K (+) ... (+) K^{(x)_A depth}
 
 is a free right A-module whose basis is indexed by words over r + 1 letters
-(letter r is the unit direction of the A-summand).  Operators are right
-A-linear, i.e. matrices over A acting by left multiplication on coordinates;
-they are stored as sparse complex matrices on the flattened coordinates
-(word, row) for speed, with the dense matrix-over-A view available through
-FockOp.to_amatrix().
+(letter r is the unit direction of the A-summand), ordered by degree.
+Operators are right A-linear, i.e. matrices over A acting by left
+multiplication on coordinates, and a vector is a slab of shape (D, k, ...):
+one k-row coordinate per basis word, with any number of trailing axes.
 
 The compression operator v prepends xi (+) 1, raising the degree by one, and
 maps the top degree to zero; v^* lowers the degree and lambda(a) keeps it.
+FockSpace defines v once, by two read-only tables built at construction: the
+index of the word l.w for every letter l and every word w below the top
+degree (prepend_index), and the stacked coordinates of the letters, the
+Kraus operators and the identity (letter_coords).  The words are ordered so
+that l.w has index width * index(w) + 1 + l, which makes prepend_index the
+range 1..D-1 in rows of width = r + 1: push_v and push_vstar apply v and
+v^* to a slab with one batched matmul each on contiguous views of the slab,
+with no gather or scatter.  The freeness recursion in freeprod uses nothing
+else of the module.
+
+FockOp is the operator-product view: scipy sparse matrices on the flattened
+coordinates (word, row), with v_op built from the same tables, composed by @
+and read by word_expectation and the dense matrix-over-A view to_amatrix().
+It serves as the oracle for the slab pushes and loads scipy on first use, so
+importing this module needs numpy only.
+
 With eta = psi + id the identities v^* v = eta(1) and
 v^* lambda(a) v = lambda(eta(a)) hold exactly below the truncation boundary.
 The conditional expectation reads the diagonal A-block at the degree-one
@@ -32,13 +47,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import DEFAULT_TOL, AMatrix
 from .cpmaps import CPMap
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MAX_FLAT_DIM = 60_000
 
@@ -46,18 +63,21 @@ Letter = Union[str, np.ndarray]
 
 
 class FockSpace:
-    """Truncated Fock module data: basis words, grading, and the xi vector."""
+    """Truncated Fock module data: basis words, grading, the xi vector and
+    the index maps that define v."""
 
     def __init__(self, k: int, kraus: Sequence[np.ndarray], depth: int):
         if depth < 2:
             raise ValueError("depth must be at least 2")
         self.k = int(k)
         self.depth = int(depth)
-        self.kraus = tuple(np.asarray(K, dtype=complex) for K in kraus)
-        for K in self.kraus:
-            if K.shape != (k, k):
-                raise ValueError("xi coordinates must be k x k matrices")
-        self.r = len(self.kraus)
+        coords = [np.asarray(K, dtype=complex) for K in kraus]
+        if any(K.shape != (k, k) for K in coords):
+            raise ValueError("xi coordinates must be k x k matrices")
+        # letters 0..r-1 carry the xi coordinates, letter r the unit direction
+        self.letter_coords = _frozen(np.array(coords + [np.eye(self.k)], dtype=complex))
+        self.r = len(coords)
+        self.kraus = tuple(self.letter_coords[:self.r])
         width = self.r + 1
         self.grading = [width**j for j in range(depth + 1)]
         self.D = sum(self.grading)
@@ -66,13 +86,21 @@ class FockSpace:
                 f"truncated Fock module is too large (D*k = {self.D * self.k}); "
                 "reduce the depth or the Kraus rank of psi"
             )
+        # words are listed by degree and, within a degree, with the first
+        # letter varying fastest, so that l.w has index width * index(w) + 1 + l
         self.words: List[Tuple[int, ...]] = []
         for j in range(depth + 1):
-            self.words.extend(product(range(width), repeat=j))
+            self.words.extend(p[::-1] for p in product(range(width), repeat=j))
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.degrees = np.array([len(w) for w in self.words])
         self.unit_coord = self.r  # index of the 0 (+) 1 direction inside K
         self.state_index = self.word_index[(self.r,)]
+        # v maps the words below the top degree, the first D - width**depth,
+        # onto the indices 1..D-1 in order: row w of this table holds l.w
+        low = self.D - self.grading[-1]
+        self.prepend_index = _frozen(np.arange(1, self.D).reshape(low, width))
+        self._stacked = self.letter_coords.reshape(width * self.k, self.k)
+        self._stacked_h = _frozen(self._stacked.conj().T.copy())
         self._v: Optional["FockOp"] = None
 
     @property
@@ -84,11 +112,29 @@ class FockSpace:
         """Coordinates of xi in A^r: the Kraus family of psi."""
         return self.kraus
 
-    # letters 0..r-1 carry the xi coordinates, letter r the unit direction
-    def _coordinate(self, letter: int) -> np.ndarray:
-        return self.kraus[letter] if letter < self.r else np.eye(self.k)
+    def push_v(self, slab: np.ndarray) -> np.ndarray:
+        """v applied to a slab of shape (D, k, ...): (v s)[l.w] = C_l s[w] for
+        every word w below the top degree; nothing reaches the vacuum."""
+        low, width = self.prepend_index.shape
+        flat = slab.reshape(self.D, self.k, -1)
+        out = np.empty(flat.shape, dtype=complex)
+        out[0] = 0
+        np.matmul(self._stacked, flat[:low], out=out[1:].reshape(low, width * self.k, flat.shape[-1]))
+        return out.reshape(slab.shape)
+
+    def push_vstar(self, slab: np.ndarray) -> np.ndarray:
+        """v^* applied to a slab of shape (D, k, ...):
+        (v^* s)[w] = sum_l C_l^* s[l.w] below the top degree, zero on it."""
+        low, width = self.prepend_index.shape
+        flat = slab.reshape(self.D, self.k, -1)
+        out = np.empty(flat.shape, dtype=complex)
+        out[low:] = 0
+        np.matmul(self._stacked_h, flat[1:].reshape(low, width * self.k, flat.shape[-1]), out=out[:low])
+        return out.reshape(slab.shape)
 
     def lambda_op(self, a: np.ndarray) -> "FockOp":
+        import scipy.sparse as sp
+
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.k, self.k):
             raise ValueError(f"expected a {self.k}x{self.k} matrix")
@@ -96,29 +142,26 @@ class FockSpace:
         return FockOp(self, mat, 0)
 
     def v_op(self) -> "FockOp":
+        """v as a sparse FockOp, built from the same tables as push_v."""
         if self._v is not None:
             return self._v
+        import scipy.sparse as sp
+
         k = self.k
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[complex] = []
-        for w, i in self.word_index.items():
-            if len(w) >= self.depth:
-                continue  # truncation: the top degree maps to zero
-            for letter in range(self.r + 1):
-                j = self.word_index[(letter,) + w]
-                block = self._coordinate(letter)
-                for a in range(k):
-                    for b in range(k):
-                        if block[a, b] != 0:
-                            rows.append(j * k + a)
-                            cols.append(i * k + b)
-                            data.append(block[a, b])
-        mat = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        low, width = self.prepend_index.shape
+        # entry (l.w, a; w, b) = C_l[a, b], axes (w, l, a, b)
+        data = np.broadcast_to(self.letter_coords, (low, width, k, k))
+        rows = self.prepend_index[:, :, None, None] * k + np.arange(k)[:, None]
+        cols = np.arange(low)[:, None, None, None] * k + np.arange(k)
+        rows, cols = np.broadcast_arrays(rows, cols)
+        keep = data != 0
+        mat = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim))
         self._v = FockOp(self, mat, +1)
         return self._v
 
     def identity_op(self) -> "FockOp":
+        import scipy.sparse as sp
+
         return FockOp(self, sp.identity(self.dim, format="csr", dtype=complex), 0)
 
     def cond_exp_block(self, mat: sp.spmatrix) -> np.ndarray:
@@ -130,6 +173,11 @@ class FockSpace:
         slab = np.zeros((self.D, self.k, self.k), dtype=complex)
         slab[self.state_index] = np.eye(self.k)
         return slab
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from string import ascii_uppercase
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import dagger, matrix_units
 from .cpmaps import CPMap, NotCompletelyPositiveError
@@ -155,8 +154,6 @@ class _Env:
         self.r = r
         self.f = f
         self.k = r.k
-        self.v = f.v_op().mat
-        self.vstar = f.v_op().adjoint().mat
 
     def embed(self, tensor: np.ndarray) -> np.ndarray:
         # a (x) 1_p on the trailing output axes, batched over slots
@@ -172,10 +169,11 @@ class _Env:
 
     def push(self, op, op_sids: Tuple[int, ...], slab: np.ndarray,
              sids: Tuple[int, ...]) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Apply a sparse Fock matrix, or left multiplication by an A-valued
-        tensor of shape (*op slots, k, k), to a slab; new slots go in front."""
-        if sp.issparse(op):
-            return (op @ slab.reshape(self.f.dim, -1)).reshape(slab.shape), sids
+        """Apply a Fock push (FockSpace.push_v or push_vstar), or left
+        multiplication by an A-valued tensor of shape (*op slots, k, k), to
+        a slab; new slots go in front."""
+        if callable(op):
+            return op(slab), sids
         k = self.k
         n = op.size // (k * k)
         rows = op.reshape(n, k, k).transpose(1, 0, 2).reshape(k * n, k)
@@ -188,7 +186,7 @@ class _Env:
         ops = []
         for fac in factors:
             if isinstance(fac, str):
-                ops.append((self.vstar if fac == "v" else self.v, ()))
+                ops.append((self.f.push_vstar if fac == "v" else self.f.push_v, ()))
             else:
                 ops.append((dagger(fac[0]), fac[1]))
         slab, sids = self.f.unit_slab(), ()

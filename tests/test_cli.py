@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +374,38 @@ def test_convolve_rejects_non_hermitian_cumulants(tmp_path, capsys):
     dist["cumulants"][0] = [[[0.0, 1.0]]]  # E(X) = i is not self-adjoint
     inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)})
     assert_one_line_exit_2(capsys, ["convolve-power", "--in", inp], "cumulant 1 violates Hermitian symmetry")
+
+
+GOLDEN_REALIZATION = str(Path(__file__).parent / "golden" / "realization.json")
+
+
+def test_verify_realization_order_above_compressed_cap(capsys, monkeypatch):
+    # 7 is within the transform commands' guard of 8 but above the freeness
+    # route's MAX_COMPRESSED_ORDER, so the CLI's own guard must refuse it
+    monkeypatch.delenv("OVFREE_MAX_ORDER", raising=False)
+    argv = ["verify-realization", "--in", GOLDEN_REALIZATION, "--order", "7"]
+    assert_one_line_exit_2(capsys, argv, "exceeds the hard guard 6; set OVFREE_MAX_ORDER")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+def test_bad_max_order_env_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("OVFREE_MAX_ORDER", value)
+    argv = ["verify-realization", "--in", GOLDEN_REALIZATION]
+    assert_one_line_exit_2(capsys, argv, f"OVFREE_MAX_ORDER must be a positive integer, got '{value}'")
+
+
+def test_cli_run_never_imports_scipy():
+    # scipy.sparse alone costs about a quarter of a second per CLI process;
+    # only the sparse FockOp view, which no command uses, may load it
+    code = (
+        "import sys\n"
+        "from ovfree.cli import main\n"
+        f"assert main(['verify-realization', '--in', {GOLDEN_REALIZATION!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"pass":true' in proc.stdout

@@ -179,3 +179,16 @@ def test_eta_minus_id_cp_implies_eta_cp(rng):
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         CPMap.identity(2).apply(np.eye(3))
+
+
+def test_cpmap_owns_a_read_only_choi(rng):
+    choi = random_cp(rng, 2, rank=2).choi.copy()
+    m = CPMap(2, choi)
+    a = random_complex(rng, (2, 2))
+    before = m.apply(a)
+    choi[:] = 0
+    assert np.array_equal(m.apply(a), before)
+    with pytest.raises(ValueError):
+        m.choi[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.choi4[0, 0, 0, 0] = 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovfree import (
     CPMap,
@@ -208,3 +210,38 @@ def test_to_amatrix_round_trip(rng):
     v = build_v(f)
     am = v.to_amatrix()
     assert np.max(np.abs(am.blocks[3, 1] - v.block(3, 1))) < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), rank=st.sampled_from([0, 1, 2]), depth=st.integers(2, 4),
+       slots=st.lists(st.integers(1, 3), max_size=2), support=st.sampled_from(["all", "top", "below"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_slab_pushes_match_sparse_v(k, rank, depth, slots, support, seed):
+    rng = np.random.default_rng(seed)
+    psi = CPMap.zero(k) if rank == 0 else random_cp(rng, k, rank=rank)
+    f = build_fock(psi, depth)
+    slab = random_complex(rng, (f.D, k, *slots))
+    top = f.degrees == depth
+    if support == "top":  # v must send all of it to zero
+        slab[~top] = 0
+    elif support == "below":
+        slab[top] = 0
+    v = f.v_op()
+    flat = slab.reshape(f.dim, -1)
+    for got, oracle in ((f.push_v(slab), v.mat @ flat), (f.push_vstar(slab), v.adjoint().mat @ flat)):
+        assert got.shape == slab.shape
+        assert np.max(np.abs(got.reshape(f.dim, -1) - oracle), initial=0.0) < 1e-13
+    if support == "top":
+        assert not np.any(f.push_v(slab))
+
+
+def test_index_maps_are_read_only(rng):
+    f = build_fock(random_cp(rng, 2, rank=2), 3)
+    assert f.prepend_index.shape == (1 + 3 + 9, 3)
+    # row w of the table is l.w for every letter l, by the words themselves
+    for i, w in enumerate(f.words[:13]):
+        assert [f.word_index[(letter,) + w] for letter in range(3)] == list(f.prepend_index[i])
+    assert f.letter_coords.shape == (3, 2, 2)
+    for table in (f.prepend_index, f.letter_coords):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
