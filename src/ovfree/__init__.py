@@ -7,17 +7,8 @@ counterexample pipeline for maps whose difference from the identity fails to
 be completely positive.
 """
 
-from .algebra import DEFAULT_TOL, AMatrix, PSDReport, adjoint, dagger, flatten, matrix_units, psd_check, unflatten
-from .cpmaps import (
-    CPMap,
-    NotCompletelyPositiveError,
-    amplify,
-    apply_map,
-    choi_of,
-    eta_minus_id_cp,
-    is_cp,
-    kraus_of,
-)
+from .algebra import DEFAULT_TOL, AMatrix, PSDReport, dagger, flatten, matrix_units, psd_check
+from .cpmaps import CPMap, NotCompletelyPositiveError, eta_minus_id_cp
 from .converse import (
     CounterexampleReport,
     GNSModel,
@@ -33,10 +24,10 @@ from .converse import (
     pack_tuple,
     unpack_tuple,
 )
-from .fock import FockOp, FockSpace, build_fock, build_v, cond_exp, lambda_rep, word_expectation
+from .fock import FockOp, FockSpace, build_fock, word_expectation
 from .freeprod import MixedWord, compressed_distribution, evaluate
 from .multimap import MultiMap
-from .ncpart import NCPartition, catalan, enumerate_nc, is_noncrossing, nesting_forest
+from .ncpart import NCPartition, enumerate_nc
 from .ovdist import (
     OVDistribution,
     Realization,

@@ -18,6 +18,18 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+MAX_ARRAY_BYTES = 800_000_000  # 50M complex128 entries
+
+
+def check_array_size(entries: int, what: str) -> None:
+    """The one array-size rule: refuse, before allocating it, a complex array
+    of more than MAX_ARRAY_BYTES."""
+    size = 16 * int(entries)
+    if size > MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"{what} would need {size / 1e6:,.0f} MB, above the {MAX_ARRAY_BYTES / 1e6:,.0f} MB "
+            "array limit; reduce the order, k or the Kraus rank"
+        )
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -93,14 +105,6 @@ class AMatrix:
     def zeros(cls, rows: int, cols: int, k: int) -> "AMatrix":
         return cls(np.zeros((rows, cols, k, k), dtype=complex))
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, k: int) -> "AMatrix":
-        flat = np.asarray(flat, dtype=complex)
-        rows, cols = flat.shape[0] // k, flat.shape[1] // k
-        if flat.shape != (rows * k, cols * k):
-            raise ValueError("flat matrix dimensions are not a multiple of k")
-        return cls(flat.reshape(rows, k, cols, k).transpose(0, 2, 1, 3))
-
     def block(self, i: int, j: int) -> np.ndarray:
         return self.blocks[i, j]
 
@@ -125,11 +129,6 @@ class AMatrix:
         )
 
 
-def adjoint(m: AMatrix) -> AMatrix:
-    """Entrywise-adjoint transpose: (m*)_{ij} = (m_{ji})*."""
-    return m.adjoint()
-
-
 def flatten(m: AMatrix) -> np.ndarray:
     """Flatten a square AMatrix to a (rows*k) x (rows*k) complex block matrix.
 
@@ -138,11 +137,6 @@ def flatten(m: AMatrix) -> np.ndarray:
     if m.rows != m.cols:
         raise ValueError(f"flatten requires a square AMatrix, got {m.rows}x{m.cols}")
     return m.blocks.transpose(0, 2, 1, 3).reshape(m.rows * m.k, m.cols * m.k)
-
-
-def unflatten(flat: np.ndarray, k: int) -> AMatrix:
-    """Inverse of flatten."""
-    return AMatrix.from_flat(flat, k)
 
 
 @dataclass(frozen=True)

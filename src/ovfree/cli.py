@@ -7,12 +7,15 @@ counterexample.  Input and output are JSON; output is canonical (sorted keys,
 12 significant digits) so identical inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error, 3 precondition violation (the emitted
-JSON then carries the certificate).
+JSON then carries the certificate; a map whose eta - id is not completely
+positive where that is required, or a failed witness search, prints
+{"reason", "certificate"}).
 
 The environment variable OVFREE_MAX_ORDER, a positive integer, replaces the
 hard order guard: 8 for the transform commands and
 freeprod.MAX_COMPRESSED_ORDER = 6 for verify-realization; expert use only,
-runtimes grow exponentially.
+runtimes grow exponentially.  It does not lift the limit of a realization
+spec, ovdist.MAX_REALIZATION_ORDER = 10.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 
 from . import converse, freeprod, ovdist
 from .algebra import DEFAULT_TOL
-from .cpmaps import eta_minus_id_cp, is_cp
+from .cpmaps import NotCompletelyPositiveError, eta_minus_id_cp
 from .serialize import (
     canonical_dumps,
     cumulants_from_spec,
@@ -89,7 +92,7 @@ def _cmd_check_cp(args) -> int:
     eta = map_from_spec(spec)
     payload = {
         "k": eta.k,
-        "eta": psd_report_to_json(is_cp(eta, args.tol)),
+        "eta": psd_report_to_json(eta.is_cp(args.tol)),
         "eta_minus_id": psd_report_to_json(eta_minus_id_cp(eta, args.tol)),
     }
     _emit(payload, args.out)
@@ -202,6 +205,11 @@ def _order_of(dist_spec: dict, args, default_cap: int = ORDER_CAP) -> int:
     cap = args.max_order or default_cap
     if order > cap:
         raise InputError(f"order {order} exceeds the hard guard {cap}; set OVFREE_MAX_ORDER to override")
+    if "realization" in dist_spec and order > ovdist.MAX_REALIZATION_ORDER:
+        raise InputError(
+            f"order {order} exceeds ovdist.MAX_REALIZATION_ORDER = {ovdist.MAX_REALIZATION_ORDER} "
+            "for a realization spec; OVFREE_MAX_ORDER does not lift it"
+        )
     return order
 
 
@@ -232,6 +240,11 @@ def main(argv=None) -> int:
     try:
         args.max_order = _max_order()
         return args.handler(args)
+    except (NotCompletelyPositiveError, converse.NoWitnessError) as exc:
+        print(f"ovfree: {exc}", file=sys.stderr)
+        certificate = None if exc.report is None else psd_report_to_json(exc.report)
+        _emit({"reason": str(exc), "certificate": certificate}, args.out)
+        return EXIT_PRECONDITION
     except (InputError, ValueError) as exc:
         print(f"ovfree: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -249,8 +249,8 @@ class GNSModel:
     Hilbert-Schmidt inner product via x -> x sqrt(phi).
 
     basis[0] is the cyclic vector; P is the rank-one projection onto it, in
-    basis coordinates.  vartheta averages <x xi_j, xi_j> over the first N
-    basis vectors; with the full basis (N = H_dim) it is tr/N on B(H).
+    basis coordinates.  vartheta_op averages <M xi_j, xi_j> over the first
+    N basis vectors; with the full basis (N = H_dim) it is tr/N on B(H).
     """
 
     basis: np.ndarray  # (H_dim, n, n), orthonormal, basis[0] = cyclic vector
@@ -259,10 +259,6 @@ class GNSModel:
     @property
     def H_dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def xi_vec(self) -> np.ndarray:
-        return self.basis[0]
 
     @property
     def P(self) -> np.ndarray:
@@ -276,9 +272,6 @@ class GNSModel:
 
     def vartheta_op(self, M: np.ndarray) -> float:
         return float(np.real(np.trace(M[: self.N, : self.N]))) / self.N
-
-    def vartheta(self, z: np.ndarray) -> float:
-        return self.vartheta_op(self.rep(z))
 
 
 def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:

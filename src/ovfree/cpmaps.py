@@ -56,15 +56,7 @@ class CPMap:
     @classmethod
     def from_action(cls, k: int, action: Callable[[np.ndarray], np.ndarray]) -> "CPMap":
         """Build the Choi matrix from the values of the map on matrix units."""
-        units = matrix_units(k)
-        choi4 = np.zeros((k, k, k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                val = np.asarray(action(units[p * k + q]), dtype=complex)
-                if val.shape != (k, k):
-                    raise ValueError("action values must be k x k matrices")
-                choi4[p, :, q, :] = val
-        return cls(k, choi4.reshape(k * k, k * k))
+        return cls.from_unit_values(k, [action(u) for u in matrix_units(k)])
 
     @classmethod
     def from_unit_values(cls, k: int, values: Sequence[np.ndarray]) -> "CPMap":
@@ -72,13 +64,9 @@ class CPMap:
         values = [np.asarray(v, dtype=complex) for v in values]
         if len(values) != k * k:
             raise ValueError(f"need {k * k} matrices, one per matrix unit")
-        choi4 = np.zeros((k, k, k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                val = values[p * k + q]
-                if val.shape != (k, k):
-                    raise ValueError("unit values must be k x k matrices")
-                choi4[p, :, q, :] = val
+        if any(v.shape != (k, k) for v in values):
+            raise ValueError("unit values must be k x k matrices")
+        choi4 = np.stack(values).reshape(k, k, k, k).transpose(0, 2, 1, 3)
         return cls(k, choi4.reshape(k * k, k * k))
 
     @classmethod
@@ -198,30 +186,6 @@ class CPMap:
         return CPMap(n, choi8.reshape(n * n, n * n))
 
 
-# -- spec-level operation names ---------------------------------------------
-
-
-def choi_of(k: int, unit_values: Sequence[np.ndarray]) -> CPMap:
-    """CPMap from the list of values on matrix units (unit order e_pq)."""
-    return CPMap.from_unit_values(k, unit_values)
-
-
-def is_cp(m: CPMap, tol: float = DEFAULT_TOL) -> PSDReport:
-    return m.is_cp(tol)
-
-
 def eta_minus_id_cp(eta: CPMap, tol: float = DEFAULT_TOL) -> PSDReport:
     """PSD certificate for the Choi matrix of a -> eta(a) - a."""
     return eta.minus_id().is_cp(tol)
-
-
-def kraus_of(m: CPMap, tol: float = DEFAULT_TOL) -> List[np.ndarray]:
-    return m.kraus(tol)
-
-
-def amplify(m: CPMap, order: int) -> CPMap:
-    return m.amplify(order)
-
-
-def apply_map(m: CPMap, a: np.ndarray) -> np.ndarray:
-    return m.apply(a)

@@ -27,9 +27,9 @@ else of the module.
 
 FockOp is the operator-product view: scipy sparse matrices on the flattened
 coordinates (word, row), with v_op built from the same tables, composed by @
-and read by word_expectation and the dense matrix-over-A view to_amatrix().
-It serves as the oracle for the slab pushes and loads scipy on first use, so
-importing this module needs numpy only.
+and read by word_expectation through cond_exp_block.  It serves as the
+oracle for the slab pushes and loads scipy on first use, so importing this
+module needs numpy only.
 
 With eta = psi + id the identities v^* v = eta(1) and
 v^* lambda(a) v = lambda(eta(a)) hold exactly below the truncation boundary.
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AMatrix
+from .algebra import DEFAULT_TOL
 from .cpmaps import CPMap
 
 if TYPE_CHECKING:
@@ -106,11 +106,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return self.D * self.k
-
-    @property
-    def xi_coords(self) -> Tuple[np.ndarray, ...]:
-        """Coordinates of xi in A^r: the Kraus family of psi."""
-        return self.kraus
 
     def push_v(self, slab: np.ndarray) -> np.ndarray:
         """v applied to a slab of shape (D, k, ...): (v s)[l.w] = C_l s[w] for
@@ -221,34 +216,12 @@ class FockOp:
         k = self.space.k
         return np.asarray(self.mat[i * k:(i + 1) * k, j * k:(j + 1) * k].todense())
 
-    def to_amatrix(self) -> AMatrix:
-        D, k = self.space.D, self.space.k
-        if D > 1500:
-            raise ValueError("dense AMatrix view is limited to D <= 1500")
-        dense = np.asarray(self.mat.todense())
-        return AMatrix(dense.reshape(D, k, D, k).transpose(0, 2, 1, 3))
-
 
 def build_fock(psi: CPMap, depth: int, tol: float = DEFAULT_TOL) -> FockSpace:
     """Truncated Fock module for a CP map psi; raises with a PSD witness if
     psi is not completely positive (the vector xi does not exist then)."""
     kraus = psi.kraus(tol)
     return FockSpace(psi.k, kraus, depth)
-
-
-def build_v(f: FockSpace) -> FockOp:
-    """The compression operator: prepend xi (+) 1, truncating the top degree."""
-    return f.v_op()
-
-
-def lambda_rep(f: FockSpace, a: np.ndarray) -> FockOp:
-    """Left action of A: block-diagonal left multiplication by a."""
-    return f.lambda_op(a)
-
-
-def cond_exp(f: FockSpace, T: FockOp) -> np.ndarray:
-    """<0 (+) 1, T (0 (+) 1)>: the diagonal A-block at the state vector."""
-    return f.cond_exp_block(T.mat)
 
 
 def word_expectation(f: FockSpace, word: Sequence[Letter]) -> np.ndarray:
@@ -265,7 +238,7 @@ def word_expectation(f: FockSpace, word: Sequence[Letter]) -> np.ndarray:
     op = f.identity_op()
     for letter in word:
         op = op @ _as_op(f, letter)
-    return cond_exp(f, op)
+    return f.cond_exp_block(op.mat)
 
 
 def _as_op(f: FockSpace, letter: Letter) -> FockOp:

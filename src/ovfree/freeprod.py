@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import dagger, matrix_units
+from .algebra import check_array_size, dagger, matrix_units
 from .cpmaps import CPMap, NotCompletelyPositiveError
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
@@ -346,11 +346,7 @@ def compressed_distribution(
         )
     f = build_fock(psi, required_depth(["v*"] + ["v", "v*"] * (N - 1) + ["v"]), tol)
     # slabs carry one k^2 axis per coefficient slot on top of the module
-    if f.D * r.k**2 * (r.k * r.k) ** (N - 1) > 200_000_000:
-        raise ValueError(
-            "compressed moment evaluation too large for this order/base "
-            "dimension; reduce the order or the Kraus rank of eta - id"
-        )
+    check_array_size(f.D * r.k ** (2 * N), f"an order-{N} slab on a Fock module of {f.D} words")
     env = _Env(r, f)
     k = r.k
     units = np.asarray(matrix_units(k))

@@ -6,8 +6,9 @@ the coordinate index of argument t in the matrix-unit basis (row-major, so an
 argument a enters as a.reshape(k*k)), and the final two axes are the output.
 
 Storage is exact but dense: a map of arity n costs (k^2)^n * k^2 complex
-entries, which caps practical use around k <= 3, n <= 7.  Oversized requests
-are rejected rather than silently thrashing.
+entries, which caps practical use around k <= 3, n <= 7.  A tensor above
+algebra.MAX_ARRAY_BYTES is refused by algebra.check_array_size before it is
+allocated, rather than left to thrash.
 
 kappa_map and moment_map evaluate the nested partition terms one enumerated
 non-crossing partition at a time, Catalan(n) of them for order n.  No library
@@ -22,18 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import matrix_units
+from .algebra import check_array_size, matrix_units
 from .ncpart import NCNode, enumerate_nc
-
-MAX_TENSOR_ENTRIES = 50_000_000
-
-
-def _check_size(k: int, arity: int) -> None:
-    if (k * k) ** arity * k * k > MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"multilinear tensor of arity {arity} over M_{k} is too large; "
-            "supported scale is roughly k <= 3 with arity <= 7"
-        )
 
 
 @dataclass(frozen=True)
@@ -58,13 +49,8 @@ class MultiMap:
 
     @classmethod
     def zero(cls, k: int, arity: int) -> "MultiMap":
-        _check_size(k, arity)
+        check_array_size(k ** (2 * arity + 2), f"a map of arity {arity} over M_{k}")
         return cls(k, np.zeros((k * k,) * arity + (k, k), dtype=complex))
-
-    @classmethod
-    def const(cls, value: np.ndarray) -> "MultiMap":
-        value = np.asarray(value, dtype=complex)
-        return cls(value.shape[0], value.copy())
 
     def apply(self, args: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on concrete matrices."""
@@ -152,23 +138,12 @@ def right_slot(m: MultiMap) -> MultiMap:
 
 def join(f: MultiMap, g: MultiMap) -> MultiMap:
     """Pointwise product map (x, y) -> f(x) g(y); slots of f then slots of g."""
-    _check_size(f.k, f.arity + g.arity)
+    arity = f.arity + g.arity
+    check_array_size(f.k ** (2 * arity + 2), f"a map of arity {arity} over M_{f.k}")
     t = np.tensordot(f.tensor, g.tensor, axes=([f.tensor.ndim - 1], [g.tensor.ndim - 2]))
     # axes (f-slots..., i, g-slots..., j); move i next to j
     t = np.moveaxis(t, f.arity, -2)
     return MultiMap(f.k, t)
-
-
-def lmul(a: np.ndarray, m: MultiMap) -> MultiMap:
-    """Constant left multiplication of the output."""
-    t = np.tensordot(np.asarray(a, dtype=complex), m.tensor, axes=([1], [m.tensor.ndim - 2]))
-    return MultiMap(m.k, np.moveaxis(t, 0, -2))
-
-
-def rmul(m: MultiMap, a: np.ndarray) -> MultiMap:
-    """Constant right multiplication of the output."""
-    t = np.tensordot(m.tensor, np.asarray(a, dtype=complex), axes=([m.tensor.ndim - 1], [0]))
-    return MultiMap(m.k, t)
 
 
 def plug_all(omega: MultiMap, plugs: Sequence[Optional[MultiMap]]) -> MultiMap:

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 MAX_GROUND_SET = 12  # Catalan(12) = 208012; bounds only the reference oracle, not the transform order
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 @dataclass(frozen=True)
@@ -30,10 +25,6 @@ class NCNode:
 
     block: Tuple[int, ...]
     gaps: Tuple[Tuple["NCNode", ...], ...]
-
-    @property
-    def span(self) -> Tuple[int, int]:
-        return self.block[0], self.block[-1]
 
 
 @dataclass(frozen=True)
@@ -55,44 +46,6 @@ class NCPartition:
             visit(root)
         out.sort(key=lambda b: b[0])
         return tuple(out)
-
-    def parent_table(self) -> Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], Optional[int]]]:
-        """block -> (parent block or None, gap index within the parent)."""
-        table: Dict[Tuple[int, ...], Tuple[Optional[Tuple[int, ...]], Optional[int]]] = {}
-
-        def visit(node: NCNode, parent: Optional[Tuple[int, ...]], gap: Optional[int]) -> None:
-            table[node.block] = (parent, gap)
-            for j, forest in enumerate(node.gaps):
-                for child in forest:
-                    visit(child, node.block, j)
-
-        for root in self.roots:
-            visit(root, None, None)
-        return table
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One entry of the post-order evaluation plan."""
-
-    block: Tuple[int, ...]
-    parent: Optional[Tuple[int, ...]]
-    gap: Optional[int]
-
-
-def nesting_forest(p: NCPartition) -> Tuple[PlanStep, ...]:
-    """Post-order evaluation plan: every child block precedes its parent."""
-    steps = []
-
-    def visit(node: NCNode, parent: Optional[Tuple[int, ...]], gap: Optional[int]) -> None:
-        for j, forest in enumerate(node.gaps):
-            for child in forest:
-                visit(child, node.block, j)
-        steps.append(PlanStep(node.block, parent, gap))
-
-    for root in p.roots:
-        visit(root, None, None)
-    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -133,21 +86,3 @@ def enumerate_nc(n: int) -> Tuple[NCPartition, ...]:
     parts = [NCPartition(n, roots) for roots in _forests(0, n)]
     parts.sort(key=lambda p: p.blocks())
     return tuple(parts)
-
-
-def is_noncrossing(blocks, n: int) -> bool:
-    """Brute-force validity check: partition of range(n) with no crossing."""
-    seen = sorted(x for b in blocks for x in b)
-    if seen != list(range(n)):
-        return False
-    owner = {}
-    for i, b in enumerate(blocks):
-        for x in b:
-            owner[x] = i
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
-                        return False
-    return True

@@ -20,9 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AMatrix, PSDReport, dagger, flatten, is_hermitian, matrix_units, psd_check, unit_adjoint_index
+from .algebra import DEFAULT_TOL, AMatrix, PSDReport, check_array_size, dagger, flatten, is_hermitian, matrix_units, psd_check, unit_adjoint_index
 from .cpmaps import CPMap
-from .multimap import MultiMap, _check_size
+from .multimap import MultiMap
 
 MAX_REALIZATION_ORDER = 10
 HERMITIAN_SYMMETRY_TOL = 1e-8
@@ -233,7 +233,7 @@ def _interval_dp(
     nodes: Dict[Word, np.ndarray] = {}
     out: Dict[Word, np.ndarray] = {}
     for L in range(1, order + 1):
-        _check_size(k, L - 1)
+        check_array_size(k ** (2 * L), f"a map of arity {L - 1} over M_{k}")
         shape = (k,) * (2 * L)
         labels = tuple(range(2 * L))
         keep = L < order
@@ -318,10 +318,11 @@ def positivity_certificate(dist: OVDistribution, level: int, tol: float = DEFAUL
     Rows and columns are indexed by words of X-degree < level with matrix-unit
     coefficients; the (w, w') entry is the moment of w^* w'.  A negative
     witness conclusively refutes positivity of the distribution; a PSD result
-    certifies positivity up to this level only.
+    certifies positivity up to this level only.  The entries are moments of
+    order at most 2 * level - 2, so that is the order the certificate needs.
     """
-    if 2 * level > dist.order:
-        raise ValueError(f"insufficient order: level {level} needs order >= {2 * level}")
+    if 2 * level - 2 > dist.order:
+        raise ValueError(f"insufficient order: level {level} needs order >= {2 * level - 2}")
     k = dist.k
     words = _degree_words(k, level)
     W = len(words)

@@ -13,18 +13,15 @@ from ovfree import (
     CPMap,
     bernoulli,
     build_fock,
-    build_v,
     certify_nonpositive,
     compressed_distribution,
     compression_cumulants,
-    cond_exp,
     counterexample_report,
     cumulants_from_moments,
     build_gns,
     eta_minus_id_cp,
     eta_power,
     find_witness,
-    lambda_rep,
     moments_from_cumulants,
     moments_from_realization,
     positivity_certificate,
@@ -54,19 +51,19 @@ def test_criterion_1_fock_identities():
         psi = random_cp(rng, k, rank=rank, scale=0.6)
         eta = CPMap(k, psi.choi + CPMap.identity(k).choi)
         f = build_fock(psi, 5)
-        v = build_v(f)
+        v = f.v_op()
         vs = v.adjoint()
-        worst = max(worst, float(np.max(np.abs(cond_exp(f, vs @ v) - eta.apply(np.eye(k))))))
+        worst = max(worst, float(np.max(np.abs(f.cond_exp_block((vs @ v).mat) - eta.apply(np.eye(k))))))
         sub = np.concatenate(
             [np.arange(i * k, (i + 1) * k) for i, w in enumerate(f.words) if len(w) < f.depth]
         )
         for a in matrix_units(k):
-            W = (vs @ lambda_rep(f, a) @ v).mat
-            L = lambda_rep(f, eta.apply(a)).mat
+            W = (vs @ f.lambda_op(a) @ v).mat
+            L = f.lambda_op(eta.apply(a)).mat
             diff = (W - L).tocsr()[sub, :][:, sub]
             worst = max(worst, float(np.max(np.abs(diff.toarray()))) if diff.nnz else 0.0)
         a = random_complex(rng, (k, k))
-        worst = max(worst, float(np.max(np.abs(cond_exp(f, v @ lambda_rep(f, a) @ vs) - a))))
+        worst = max(worst, float(np.max(np.abs(f.cond_exp_block((v @ f.lambda_op(a) @ vs).mat) - a))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0
     report(1, ok, f"Fock identities, 25 maps: max error {worst:.2e}, runtime {elapsed:.1f}s")
@@ -77,9 +74,9 @@ def test_criterion_2_non_traciality():
     for t in (1.5, 2.0, 3.0):
         psi = CPMap.from_kraus(1, [np.array([[np.sqrt(t - 1.0)]])])
         f = build_fock(psi, 4)
-        v = build_v(f)
-        worst = max(worst, abs(complex(cond_exp(f, v @ v.adjoint())[0, 0]) - 1.0))
-        worst = max(worst, abs(complex(cond_exp(f, v.adjoint() @ v)[0, 0]) - t))
+        v = f.v_op()
+        worst = max(worst, abs(complex(f.cond_exp_block((v @ v.adjoint()).mat)[0, 0]) - 1.0))
+        worst = max(worst, abs(complex(f.cond_exp_block((v.adjoint() @ v).mat)[0, 0]) - t))
     ok = worst < 1e-12
     report(2, ok, f"non-traciality E(vv*) = 1, E(v*v) = t: max error {worst:.2e}")
 

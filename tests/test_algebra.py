@@ -1,10 +1,15 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ovfree import AMatrix, adjoint, flatten, psd_check, unflatten
-from ovfree.algebra import matrix_units
+from ovfree import AMatrix, CPMap, MultiMap, Realization, compressed_distribution, flatten, psd_check
+from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units
+from ovfree.cli import main
+from ovfree.serialize import array_to_json
 
-from conftest import random_complex, random_unitary
+from conftest import random_complex, random_cp, random_hermitian, random_unitary
 
 
 def random_amatrix(rng, rows, cols, k):
@@ -13,25 +18,25 @@ def random_amatrix(rng, rows, cols, k):
 
 def test_adjoint_identity():
     m = AMatrix.identity(3, 2)
-    assert adjoint(m).allclose(m)
+    assert m.adjoint().allclose(m)
 
 
 def test_adjoint_matrix_unit():
     e12 = matrix_units(2)[0 * 2 + 1]
     m = AMatrix(e12.reshape(1, 1, 2, 2))
     e21 = matrix_units(2)[1 * 2 + 0]
-    assert np.allclose(adjoint(m).block(0, 0), e21)
+    assert np.allclose(m.adjoint().block(0, 0), e21)
 
 
 def test_adjoint_involution(rng):
     m = random_amatrix(rng, 3, 3, 2)
-    assert adjoint(adjoint(m)).allclose(m)
+    assert m.adjoint().adjoint().allclose(m)
 
 
 def test_adjoint_antihomomorphism(rng):
     a = random_amatrix(rng, 3, 3, 2)
     b = random_amatrix(rng, 3, 3, 2)
-    assert adjoint(a @ b).allclose(adjoint(b) @ adjoint(a))
+    assert (a @ b).adjoint().allclose(b.adjoint() @ a.adjoint())
 
 
 def test_flatten_identity():
@@ -61,17 +66,12 @@ def test_flatten_multiplicative(rng):
 
 def test_flatten_star_preserving(rng):
     m = random_amatrix(rng, 3, 3, 2)
-    assert np.max(np.abs(flatten(adjoint(m)) - flatten(m).conj().T)) < 1e-12
+    assert np.max(np.abs(flatten(m.adjoint()) - flatten(m).conj().T)) < 1e-12
 
 
 def test_flatten_rejects_non_square(rng):
     with pytest.raises(ValueError):
         flatten(random_amatrix(rng, 2, 3, 2))
-
-
-def test_unflatten_round_trip(rng):
-    m = random_amatrix(rng, 3, 3, 2)
-    assert unflatten(flatten(m), 2).allclose(m)
 
 
 def test_psd_identity():
@@ -117,5 +117,44 @@ def test_psd_unitary_invariance(rng):
 
 def test_psd_of_gram_amatrix(rng):
     m = random_amatrix(rng, 3, 3, 2)
-    rep = psd_check(flatten(adjoint(m) @ m))
+    rep = psd_check(flatten(m.adjoint() @ m))
     assert rep.min_eigenvalue >= -1e-10
+
+
+def _rank9_case(rng):
+    """k = 3, eta - id of Kraus rank 9 and order 6: each compressed-moment
+    slab would hold 111 * 3**12 = 59M complex entries (944 MB)."""
+    eta = CPMap(3, CPMap.identity(3).choi + random_cp(rng, 3, rank=9).choi)
+    r = Realization(k=3, p=1, X=random_hermitian(rng, 3), rho=np.eye(1))
+    return r, eta
+
+
+@pytest.mark.parametrize("case", ["multimap-zero", "compressed-distribution", "verify-realization"])
+def test_array_size_rule(tmp_path, capsys, rng, case):
+    # each case is refused by the one rule before its large array exists
+    r, eta = _rank9_case(rng)
+    tracemalloc.start()
+    try:
+        if case == "verify-realization":
+            real = {"d": 3, "X": array_to_json(r.X), "embedding": "tensor-block", "p": 1, "state": [[[1.0, 0.0]]]}
+            spec = {"distribution": {"k": 3, "order": 6, "realization": real}, "map": {"k": 3, "choi": array_to_json(eta.choi)}}
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(spec))
+            assert main(["verify-realization", "--in", str(path)]) == 2
+            message = capsys.readouterr().err.removeprefix("ovfree: ").removesuffix("\n")
+        else:
+            with pytest.raises(ValueError) as info:
+                MultiMap.zero(3, 9) if case == "multimap-zero" else compressed_distribution(r, eta, 6)
+            message = str(info.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert MAX_ARRAY_BYTES == 800_000_000 and peak < 100_000_000
+    assert "\n" not in message and message.endswith("MB array limit; reduce the order, k or the Kraus rank")
+
+
+def test_array_size_rule_boundary():
+    # 50M complex entries are allowed, as by the MultiMap guard the rule replaced
+    check_array_size(50_000_000, "an array")
+    with pytest.raises(ValueError, match="an array would need 800 MB, above the 800 MB array limit"):
+        check_array_size(50_000_001, "an array")

@@ -409,3 +409,30 @@ def test_cli_run_never_imports_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert '"pass":true' in proc.stdout
+
+
+def test_counterexample_zero_map_exit_3(tmp_path, capsys):
+    # eta = 0 on M_2: eta - id = -id is not CP, but phi(eta_m(a)) = 0 for
+    # every state, so the witness search fails as a precondition
+    inp = write(tmp_path, "in.json", {"map": {"k": 2, "choi": array_to_json(np.zeros((4, 4)))}})
+    assert main(["counterexample", "--in", inp]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "witness search failed" in captured.err
+    result = json.loads(captured.out)
+    assert sorted(result) == ["certificate", "reason"]
+    assert result["reason"] in captured.err
+    assert not result["certificate"]["is_psd"] and abs(result["certificate"]["min_eigenvalue"] + 2.0) < 1e-12
+
+
+def test_positivity_realization_order_above_realization_limit(capsys, monkeypatch):
+    # OVFREE_MAX_ORDER lifts the order guard but not the realization limit
+    monkeypatch.setenv("OVFREE_MAX_ORDER", "12")
+    argv = ["positivity", "--in", GOLDEN_REALIZATION, "--order", "11", "--level", "2"]
+    assert_one_line_exit_2(capsys, argv, "order 11 exceeds ovdist.MAX_REALIZATION_ORDER = 10")
+
+
+def test_positivity_level_needs_order_2l_minus_2(tmp_path):
+    inp = write(tmp_path, "in.json", bernoulli_spec(4))
+    out = str(tmp_path / "out.json")
+    assert main(["positivity", "--in", inp, "--out", out, "--level", "3"]) == 0
+    assert read(out)["positive_up_to_level"]

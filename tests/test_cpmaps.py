@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovfree import CPMap, NotCompletelyPositiveError, amplify, apply_map, choi_of, eta_minus_id_cp, is_cp, kraus_of
+from ovfree import CPMap, NotCompletelyPositiveError, eta_minus_id_cp
 from ovfree.algebra import matrix_units
 from ovfree.cpmaps import _vec
 
@@ -9,7 +9,7 @@ from conftest import random_complex, random_cp
 
 
 def test_choi_of_identity():
-    m = choi_of(2, list(matrix_units(2)))
+    m = CPMap.from_unit_values(2, list(matrix_units(2)))
     expect = sum(np.kron(e, e) for e in matrix_units(2))
     assert np.allclose(m.choi, expect)
     assert np.allclose(np.linalg.eigvalsh(m.choi), [0, 0, 0, 2])
@@ -19,7 +19,7 @@ def test_choi_of_trace_map():
     k = 2
     units = matrix_units(k)
     values = [np.trace(e) / k * np.eye(k) for e in units]
-    m = choi_of(k, values)
+    m = CPMap.from_unit_values(k, values)
     assert np.allclose(m.choi, np.eye(k * k) / k)
 
 
@@ -34,11 +34,11 @@ def test_choi_of_transpose_is_swap():
 
 
 def test_is_cp_identity():
-    assert is_cp(CPMap.identity(3)).is_psd
+    assert CPMap.identity(3).is_cp().is_psd
 
 
 def test_is_cp_transpose_antisymmetric_witness():
-    rep = is_cp(CPMap.transpose_map(2))
+    rep = CPMap.transpose_map(2).is_cp()
     assert not rep.is_psd
     w = rep.witness
     # the -1 eigenvector of swap is the antisymmetric vector (0, 1, -1, 0)/sqrt(2)
@@ -49,7 +49,7 @@ def test_is_cp_transpose_antisymmetric_witness():
 
 def test_is_cp_single_kraus(rng):
     K = random_complex(rng, (3, 3))
-    assert is_cp(CPMap.from_kraus(3, [K])).is_psd
+    assert CPMap.from_kraus(3, [K]).is_cp().is_psd
 
 
 def test_eta_minus_id_scaled():
@@ -60,14 +60,14 @@ def test_eta_minus_id_scaled():
 
 
 def test_kraus_of_identity():
-    ops = kraus_of(CPMap.identity(2))
+    ops = CPMap.identity(2).kraus()
     assert len(ops) == 1
     assert np.allclose(ops[0], np.eye(2))
 
 
 def test_kraus_of_eta_minus_id():
     psi = CPMap.scaled_identity(2, 3.0).minus_id()
-    ops = kraus_of(psi)
+    ops = psi.kraus()
     assert len(ops) == 1
     assert np.allclose(ops[0], np.sqrt(2.0) * np.eye(2))
 
@@ -75,19 +75,19 @@ def test_kraus_of_eta_minus_id():
 def test_kraus_round_trip(rng):
     k = 3
     m = random_cp(rng, k, rank=3)
-    ops = kraus_of(m)
+    ops = m.kraus()
     assert len(ops) == 3
     rebuilt = CPMap.from_kraus(k, ops)
     assert np.max(np.abs(rebuilt.choi - m.choi)) < 1e-9
 
 
 def test_kraus_of_zero_map():
-    assert kraus_of(CPMap.zero(2)) == []
+    assert CPMap.zero(2).kraus() == []
 
 
 def test_kraus_rejects_non_cp():
     with pytest.raises(NotCompletelyPositiveError) as err:
-        kraus_of(CPMap.transpose_map(2))
+        CPMap.transpose_map(2).kraus()
     assert err.value.report.witness is not None
 
 
@@ -106,18 +106,18 @@ def test_vec_convention_pins_choi(rng):
 
 def test_amplify_order_one(rng):
     m = random_cp(rng, 2, rank=2)
-    assert np.allclose(amplify(m, 1).choi, m.choi)
+    assert np.allclose(m.amplify(1).choi, m.choi)
 
 
 def test_amplify_identity(rng):
-    amp = amplify(CPMap.identity(2), 3)
+    amp = CPMap.identity(2).amplify(3)
     a = random_complex(rng, (6, 6))
     assert np.max(np.abs(amp.apply(a) - a)) < 1e-12
 
 
 def test_amplify_blockwise_action(rng):
     m = random_cp(rng, 2, rank=2)
-    amp = amplify(m, 2)
+    amp = m.amplify(2)
     x = random_complex(rng, (4, 4))
     expect = np.zeros((4, 4), dtype=complex)
     for i in range(2):
@@ -127,17 +127,17 @@ def test_amplify_blockwise_action(rng):
 
 
 def test_amplify_partial_transpose_not_cp():
-    assert not is_cp(amplify(CPMap.transpose_map(2), 2)).is_psd
+    assert not CPMap.transpose_map(2).amplify(2).is_cp().is_psd
 
 
 def test_amplify_rejects_bad_order():
     with pytest.raises(ValueError):
-        amplify(CPMap.identity(2), 0)
+        CPMap.identity(2).amplify(0)
 
 
 def test_apply_identity(rng):
     a = random_complex(rng, (2, 2))
-    assert np.allclose(apply_map(CPMap.identity(2), a), a)
+    assert np.allclose(CPMap.identity(2).apply(a), a)
 
 
 def test_apply_kraus_on_unit(rng):
@@ -173,7 +173,7 @@ def test_eta_minus_id_cp_implies_eta_cp(rng):
         psi = random_cp(sub, 2, rank=2)
         eta = CPMap(2, psi.choi + CPMap.identity(2).choi)
         assert eta_minus_id_cp(eta).is_psd
-        assert is_cp(eta).is_psd
+        assert eta.is_cp().is_psd
 
 
 def test_dimension_mismatch():

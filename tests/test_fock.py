@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import (
-    CPMap,
-    NotCompletelyPositiveError,
-    build_fock,
-    build_v,
-    cond_exp,
-    lambda_rep,
-    word_expectation,
-)
+from ovfree import CPMap, NotCompletelyPositiveError, build_fock, word_expectation
 from ovfree.algebra import matrix_units
 
 from conftest import random_complex, random_cp
@@ -63,7 +55,7 @@ def test_xi_reproduces_psi(rng):
 def test_v_on_vacuum_inserts_xi(rng):
     psi = random_cp(rng, 2, rank=2)
     f = build_fock(psi, 3)
-    v = build_v(f)
+    v = f.v_op()
     vacuum = f.word_index[()]
     for letter in range(f.r + 1):
         target = f.word_index[(letter,)]
@@ -74,16 +66,16 @@ def test_v_on_vacuum_inserts_xi(rng):
 
 def test_zero_psi_v_is_isometric_shift():
     f = build_fock(CPMap.zero(2), 4)
-    v = build_v(f)
+    v = f.v_op()
     vv = v.adjoint() @ v
-    assert np.max(np.abs(cond_exp(f, vv) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(f.cond_exp_block(vv.mat) - np.eye(2))) < 1e-12
 
 
 def test_v_star_v_is_eta_of_one(rng):
     psi = random_cp(rng, 2, rank=2)
     f = build_fock(psi, 4)
-    v = build_v(f)
-    got = cond_exp(f, v.adjoint() @ v)
+    v = f.v_op()
+    got = f.cond_exp_block((v.adjoint() @ v).mat)
     assert np.max(np.abs(got - eta_of(psi).apply(np.eye(2)))) < 1e-12
 
 
@@ -91,35 +83,35 @@ def test_isometry_after_normalization():
     # eta(1) = alpha * 1 makes alpha^(-1/2) v an isometry
     t = 2.5
     f, _ = scaled_id_fock(t)
-    v = (t**-0.5) * build_v(f)
-    got = cond_exp(f, v.adjoint() @ v)
+    v = (t**-0.5) * f.v_op()
+    got = f.cond_exp_block((v.adjoint() @ v).mat)
     assert abs(complex(got[0, 0]) - 1.0) < 1e-12
     # same over M_2 with psi = (t - 1) id
     f2 = build_fock(CPMap.scaled_identity(2, t - 1.0), 3)
-    v2 = (t**-0.5) * build_v(f2)
-    assert np.max(np.abs(cond_exp(f2, v2.adjoint() @ v2) - np.eye(2))) < 1e-12
+    v2 = (t**-0.5) * f2.v_op()
+    assert np.max(np.abs(f2.cond_exp_block((v2.adjoint() @ v2).mat) - np.eye(2))) < 1e-12
 
 
 def test_lambda_is_unital_star_homomorphism(rng):
     psi = random_cp(rng, 2, rank=1)
     f = build_fock(psi, 3)
-    eye = lambda_rep(f, np.eye(2))
+    eye = f.lambda_op(np.eye(2))
     assert (eye.mat != f.identity_op().mat).nnz == 0
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (2, 2))
-    prod = lambda_rep(f, a) @ lambda_rep(f, b)
-    assert np.max(np.abs((prod.mat - lambda_rep(f, a @ b).mat).toarray())) < 1e-12
-    adj = lambda_rep(f, a).adjoint()
-    assert np.max(np.abs((adj.mat - lambda_rep(f, a.conj().T).mat).toarray())) < 1e-12
+    prod = f.lambda_op(a) @ f.lambda_op(b)
+    assert np.max(np.abs((prod.mat - f.lambda_op(a @ b).mat).toarray())) < 1e-12
+    adj = f.lambda_op(a).adjoint()
+    assert np.max(np.abs((adj.mat - f.lambda_op(a.conj().T).mat).toarray())) < 1e-12
 
 
 def test_compression_identity_below_boundary(rng):
     psi = random_cp(rng, 2, rank=2)
     f = build_fock(psi, 3)
     eta = eta_of(psi)
-    v = build_v(f)
+    v = f.v_op()
     for a in matrix_units(2):
-        W = v.adjoint() @ lambda_rep(f, a) @ v
+        W = v.adjoint() @ f.lambda_op(a) @ v
         expect = eta.apply(a)
         for i, w in enumerate(f.words):
             if len(w) < f.depth:
@@ -134,9 +126,9 @@ def test_compression_identity_below_boundary(rng):
 def test_state_compression_recovers_element(rng):
     psi = random_cp(rng, 2, rank=2)
     f = build_fock(psi, 3)
-    v = build_v(f)
+    v = f.v_op()
     a = random_complex(rng, (2, 2))
-    got = cond_exp(f, v @ lambda_rep(f, a) @ v.adjoint())
+    got = f.cond_exp_block((v @ f.lambda_op(a) @ v.adjoint()).mat)
     assert np.max(np.abs(got - a)) < 1e-12
 
 
@@ -144,34 +136,34 @@ def test_cond_exp_restricted_to_algebra(rng):
     psi = random_cp(rng, 2, rank=1)
     f = build_fock(psi, 3)
     a = random_complex(rng, (2, 2))
-    assert np.max(np.abs(cond_exp(f, lambda_rep(f, a)) - a)) < 1e-12
+    assert np.max(np.abs(f.cond_exp_block(f.lambda_op(a).mat) - a)) < 1e-12
 
 
 def test_non_tracial_scalar_case():
     for t in (1.5, 2.0, 3.0):
         f, _ = scaled_id_fock(t)
-        v = build_v(f)
-        assert abs(complex(cond_exp(f, v @ v.adjoint())[0, 0]) - 1.0) < 1e-12
-        assert abs(complex(cond_exp(f, v.adjoint() @ v)[0, 0]) - t) < 1e-12
+        v = f.v_op()
+        assert abs(complex(f.cond_exp_block((v @ v.adjoint()).mat)[0, 0]) - 1.0) < 1e-12
+        assert abs(complex(f.cond_exp_block((v.adjoint() @ v).mat)[0, 0]) - t) < 1e-12
 
 
 def test_cond_exp_bimodule_property(rng):
     psi = random_cp(rng, 2, rank=1)
     f = build_fock(psi, 3)
-    v = build_v(f)
-    T = v @ lambda_rep(f, random_complex(rng, (2, 2))) @ v.adjoint()
+    v = f.v_op()
+    T = v @ f.lambda_op(random_complex(rng, (2, 2))) @ v.adjoint()
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (2, 2))
-    lhs = cond_exp(f, lambda_rep(f, a) @ T @ lambda_rep(f, b))
-    assert np.max(np.abs(lhs - a @ cond_exp(f, T) @ b)) < 1e-12
+    lhs = f.cond_exp_block((f.lambda_op(a) @ T @ f.lambda_op(b)).mat)
+    assert np.max(np.abs(lhs - a @ f.cond_exp_block(T.mat) @ b)) < 1e-12
 
 
 def test_cond_exp_positive(rng):
     psi = random_cp(rng, 2, rank=1)
     f = build_fock(psi, 4)
-    v = build_v(f)
-    T = v @ lambda_rep(f, random_complex(rng, (2, 2))) + 0.3 * v.adjoint()
-    block = cond_exp(f, T.adjoint() @ T)
+    v = f.v_op()
+    T = v @ f.lambda_op(random_complex(rng, (2, 2))) + 0.3 * v.adjoint()
+    block = f.cond_exp_block((T.adjoint() @ T).mat)
     assert np.linalg.eigvalsh((block + block.conj().T) / 2)[0] >= -1e-10
 
 
@@ -202,14 +194,6 @@ def test_word_expectation_depth_invariance(rng):
     f1 = build_fock(psi, len(word) + 1)
     f2 = build_fock(psi, len(word) + 3)
     assert np.max(np.abs(word_expectation(f1, word) - word_expectation(f2, word))) < 1e-12
-
-
-def test_to_amatrix_round_trip(rng):
-    psi = random_cp(rng, 2, rank=1)
-    f = build_fock(psi, 3)
-    v = build_v(f)
-    am = v.to_amatrix()
-    assert np.max(np.abs(am.blocks[3, 1] - v.block(3, 1))) < 1e-15
 
 
 @settings(max_examples=60, deadline=None)

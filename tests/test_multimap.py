@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ovfree import MultiMap, enumerate_nc
-from ovfree.multimap import join, kappa_map, left_slot, lmul, moment_map, plug_all, right_slot, rmul
+from ovfree.multimap import join, kappa_map, left_slot, moment_map, plug_all, right_slot
 
 from conftest import random_complex, random_cp
 
@@ -38,14 +38,6 @@ def test_join_semantics(rng):
     a, b, c = args(rng, k, 3)
     got = join(f, g).apply([a, b, c])
     assert np.max(np.abs(got - f.apply([a]) @ g.apply([b, c]))) < 1e-12
-
-
-def test_lmul_rmul(rng):
-    k = 2
-    f = random_map(rng, k, 1)
-    a, x = args(rng, k, 2)
-    assert np.max(np.abs(lmul(a, f).apply([x]) - a @ f.apply([x]))) < 1e-12
-    assert np.max(np.abs(rmul(f, a).apply([x]) - f.apply([x]) @ a)) < 1e-12
 
 
 def test_plug_all_semantics(rng):
@@ -139,8 +131,3 @@ def test_moment_map_order_two(rng):
     a = random_complex(rng, (k, k))
     expect = w2.apply([a]) + w1.tensor @ a @ w1.tensor
     assert np.max(np.abs(m2.apply([a]) - expect)) < 1e-12
-
-
-def test_size_guard():
-    with pytest.raises(ValueError):
-        MultiMap.zero(3, 9)

@@ -1,6 +1,28 @@
 import pytest
 
-from ovfree import catalan, enumerate_nc, is_noncrossing, nesting_forest
+from ovfree import enumerate_nc
+
+from nc_oracle import catalan, is_noncrossing
+
+
+def postorder(p):
+    """(block, parent block or None, gap index in the parent or None) for
+    every block of p, read from its roots and gaps; children come first."""
+    steps = []
+
+    def visit(node, parent, gap):
+        for j, forest in enumerate(node.gaps):
+            for child in forest:
+                visit(child, node.block, j)
+        steps.append((node.block, parent, gap))
+
+    for root in p.roots:
+        visit(root, None, None)
+    return steps
+
+
+def parent_table(p):
+    return {block: (parent, gap) for block, parent, gap in postorder(p)}
 
 
 def test_counts_match_catalan():
@@ -43,13 +65,13 @@ def test_n3_content():
 def test_nesting_singletons():
     p = next(q for q in enumerate_nc(3) if q.blocks() == ((0,), (1,), (2,)))
     assert len(p.roots) == 3
-    table = p.parent_table()
+    table = parent_table(p)
     assert all(parent is None for parent, _ in table.values())
 
 
 def test_nesting_interval_containment():
     p = next(q for q in enumerate_nc(4) if q.blocks() == ((0, 3), (1, 2)))
-    table = p.parent_table()
+    table = parent_table(p)
     assert table[(1, 2)] == ((0, 3), 0)
     assert table[(0, 3)] == (None, None)
 
@@ -64,17 +86,17 @@ def test_nesting_full_block():
 def test_forest_postorder_properties():
     for n in range(1, 7):
         for p in enumerate_nc(n):
-            plan = nesting_forest(p)
-            blocks = [step.block for step in plan]
+            plan = postorder(p)
+            blocks = [block for block, _, _ in plan]
             assert sorted(blocks) == sorted(p.blocks())
-            position = {step.block: i for i, step in enumerate(plan)}
-            for step in plan:
-                if step.parent is not None:
+            position = {block: i for i, block in enumerate(blocks)}
+            for block, parent, gap in plan:
+                if parent is not None:
                     # children evaluate before their parent
-                    assert position[step.block] < position[step.parent]
-                    assert 0 <= step.gap < len(step.parent) - 1
-                    lo, hi = step.parent[step.gap], step.parent[step.gap + 1]
-                    assert lo < step.block[0] and step.block[-1] < hi
+                    assert position[block] < position[parent]
+                    assert 0 <= gap < len(parent) - 1
+                    lo, hi = parent[gap], parent[gap + 1]
+                    assert lo < block[0] and block[-1] < hi
 
 
 def test_ground_set_guard():

@@ -281,8 +281,10 @@ def test_semicircle_power_two_positive():
 
 
 def test_positivity_insufficient_order():
-    with pytest.raises(ValueError, match="insufficient order"):
-        positivity_certificate(bernoulli(4), 3)
+    # level 3 reads moments up to order 2 * 3 - 2 = 4
+    assert positivity_certificate(bernoulli(4), 3).is_psd
+    with pytest.raises(ValueError, match="insufficient order: level 3 needs order >= 4"):
+        positivity_certificate(bernoulli(3), 3)
 
 
 def test_scalar_cumulant_scaling_matches_classical(rng):

@@ -19,7 +19,6 @@ from ovfree import (
     OVDistribution,
     TupleDistribution,
     bernoulli,
-    catalan,
     cumulants_from_moments,
     enumerate_nc,
     moments_from_cumulants,
@@ -30,6 +29,7 @@ from ovfree.ncpart import MAX_GROUND_SET
 from ovfree.ovdist import MAX_TRANSFORM_ORDER
 
 from conftest import random_complex, random_symmetric_cumulants
+from nc_oracle import catalan
 
 REL_TOL = 1e-12
 
