@@ -7,7 +7,7 @@ counterexample pipeline for maps whose difference from the identity fails to
 be completely positive.
 """
 
-from .algebra import DEFAULT_TOL, AMatrix, PSDReport, dagger, flatten, matrix_units, psd_check
+from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check
 from .cpmaps import CPMap, NotCompletelyPositiveError, eta_minus_id_cp
 from .converse import (
     CounterexampleReport,

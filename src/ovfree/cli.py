@@ -1,15 +1,19 @@
 """Command-line interface.
 
-    ovfree <command> --in <path> [--out <path>] [--order N] [--level L] [--tol T]
+    ovfree check-cp           --in <path> [--out <path>] [--tol T]
+    ovfree convolve-power     --in <path> [--out <path>] [--order N]
+    ovfree positivity         --in <path> [--out <path>] [--order N] [--level L] [--tol T]
+    ovfree verify-realization --in <path> [--out <path>] [--order N] [--tol T]
+    ovfree counterexample     --in <path> [--out <path>] [--level L] [--tol T]
 
-Commands: check-cp, convolve-power, positivity, verify-realization,
-counterexample.  Input and output are JSON; output is canonical (sorted keys,
-12 significant digits) so identical inputs give byte-identical files.
+Input and output are JSON; output is canonical (sorted keys, 12 significant
+digits) so identical inputs give byte-identical files.  --level must be at
+least 1 and --tol a finite number above 0.
 
-Exit codes: 0 success, 2 input error, 3 precondition violation (the emitted
-JSON then carries the certificate; a map whose eta - id is not completely
-positive where that is required, or a failed witness search, prints
-{"reason", "certificate"}).
+Exit codes: 0 success, 2 input error (including an --out path that cannot be
+written), 3 precondition violation (the emitted JSON then carries the
+certificate; a map whose eta - id is not completely positive where that is
+required, or a failed witness search, prints {"reason", "certificate"}).
 
 The environment variable OVFREE_MAX_ORDER, a positive integer, replaces the
 hard order guard: 8 for the transform commands and
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -44,6 +49,7 @@ from .serialize import (
 DEFAULT_ORDER = 6
 DEFAULT_LEVEL = 3
 ORDER_CAP = 8
+FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, DEFAULT_TOL)}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,9 +75,12 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     text = canonical_dumps(payload)
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output {out}: {exc}") from exc
 
 
 def _max_order() -> Optional[int]:
@@ -220,31 +229,39 @@ def _with_order(dist_spec: dict, args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ovfree", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="ovfree", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("check-cp", _cmd_check_cp),
-        ("convolve-power", _cmd_convolve_power),
-        ("positivity", _cmd_positivity),
-        ("verify-realization", _cmd_verify_realization),
-        ("counterexample", _cmd_counterexample),
+    for name, fn, flags in (
+        ("check-cp", _cmd_check_cp, ("tol",)),
+        ("convolve-power", _cmd_convolve_power, ("order",)),
+        ("positivity", _cmd_positivity, ("order", "level", "tol")),
+        ("verify-realization", _cmd_verify_realization, ("order", "tol")),
+        ("counterexample", _cmd_counterexample, ("level", "tol")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", dest="out", default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        for flag in flags:  # each command registers only the flags its handler reads
+            kind, default = FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default)
         p.set_defaults(handler=fn)
     args = parser.parse_args(argv)
+    tol = getattr(args, "tol", DEFAULT_TOL)
     try:
-        args.max_order = _max_order()
-        return args.handler(args)
-    except (NotCompletelyPositiveError, converse.NoWitnessError) as exc:
-        print(f"ovfree: {exc}", file=sys.stderr)
-        certificate = None if exc.report is None else psd_report_to_json(exc.report)
-        _emit({"reason": str(exc), "certificate": certificate}, args.out)
-        return EXIT_PRECONDITION
+        try:
+            if getattr(args, "level", 1) < 1:
+                raise InputError(f"--level must be at least 1, got {args.level}")
+            if not (math.isfinite(tol) and tol > 0):
+                raise InputError(f"--tol must be a finite number above 0, got {tol}")
+            args.max_order = _max_order()
+            return args.handler(args)
+        except (NotCompletelyPositiveError, converse.NoWitnessError) as exc:
+            certificate = None if exc.report is None else psd_report_to_json(exc.report)
+            _emit({"reason": str(exc), "certificate": certificate}, args.out)
+            print(f"ovfree: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
     except (InputError, ValueError) as exc:
         print(f"ovfree: {exc}", file=sys.stderr)
         return EXIT_INPUT

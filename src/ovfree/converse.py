@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, psd_check
+from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check
 from .cpmaps import CPMap, eta_minus_id_cp
 from .multimap import MultiMap
 from .ovdist import (
@@ -67,9 +67,6 @@ class TupleDistribution:
     order: int
     moments: Dict[Tuple[int, ...], MultiMap]
 
-    def moment(self, word: Tuple[int, ...]) -> MultiMap:
-        return self.moments[tuple(word)]
-
     @classmethod
     def from_cumulants(
         cls, k: int, s: int, order: int, cums: Dict[Tuple[int, ...], MultiMap]
@@ -101,6 +98,19 @@ def _check_tuple_size(s: int, order: int) -> None:
         raise ValueError(f"tuple distribution too large ({total} index words)")
 
 
+def _packed_axes(n: int) -> Tuple[int, ...]:
+    """Axis order taking the stacked order-n word tensors to the packed moment.
+
+    The stack has axes (r_0, c_0, ..., r_{n-1}, c_{n-1}) for the letters
+    r_t * m + c_t of the word, then (a_1, b_1, ..., a_{n-1}, b_{n-1}, p, q)
+    for the row and column of each slot's and the output's matrix unit.
+    Packed slot t is (u_t, a_t, v_t, b_t) = (c_{t-1}, a_t, r_t, b_t) and the
+    packed output is (r_0, p, c_{n-1}, q).
+    """
+    slots = tuple(ax for t in range(1, n) for ax in (2 * t - 1, 2 * n + 2 * t - 2, 2 * t, 2 * n + 2 * t - 1))
+    return slots + (0, 4 * n - 2, 2 * n - 1, 4 * n - 1)
+
+
 def pack_tuple(td: TupleDistribution) -> OVDistribution:
     """The M_m(A)-valued distribution of X = (X_ij), for s = m^2 variables.
 
@@ -108,6 +118,10 @@ def pack_tuple(td: TupleDistribution) -> OVDistribution:
     evaluated on b_1, ..., b_{n-1} in M_m(A) is the chain sum
 
         sum E(X_{i u_1} (b_1)_{u_1 v_1} X_{v_1 u_2} ... X_{v_{n-1} j}).
+
+    Each chain (i, u_1, v_1, ..., j) is one index word, so every packed entry
+    is one entry of one word's moment: the packed tensor is the stack of the
+    word tensors with its axes reordered.
     """
     m = int(round(np.sqrt(td.s)))
     if m * m != td.s:
@@ -115,26 +129,9 @@ def pack_tuple(td: TupleDistribution) -> OVDistribution:
     k, K = td.k, m * td.k
     moments: List[MultiMap] = []
     for n in range(1, td.order + 1):
-        shape_r = ((m, k, m, k) * (n - 1)) + (m, k, m, k)
-        packed = np.zeros(shape_r, dtype=complex)
-        for chain in product(range(m), repeat=2 * (n - 1) + 2):
-            i, rest = chain[0], chain[1:]
-            j = rest[-1]
-            pairs = rest[:-1]  # u_1, v_1, ..., u_{n-1}, v_{n-1}
-            word = []
-            prev = i
-            for t in range(n - 1):
-                u, v = pairs[2 * t], pairs[2 * t + 1]
-                word.append(prev * m + u)
-                prev = v
-            word.append(prev * m + j)
-            J = td.moments[tuple(word)].tensor.reshape(((k, k) * (n - 1)) + (k, k))
-            idx: List[object] = []
-            for t in range(n - 1):
-                idx += [pairs[2 * t], slice(None), pairs[2 * t + 1], slice(None)]
-            idx += [i, slice(None), j, slice(None)]
-            packed[tuple(idx)] += J
-        moments.append(MultiMap(K, packed.reshape(((K * K,) * (n - 1)) + (K, K))))
+        words = np.stack([td.moments[w].tensor for w in product(range(td.s), repeat=n)])
+        packed = words.reshape((m, m) * n + (k, k) * n).transpose(_packed_axes(n))
+        moments.append(MultiMap(K, packed.reshape((K * K,) * (n - 1) + (K, K))))
     return OVDistribution(k=K, order=td.order, moments=tuple(moments), label="packed")
 
 
@@ -145,16 +142,9 @@ def unpack_tuple(dist: OVDistribution, m: int, k: int) -> TupleDistribution:
     s = m * m
     moments: Dict[Tuple[int, ...], MultiMap] = {}
     for n in range(1, dist.order + 1):
-        nu = dist.moments[n - 1].tensor.reshape(((m, k, m, k) * (n - 1)) + (m, k, m, k))
-        for word in product(range(s), repeat=n):
-            ii = [w // m for w in word]
-            jj = [w % m for w in word]
-            idx: List[object] = []
-            for t in range(n - 1):
-                idx += [jj[t], slice(None), ii[t + 1], slice(None)]
-            idx += [ii[0], slice(None), jj[-1], slice(None)]
-            J = nu[tuple(idx)]
-            moments[word] = MultiMap(k, J.reshape(((k * k,) * (n - 1)) + (k, k)))
+        split = dist.moments[n - 1].tensor.reshape((m, k, m, k) * n)
+        words = split.transpose(np.argsort(_packed_axes(n))).reshape((s**n,) + (k * k,) * (n - 1) + (k, k))
+        moments.update((w, MultiMap(k, t)) for w, t in zip(product(range(s), repeat=n), words))
     return TupleDistribution(k=k, s=s, order=dist.order, moments=moments)
 
 
@@ -209,9 +199,7 @@ def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
     k = eta.k
     m = k
     n = m * k
-    omega = np.zeros(n, dtype=complex)
-    for p in range(k):
-        omega[p * k + p] = 1.0 / np.sqrt(k)
+    omega = np.eye(k, dtype=complex).reshape(n) / np.sqrt(k)
     a = np.outer(omega, omega.conj())
     eta_m_a = eta.amplify(m).apply(a)
     diff = eta_m_a - a
@@ -286,13 +274,7 @@ def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:
     rho = (w.phi + dagger(w.phi)) / 2
     vals, vecs = np.linalg.eigh(rho)
     sq = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
-    n = rho.shape[0]
-    seeds = [sq, w.a @ sq]
-    for u in range(n):
-        for v in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[u, v] = 1.0
-            seeds.append(e @ sq)
+    seeds = [sq, w.a @ sq, *(matrix_units(rho.shape[0]) @ sq)]
     basis: List[np.ndarray] = []
     for seed in seeds:
         vec = seed.astype(complex)

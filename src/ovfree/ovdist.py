@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AMatrix, PSDReport, check_array_size, dagger, flatten, is_hermitian, matrix_units, psd_check, unit_adjoint_index
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, is_hermitian, matrix_units, psd_check, unit_adjoint_index
 from .cpmaps import CPMap
 from .multimap import MultiMap
 
@@ -70,8 +70,10 @@ class Realization:
         return np.kron(np.asarray(a, dtype=complex), np.eye(self.p))
 
     def cond_exp(self, x: np.ndarray) -> np.ndarray:
-        x4 = np.asarray(x, dtype=complex).reshape(self.k, self.p, self.k, self.p)
-        return np.einsum("ts,isjt->ij", self.rho, x4)
+        """E(x) for x in M_d, or for each d x d matrix along leading batch axes."""
+        x = np.asarray(x, dtype=complex)
+        x4 = x.reshape(x.shape[:-2] + (self.k, self.p, self.k, self.p))
+        return np.einsum("ts,...isjt->...ij", self.rho, x4)
 
     def validate(self, tol: float = 1e-10) -> None:
         """Re-check the conditional expectation identities, naming failures."""
@@ -144,19 +146,16 @@ def moments_from_realization(r: Realization, N: int, label: str = "realized") ->
     if not 1 <= N <= MAX_REALIZATION_ORDER:
         raise ValueError(f"order must be in [1, {MAX_REALIZATION_ORDER}]")
     r.validate()
-    k, d = r.k, r.d
-    units = matrix_units(k)
+    k = r.k
     # W[c] = embed(e_c) @ X; cur accumulates X a_{c_1} X ... X with slot axes
-    W = np.stack([r.embed(units[c]) @ r.X for c in range(k * k)])
+    W = np.stack([r.embed(u) @ r.X for u in matrix_units(k)])
     cur = r.X.copy()
     moments: List[MultiMap] = []
     for n in range(1, N + 1):
         if n > 1:
             t = np.tensordot(cur, W, axes=([cur.ndim - 1], [1]))
             cur = np.moveaxis(t, -2, -3)  # (slots..., c, a, b)
-        e4 = cur.reshape(cur.shape[:-2] + (k, r.p, k, r.p))
-        tensor = np.einsum("ts,...isjt->...ij", r.rho, e4)
-        moments.append(MultiMap(k, tensor))
+        moments.append(MultiMap(k, r.cond_exp(cur)))
     return OVDistribution(k=k, order=N, moments=tuple(moments), label=label)
 
 
@@ -320,28 +319,31 @@ def positivity_certificate(dist: OVDistribution, level: int, tol: float = DEFAUL
     witness conclusively refutes positivity of the distribution; a PSD result
     certifies positivity up to this level only.  The entries are moments of
     order at most 2 * level - 2, so that is the order the certificate needs.
+    The grid is filled with axes (W, k, W, k) and reshaped to the block matrix.
     """
+    if level < 1:
+        raise ValueError(f"level must be at least 1, got {level}")
     if 2 * level - 2 > dist.order:
         raise ValueError(f"insufficient order: level {level} needs order >= {2 * level - 2}")
     k = dist.k
     words = _degree_words(k, level)
     W = len(words)
     diag_units = [p * k + p for p in range(k)]
-    grid = np.zeros((W, W, k, k), dtype=complex)
+    grid = np.zeros((W, k, W, k), dtype=complex)
     for i, (di, wi) in enumerate(words):
         adj_wi = tuple(unit_adjoint_index(c, k) for c in reversed(wi))
         for j, (dj, wj) in enumerate(words):
             n = di + dj
             if n == 0:
-                grid[i, j] = np.eye(k)
+                grid[i, :, j] = np.eye(k)
             elif di == 0:
-                grid[i, j] = dist.moments[n - 1].tensor[wj]
+                grid[i, :, j] = dist.moments[n - 1].tensor[wj]
             elif dj == 0:
-                grid[i, j] = dist.moments[n - 1].tensor[adj_wi]
+                grid[i, :, j] = dist.moments[n - 1].tensor[adj_wi]
             else:
                 t = dist.moments[n - 1].tensor
-                grid[i, j] = sum(t[adj_wi + (c,) + wj] for c in diag_units)
-    return psd_check(flatten(AMatrix(grid)), tol)
+                grid[i, :, j] = sum(t[adj_wi + (c,) + wj] for c in diag_units)
+    return psd_check(grid.reshape(W * k, W * k), tol)
 
 
 def bernoulli(order: int) -> OVDistribution:

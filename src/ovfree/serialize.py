@@ -53,6 +53,13 @@ def json_to_array(data: Any) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
 
 
+def _finite(a: np.ndarray, field: str) -> np.ndarray:
+    """a, if every entry is finite; JSON input may spell NaN, Infinity or 1e999."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"field '{field}' holds a non-finite number (NaN or infinity)")
+    return a
+
+
 def _round_sig(x: float, digits: int = 12) -> float:
     if x == 0.0:
         return 0.0
@@ -150,8 +157,8 @@ def map_from_spec(spec: dict) -> CPMap:
     if has_kraus:
         if not isinstance(spec["kraus"], list):
             raise ValueError("map spec 'kraus' must be a list of matrices")
-        return CPMap.from_kraus(k, [json_to_array(K) for K in spec["kraus"]])
-    return CPMap(k, json_to_array(spec["choi"]))
+        return CPMap.from_kraus(k, [_finite(json_to_array(K), "kraus") for K in spec["kraus"]])
+    return CPMap(k, _finite(json_to_array(spec["choi"]), "choi"))
 
 
 def map_to_spec(m: CPMap) -> dict:
@@ -173,8 +180,8 @@ def realization_from_spec(k: int, real: dict) -> Realization:
     d = int_field(real, "d", k * p)
     if d != k * p:
         raise ValueError(f"realization dimension mismatch: d={d} but k*p={k * p}")
-    X = json_to_array(real["X"])
-    state = json_to_array(real["state"])
+    X = _finite(json_to_array(real["X"]), "X")
+    state = _finite(json_to_array(real["state"]), "state")
     if state.ndim == 1:
         state = np.outer(state, state.conj())
     return Realization(k=k, p=p, X=X, rho=state)
@@ -192,7 +199,7 @@ def _spec_cumulants(spec: dict, k: int) -> Tuple[MultiMap, ...]:
     """The cumulant maps a cumulant spec lists, up to its order; no transform."""
     if not isinstance(spec["cumulants"], list):
         raise ValueError("distribution spec 'cumulants' must be a list of tensors")
-    cums = [MultiMap(k, json_to_array(t).reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
+    cums = [MultiMap(k, _finite(json_to_array(t), "cumulants").reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
     order = int_field(spec, "order", len(cums))
     if order > len(cums):
         raise ValueError(f"order {order} requested but only {len(cums)} cumulants supplied")

@@ -4,74 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovfree import AMatrix, CPMap, MultiMap, Realization, compressed_distribution, flatten, psd_check
+from ovfree import CPMap, MultiMap, Realization, compressed_distribution, psd_check
 from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units
 from ovfree.cli import main
 from ovfree.serialize import array_to_json
 
 from conftest import random_complex, random_cp, random_hermitian, random_unitary
-
-
-def random_amatrix(rng, rows, cols, k):
-    return AMatrix(random_complex(rng, (rows, cols, k, k)))
-
-
-def test_adjoint_identity():
-    m = AMatrix.identity(3, 2)
-    assert m.adjoint().allclose(m)
-
-
-def test_adjoint_matrix_unit():
-    e12 = matrix_units(2)[0 * 2 + 1]
-    m = AMatrix(e12.reshape(1, 1, 2, 2))
-    e21 = matrix_units(2)[1 * 2 + 0]
-    assert np.allclose(m.adjoint().block(0, 0), e21)
-
-
-def test_adjoint_involution(rng):
-    m = random_amatrix(rng, 3, 3, 2)
-    assert m.adjoint().adjoint().allclose(m)
-
-
-def test_adjoint_antihomomorphism(rng):
-    a = random_amatrix(rng, 3, 3, 2)
-    b = random_amatrix(rng, 3, 3, 2)
-    assert (a @ b).adjoint().allclose(b.adjoint() @ a.adjoint())
-
-
-def test_flatten_identity():
-    m = AMatrix.identity(4, 3)
-    assert np.allclose(flatten(m), np.eye(12))
-
-
-def test_flatten_block_diagonal(rng):
-    a = random_complex(rng, (2, 2))
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    blocks[0, 0] = a
-    blocks[1, 1] = a
-    flat = flatten(AMatrix(blocks))
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[:2, :2] = a
-    expect[2:, 2:] = a
-    assert np.allclose(flat, expect)
-
-
-def test_flatten_multiplicative(rng):
-    # oracle: multiply the flattened matrices directly
-    a = random_amatrix(rng, 2, 2, 2)
-    b = random_amatrix(rng, 2, 2, 2)
-    direct = flatten(a) @ flatten(b)
-    assert np.max(np.abs(flatten(a @ b) - direct)) < 1e-12
-
-
-def test_flatten_star_preserving(rng):
-    m = random_amatrix(rng, 3, 3, 2)
-    assert np.max(np.abs(flatten(m.adjoint()) - flatten(m).conj().T)) < 1e-12
-
-
-def test_flatten_rejects_non_square(rng):
-    with pytest.raises(ValueError):
-        flatten(random_amatrix(rng, 2, 3, 2))
 
 
 def test_psd_identity():
@@ -116,9 +54,27 @@ def test_psd_unitary_invariance(rng):
 
 
 def test_psd_of_gram_amatrix(rng):
-    m = random_amatrix(rng, 3, 3, 2)
-    rep = psd_check(flatten(m.adjoint() @ m))
+    # a 3 x 3 grid of 2 x 2 blocks, axes (W, k, W, k); its Gram matrix m^* m is PSD
+    m = random_complex(rng, (3, 2, 3, 2)).reshape(6, 6)
+    rep = psd_check(m.conj().T @ m)
     assert rep.min_eigenvalue >= -1e-10
+
+
+def test_psd_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            psd_check(np.diag([1.0, bad]))
+
+
+def test_matrix_units():
+    for k in (1, 2, 3):
+        units = matrix_units(k)
+        for p in range(k):
+            for q in range(k):
+                e = np.zeros((k, k))
+                e[p, q] = 1.0
+                assert np.array_equal(units[p * k + q], e)
+        assert not units.flags.writeable
 
 
 def _rank9_case(rng):

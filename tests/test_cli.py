@@ -436,3 +436,73 @@ def test_positivity_level_needs_order_2l_minus_2(tmp_path):
     out = str(tmp_path / "out.json")
     assert main(["positivity", "--in", inp, "--out", out, "--level", "3"]) == 0
     assert read(out)["positive_up_to_level"]
+
+
+def _non_finite_input(tmp_path, field):
+    """An input whose JSON spells NaN, Infinity or 1e999 in the given field."""
+    path = tmp_path / "in.json"
+    if field == "cumulants":
+        dist = semicircle_spec(3)
+        dist["cumulants"][1][0][0][0][0] = float("nan")
+        spec = {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)}
+    elif field == "choi":
+        spec = map_spec_id_plus_transpose()
+        spec["choi"][1][1][0] = float("inf")
+    elif field == "kraus":
+        path.write_text(json.dumps(map_spec_scaled_id(2, 1.0)).replace("1.0", "1e999", 1))
+        return str(path)
+    else:
+        spec = realization_spec(np.random.default_rng(18))
+        spec["realization"][field][0][0][1] = float("nan")
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, field", [
+    ("convolve-power", "cumulants"), ("check-cp", "choi"), ("counterexample", "choi"),
+    ("check-cp", "kraus"), ("positivity", "X"), ("positivity", "state"),
+])
+def test_non_finite_input_exit_2(tmp_path, capsys, command, field):
+    argv = [command, "--in", _non_finite_input(tmp_path, field)]
+    assert_one_line_exit_2(capsys, argv, f"field '{field}' holds a non-finite number")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["positivity", "--level", "-2"], "--level must be at least 1, got -2"),
+    (["positivity", "--level", "0"], "--level must be at least 1, got 0"),
+    (["counterexample", "--level", "0"], "--level must be at least 1, got 0"),
+    (["check-cp", "--tol", "nan"], "--tol must be a finite number above 0, got nan"),
+    (["check-cp", "--tol", "inf"], "--tol must be a finite number above 0, got inf"),
+    (["check-cp", "--tol", "-1"], "--tol must be a finite number above 0, got -1.0"),
+    (["verify-realization", "--tol", "0"], "--tol must be a finite number above 0, got 0.0"),
+])
+def test_flag_out_of_range_exit_2(tmp_path, capsys, argv, needle):
+    spec = {"positivity": bernoulli_spec(4), "verify-realization": json.loads(Path(GOLDEN_REALIZATION).read_text())}
+    inp = write(tmp_path, "in.json", spec.get(argv[0], map_spec_id_plus_transpose()))
+    out = tmp_path / "out.json"
+    assert_one_line_exit_2(capsys, argv[:1] + ["--in", inp, "--out", str(out)] + argv[1:], needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["check-cp", "counterexample-exit-3", "verify-realization-exit-3"])
+def test_unwritable_out_exit_2(tmp_path, capsys, case):
+    out = str(tmp_path / "missing" / "out.json")
+    if case == "check-cp":
+        argv = ["check-cp", "--in", write(tmp_path, "in.json", map_spec_id_plus_transpose())]
+    elif case == "counterexample-exit-3":  # the zero map: a failed witness search
+        argv = ["counterexample", "--in", write(tmp_path, "in.json", {"map": {"k": 2, "choi": array_to_json(np.zeros((4, 4)))}})]
+    else:
+        spec = json.loads(Path(GOLDEN_REALIZATION).read_text())
+        spec["map"] = map_spec_scaled_id(2, 0.5)  # eta - id = -id/2 is not CP
+        argv = ["verify-realization", "--in", write(tmp_path, "in.json", spec)]
+    assert_one_line_exit_2(capsys, argv + ["--out", out], f"cannot write output {out}")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-cp", "--order"), ("check-cp", "--level"), ("convolve-power", "--level"),
+    ("convolve-power", "--tol"), ("verify-realization", "--level"), ("counterexample", "--order"),
+])
+def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--in", write(tmp_path, "in.json", map_spec_id_plus_transpose()), flag, "2"])
+    assert info.value.code == 2 and f"unrecognized arguments: {flag} 2" in capsys.readouterr().err

@@ -1,0 +1,115 @@
+"""Generated inputs and flags for every CLI command: the exit code is 0, 2 or
+3 and no exception escapes main."""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ovfree.cli import main
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
+    st.sampled_from([0.5, -1.0, float("nan"), float("inf"), float("-inf"), 1e300]),
+)
+# numbers and [re, im] pairs, mostly well formed, nested to matrix depth
+LEAVES = st.one_of(st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(list), SCALARS)
+ROWS = st.lists(LEAVES, min_size=0, max_size=3)
+ARRAYS = st.one_of(
+    st.lists(ROWS, min_size=1, max_size=3),
+    st.lists(st.lists(ROWS, min_size=1, max_size=2), min_size=1, max_size=2),
+    ROWS,
+    SCALARS,
+)
+K = st.one_of(st.sampled_from([1, 2]), SCALARS)
+
+
+def _pair(x):
+    return [float(x), 0.0]
+
+
+def _matrix(rows):
+    return [[_pair(x) for x in row] for row in rows]
+
+
+# valid inputs, into which poisoned() writes one generated leaf
+CHOI = _matrix([[2, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 2]])  # id + transpose on M_2
+BASES = [
+    {"k": 2, "choi": CHOI},
+    {"k": 1, "kraus": [[[_pair(0.5)]]]},
+    {"k": 1, "order": 4, "cumulants": [[[_pair(0)]], [[[_pair(1)]]], [[[[_pair(0)]]]], [[[[[_pair(0.5)]]]]]]},
+    {"distribution": {"k": 1, "order": 3, "realization": {"X": _matrix([[0.5, 1], [1, -0.5]]), "p": 2, "state": [_pair(1), _pair(0)]}},
+     "map": {"k": 1, "kraus": [[[_pair(1.2)]]]}},
+    {"distribution": {"k": 2, "cumulants": [_matrix([[0, 0], [0, 0]]), [_matrix([[1, 0], [0, 1]])] * 4]},
+     "map": {"k": 2, "choi": CHOI}},
+]
+
+
+@st.composite
+def poisoned(draw):
+    spec = json.loads(json.dumps(draw(st.sampled_from(BASES))))
+    node = spec
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(list(keys)))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.integers(0, 4)) == 0:
+            node[key] = draw(LEAVES)
+            return spec
+        node = child
+
+
+SPECS = st.one_of(
+    poisoned(),
+    st.sampled_from(BASES),
+    ARRAYS,
+    st.fixed_dictionaries({"k": K, "choi": ARRAYS}),
+    st.fixed_dictionaries({"distribution": st.fixed_dictionaries({"k": K, "cumulants": st.lists(ARRAYS, max_size=3)}),
+                           "map": st.fixed_dictionaries({"k": K, "kraus": st.lists(ARRAYS, max_size=2)})}),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+FLAGS = {
+    "check-cp": ("tol",),
+    "convolve-power": ("order",),
+    "positivity": ("order", "level", "tol"),
+    "verify-realization": ("order", "tol"),
+    "counterexample": ("level", "tol"),
+}
+VALUES = {
+    "order": st.integers(-1, 4).map(str),
+    "level": st.integers(-2, 3).map(str),
+    "tol": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e-3"]),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [f"--{flag}", draw(VALUES[flag])]
+    return argv, draw(SPECS)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=invocations())
+def test_cli_exit_code_on_generated_input(capsys, invocation):
+    argv, spec = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(spec))  # NaN and Infinity go out as JSON's extension tokens
+        code = main(argv[:1] + ["--in", str(path)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, spec, err)
+    assert "Traceback" not in err
+    assert code == 0 or err.count("\n") == 1, (argv, spec, err)
+    if code != 2:  # the printed result is strict JSON: no NaN or Infinity tokens
+        json.loads(out, parse_constant=_reject_constant)

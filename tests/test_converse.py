@@ -21,26 +21,26 @@ from ovfree import (
 )
 from ovfree.converse import _bernoulli_cumulant_values
 
-from conftest import random_complex, random_cp
+from conftest import random_complex, random_cp, random_eta
 
 
 def id_plus_transpose(k=2):
     return CPMap(k, CPMap.identity(k).choi + CPMap.transpose_map(k).choi)
 
 
-def random_tuple_distribution(rng, m=2, order=3):
+def random_tuple_distribution(rng, m=2, order=3, k=1):
     """Random joint moments with the adjoint symmetry X_ij^* = X_ji."""
     s = m * m
     flip = lambda u: (u % m) * m + (u // m)
     raw = {}
     for n in range(1, order + 1):
         for w in product(range(s), repeat=n):
-            raw[w] = MultiMap(1, random_complex(rng, (1,) * (n - 1) + (1, 1)))
+            raw[w] = MultiMap(k, random_complex(rng, (k * k,) * (n - 1) + (k, k)))
     sym = {}
     for w, mm in raw.items():
         adj_w = tuple(flip(u) for u in reversed(w))
         sym[w] = (mm + raw[adj_w].herm_reflect()) * 0.5
-    return TupleDistribution(k=1, s=s, order=order, moments=sym)
+    return TupleDistribution(k=k, s=s, order=order, moments=sym)
 
 
 # -- packing ---------------------------------------------------------------------
@@ -54,9 +54,32 @@ def test_pack_m1_is_identity(rng):
 
 
 def test_pack_unpack_round_trip(rng):
-    td = random_tuple_distribution(rng, m=2, order=3)
-    back = unpack_tuple(pack_tuple(td), 2, 1)
-    assert max(td.moments[w].max_deviation(back.moments[w]) for w in td.moments) < 1e-14
+    # at k = 2 a swap of the (slot, coefficient) axes would show
+    for k in (1, 2):
+        td = random_tuple_distribution(rng, m=2, order=3, k=k)
+        back = unpack_tuple(pack_tuple(td), 2, k)
+        assert back.moments.keys() == td.moments.keys()
+        assert max(td.moments[w].max_deviation(back.moments[w]) for w in td.moments) == 0.0, k
+
+
+def test_pack_matches_chain_sum(rng):
+    # block (i, j) of the packed moment on b_1, .., b_{n-1} in M_m(M_k) is
+    # sum E(X_{i u_1} (b_1)_{u_1 v_1} X_{v_1 u_2} ... X_{v_{n-1} j})
+    m, k, order = 2, 2, 3
+    td = random_tuple_distribution(rng, m=m, order=order, k=k)
+    packed = pack_tuple(td)
+    for n in range(1, order + 1):
+        bs = [random_complex(rng, (m * k, m * k)) for _ in range(n - 1)]
+        got = packed.moments[n - 1].apply(bs)
+        for i, j in product(range(m), repeat=2):
+            expect = np.zeros((k, k), dtype=complex)
+            for chain in product(range(m), repeat=2 * (n - 1)):
+                us, vs = chain[0::2], chain[1::2]
+                rows, cols = (i,) + vs, us + (j,)
+                word = tuple(r * m + c for r, c in zip(rows, cols))
+                blocks = [b[u * k:(u + 1) * k, v * k:(v + 1) * k] for b, u, v in zip(bs, us, vs)]
+                expect += td.moments[word].apply(blocks)
+            assert np.max(np.abs(got[i * k:(i + 1) * k, j * k:(j + 1) * k] - expect)) < 1e-12
 
 
 def test_pack_rejects_non_square():
@@ -89,11 +112,11 @@ def test_diagonal_free_tuple_block_diagonal(rng):
 
 
 def test_tuple_eta_power_matches_amplified_power(rng):
-    td = random_tuple_distribution(rng, m=2, order=3)
-    eta = CPMap.scaled_identity(1, 1.6)
-    lhs = pack_tuple(td.eta_power(eta))
-    rhs = eta_power(pack_tuple(td), eta.amplify(2))
-    assert lhs.max_deviation(rhs) < 1e-10
+    for k, eta in ((1, CPMap.scaled_identity(1, 1.6)), (2, random_eta(rng, 2))):
+        td = random_tuple_distribution(rng, m=2, order=3, k=k)
+        lhs = pack_tuple(td.eta_power(eta))
+        rhs = eta_power(pack_tuple(td), eta.amplify(2))
+        assert lhs.max_deviation(rhs) < 1e-10, k
 
 
 # -- witness ---------------------------------------------------------------------

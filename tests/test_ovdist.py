@@ -275,6 +275,38 @@ def test_realized_distribution_positive_levels(rng):
         assert positivity_certificate(d, level).min_eigenvalue >= -1e-10
 
 
+def _gram_min_eigenvalue(r, level):
+    """Smallest eigenvalue of [E(V_i^* V_j)] over the words V = X e_1 X ... X of
+    X-degree < level, E computed as the partial trace Tr_p((1_k (x) rho) Y)."""
+    k, p = r.k, r.p
+    units = [np.kron(np.outer(np.eye(k)[a], np.eye(k)[b]), np.eye(p)) for a in range(k) for b in range(k)]
+    words = [np.eye(k * p)]
+    layer = [r.X]
+    for _ in range(1, level):
+        words += layer
+        layer = [v @ e @ r.X for v in layer for e in units]
+
+    def E(y):
+        z = (np.kron(np.eye(k), r.rho) @ y).reshape(k, p, k, p)
+        return np.trace(z, axis1=1, axis2=3)
+
+    gram = np.block([[E(vi.conj().T @ vj) for vj in words] for vi in words])
+    return np.linalg.eigvalsh(gram)[0], float(np.max(np.abs(gram)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_positivity_certificate_is_the_gram_matrix(rng, k):
+    # p = 4 makes the Gram matrix full rank, so its smallest eigenvalue is
+    # not a rounding-level zero that any block layout would reproduce
+    r = random_realization(rng, k=k, p=4, scale=0.7)
+    d = moments_from_realization(r, 4)
+    for level in (1, 2, 3):
+        expect, scale = _gram_min_eigenvalue(r, level)
+        got = positivity_certificate(d, level).min_eigenvalue
+        assert abs(got - expect) <= 1e-10 * scale
+        assert level == 1 or expect > 1e-6 * scale
+
+
 def test_semicircle_power_two_positive():
     d = eta_power(semicircular(8), CPMap.scaled_identity(1, 2.0))
     assert positivity_certificate(d, 4).is_psd
@@ -285,6 +317,12 @@ def test_positivity_insufficient_order():
     assert positivity_certificate(bernoulli(4), 3).is_psd
     with pytest.raises(ValueError, match="insufficient order: level 3 needs order >= 4"):
         positivity_certificate(bernoulli(3), 3)
+
+
+def test_positivity_level_below_one():
+    # the level-0 grid would be empty and certify nothing
+    with pytest.raises(ValueError, match="level must be at least 1, got 0"):
+        positivity_certificate(bernoulli(4), 0)
 
 
 def test_scalar_cumulant_scaling_matches_classical(rng):
