@@ -7,8 +7,10 @@
     ovfree counterexample     --in <path> [--out <path>] [--level L] [--tol T]
 
 Input and output are JSON; output is canonical (sorted keys, 12 significant
-digits) so identical inputs give byte-identical files.  --level must be at
-least 1 and --tol a finite number above 0.
+digits) so identical inputs give byte-identical files.  --order and --level
+must be at least 1, --tol finite and above 0.  counterexample's --level is 4
+by default and at least 3 (levels 1 and 2 never fail); its "nonpositivity" is
+the first failing level up to L, or null.
 
 Exit codes: 0 success, 2 input error (including an --out path that cannot be
 written), 3 precondition violation (the emitted JSON then carries the
@@ -49,6 +51,7 @@ from .serialize import (
 DEFAULT_ORDER = 6
 DEFAULT_LEVEL = 3
 ORDER_CAP = 8
+COUNTEREXAMPLE_LEVEL = 4
 FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, DEFAULT_TOL)}
 
 EXIT_OK = 0
@@ -174,9 +177,11 @@ def _cmd_verify_realization(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.level < 3:
+        raise InputError(f"counterexample needs --level at least 3 (levels 1 and 2 never fail), got {args.level}")
     spec = _load(args.infile)
     eta = map_from_spec(spec.get("map", spec))
-    report = converse.counterexample_report(eta, level=max(args.level, 4), tol=args.tol)
+    report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
     payload = {
         "eta_minus_id_cp": report.preserved,
         "eta_minus_id": psd_report_to_json(report.eta_minus_id),
@@ -191,8 +196,8 @@ def _cmd_counterexample(args) -> int:
             "phi": report.witness.phi,
             "kappa": report.witness.kappa,
         }
-    if report.nonpositivity is not None:
-        cert = report.nonpositivity
+    cert = report.nonpositivity
+    if cert is not None and not cert.report.is_psd:
         payload["nonpositivity"] = {
             "level": cert.level,
             "min_eigenvalue": cert.report.min_eigenvalue,
@@ -246,11 +251,13 @@ def main(argv=None) -> int:
         for flag in flags:  # each command registers only the flags its handler reads
             kind, default = FLAGS[flag]
             p.add_argument(f"--{flag}", type=kind, default=default)
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, **({"level": COUNTEREXAMPLE_LEVEL} if name == "counterexample" else {}))
     args = parser.parse_args(argv)
     tol = getattr(args, "tol", DEFAULT_TOL)
     try:
         try:
+            if getattr(args, "order", None) is not None and args.order < 1:
+                raise InputError(f"--order must be at least 1, got {args.order}")
             if getattr(args, "level", 1) < 1:
                 raise InputError(f"--level must be at least 1, got {args.level}")
             if not (math.isfinite(tol) and tol > 0):

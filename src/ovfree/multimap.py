@@ -29,18 +29,19 @@ from .ncpart import NCNode, enumerate_nc
 
 @dataclass(frozen=True)
 class MultiMap:
-    """A C-multilinear map (M_k)^arity -> M_k as a dense coordinate tensor."""
+    """A C-multilinear map (M_k)^arity -> M_k as its own read-only dense coordinate tensor."""
 
     k: int
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
+        t = np.array(self.tensor, dtype=complex)
         kk = self.k * self.k
         if t.ndim < 2 or t.shape[-2:] != (self.k, self.k):
             raise ValueError("tensor must end with two output axes of length k")
         if any(s != kk for s in t.shape[:-2]):
             raise ValueError("every slot axis must have length k*k")
+        t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
     @property

@@ -150,13 +150,13 @@ def moments_from_realization(r: Realization, N: int, label: str = "realized") ->
     # W[c] = embed(e_c) @ X; cur accumulates X a_{c_1} X ... X with slot axes
     W = np.stack([r.embed(u) @ r.X for u in matrix_units(k)])
     cur = r.X.copy()
-    moments: List[MultiMap] = []
+    moments: List[np.ndarray] = []
     for n in range(1, N + 1):
-        if n > 1:
-            t = np.tensordot(cur, W, axes=([cur.ndim - 1], [1]))
-            cur = np.moveaxis(t, -2, -3)  # (slots..., c, a, b)
-        moments.append(MultiMap(k, r.cond_exp(cur)))
-    return OVDistribution(k=k, order=N, moments=tuple(moments), label=label)
+        if n > 1:  # (slots..., c, a, b)
+            cur = np.moveaxis(np.tensordot(cur, W, axes=([cur.ndim - 1], [1])), -2, -3)
+        moments.append(r.cond_exp(cur))
+    del cur  # the largest array, freed before MultiMap copies each moment
+    return OVDistribution(k=k, order=N, moments=tuple(MultiMap(k, m) for m in moments), label=label)
 
 
 # -- the moment <-> cumulant transform ------------------------------------------

@@ -2,9 +2,13 @@
 
 Complex scalars serialize as two-element arrays [re, im]; matrices and
 tensors as row-major nested arrays of those.  Output payloads hold complex
-tensors as numpy arrays; canonical_dumps turns each one into that form with
-every float rounded to 12 significant digits, in one vectorised pass per
-array, so identical inputs produce byte-identical files.
+tensors as numpy arrays; canonical_dumps writes each in that form, every
+float rounded to 12 significant digits, so identical inputs produce
+byte-identical files.  The text is what json.dumps would write, but a numpy
+kernel builds it from each float's 12-digit integer, a table of 4-digit ASCII
+words and one layout per decimal exponent, in chunks of _CHUNK entries (about
+3 MB of temporaries); near-ties, |x| outside [1e-11, 1e12), inf and nan take
+the encoder's own text per element.
 Input arrays are parsed whole by json_to_array, which rejects anything but a
 rectangular array of numeric [re, im] pairs.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Tuple
 
@@ -70,48 +75,141 @@ def _round_sig(x: float, digits: int = 12) -> float:
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 
 
-def _round_array(x: np.ndarray) -> np.ndarray:
-    """_round_sig of every element of a float array, bit for bit.
+def _decimal(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, p, exact): where exact, x rounded to 12 significant digits is
+    copysign(m, x) / 10**p, with m an integral float in [1e11, 1e12).
 
     For p = 11 - floor(log10|x|) in [0, 22], 10**p is an exact double, so
     s = |x| 10**p is off by at most half an ulp (< 1e-4, as s < 1e12), and
-    rint(s) / 10**p is the double nearest the 12-digit decimal of x whenever
-    s lies in [1e11, 1e12) and its fractional part is not within 1e-3 of 1/2.
-    The other nonzero elements (near-ties, |x| outside [1e-11, 1e12), inf,
-    nan, and any exponent an inexact log10 misjudged) go through _round_sig;
-    zeros become 0.0.
+    m = rint(s) is the 12-digit decimal of x whenever s lies in [1e11, 1e12)
+    and its fractional part is not within 1e-3 of 1/2.  The other elements
+    (zeros, near-ties, |x| outside [1e-11, 1e12), inf, nan, and any exponent
+    an inexact log10 misjudged) are not exact.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf and nan
         p = 11.0 - np.floor(np.log10(a))
         exact = (p >= 0) & (p <= 22)
-        scale = _POW10[np.where(exact, p, 0).astype(np.intp)]
-        s = a * scale
+        p = np.where(exact, p, 0).astype(np.intp)
+        s = a * _POW10[p]
         m = np.rint(s)
         exact &= (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) >= 1e-3)
-    out = np.where(exact, np.copysign(m / scale, x), 0.0)
-    rest = ~exact & (x != 0)
-    out[rest] = [_round_sig(v) for v in x[rest].tolist()]
+    return m, p, exact
+
+
+# -- the array kernel: JSON text of a complex array from its 12-digit integers --
+
+_CHUNK = 1 << 13  # entries per pass; bounds the kernel's temporaries to about 3 MB
+_WIDTH = 20  # bytes per float: a sign, up to 18 of text, a separator
+# the 4 ASCII digits of each of 0..9999 as one word, and their trailing zeros (4 for 0)
+_QUAD = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32)[:, 0]
+_QUAD_TZ = np.select([np.arange(10_000) % 10**t == 0 for t in (4, 3, 2, 1)], [4, 3, 2, 1])
+_TAIL = np.frombuffer(b"0.0\0", dtype=np.uint32)[0]  # the fourth word of a digit row
+# the fifth, per row e + 11 of the layouts below: the exponent of e in [-11, -5]
+_EXP = np.frombuffer(b"".join(b"e-%02d" % -e if e < -4 else bytes(4) for e in range(-11, 13)), dtype=np.uint32)
+
+
+def _layouts() -> Tuple[np.ndarray, np.ndarray]:
+    """repr's text of m * 10**(e - 11) as 18 indices into a digit row [12 digits of m, '0', '.', '0', NUL, _EXP],
+    in row e + 11 for e in [-11, 11] (23 is blank), and the trailing zeros each may drop; d.ddde-XX below e = -4."""
+    index, trim = np.full((24, 18), 15), np.full(24, 12)  # d.ddde-XX drops every trailing zero of m
+    index[:7, :17] = [0, 13, *range(1, 12), *range(16, 20)]  # and the caller drops a '.' left bare
+    for e in range(-4, 12):
+        z, whole = [14] * max(-e, 0) + list(range(13)), max(e, 0) + 1  # 0.00ddd or ddd, and the 0 of ".0"
+        index[e + 11, : len(z) + 1] = z[:whole] + [13] + z[whole:]
+        trim[e + 11] = len(z) - whole - 1  # a fraction keeps one digit
+    return index, trim
+
+
+_LAYOUT, _LAYOUT_TRIM = _layouts()
+# row j keeps the first j bytes of a digit row and its '.', '0', NUL and exponent
+_KEEP = np.where((np.arange(20) < np.arange(14)[:, None]) | (np.arange(20) >= 13), 255, 0).astype(np.uint8).view(np.uint32)
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of x as _round_sig rounds it, in rows of
+    _WIDTH NUL-padded bytes (the last is the caller's).  Zeros and exact
+    elements are laid out from the digits of m, trailing zeros masked off;
+    the rest take the encoder's own text per element."""
+    m, p, exact = _decimal(x)
+    key = np.where(exact, 22 - p, np.where(x == 0, 11, 23))  # e + 11; zeros print as 0e0
+    m = np.where(exact, m, 0.0)
+    q4, hi = np.floor(m / 1e4), np.floor(m / 1e8)  # exact: m is an integer below 2**53
+    hi, mid, lo = hi.astype(np.intp), (q4 - hi * 1e4).astype(np.intp), (m - q4 * 1e4).astype(np.intp)
+    digits = np.stack([_QUAD[hi], _QUAD[mid], _QUAD[lo], np.full(x.size, _TAIL), _EXP[key]], axis=1)
+    tz = np.select([lo > 0, mid > 0], [_QUAD_TZ[lo], 4 + _QUAD_TZ[mid]], 8 + _QUAD_TZ[hi])
+    digits &= _KEEP[13 - np.minimum(tz + 1, _LAYOUT_TRIM[key])]
+    out = np.zeros((x.size, _WIDTH), dtype=np.uint8)
+    for g in np.flatnonzero(np.bincount(key, minlength=24)[:23]):
+        rows = np.flatnonzero(key == g)
+        out[rows, 1:19] = digits[rows].view(np.uint8).take(_LAYOUT[g], axis=1)
+    out[(key < 7) & (tz == 11), 2] = 0  # "1e-05": no '.' before an empty fraction
+    out[:, 0] = np.where(x < 0, ord("-"), 0)
+    other = np.flatnonzero(key == 23)  # near-ties, |x| < 1e-11 or >= 1e12, inf and nan
+    padded = "".join(json.dumps(_round_sig(v)).ljust(_WIDTH - 1, "\0") for v in x[other].tolist())
+    out[other, :-1] = np.frombuffer(padded.encode("ascii"), dtype=np.uint8).reshape(-1, _WIDTH - 1)
     return out
 
 
-def _round_tree(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return _round_sig(obj)
-    if isinstance(obj, np.ndarray):
-        return _round_array(_pairs(obj)).tolist()
-    if isinstance(obj, dict):
-        return {key: _round_tree(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(val) for val in obj]
-    return obj
+def _array_texts(arr: Any) -> Iterator[str]:
+    """json.dumps of _pairs(arr) as nested lists, floats rounded by _round_sig, in pieces of _CHUNK entries:
+    each entry is a NUL-padded row of its brackets, "[re,im]" and a comma, and a keep-mask drops the padding."""
+    f = _pairs(arr)
+    shape, n, d = f.shape[:-1], f.size // 2, f.ndim - 1
+    if n == 0:
+        yield json.dumps(np.zeros(shape).tolist(), separators=(",", ":"))
+        return
+    opens, closes = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+    for t in range(1, d + 1):  # an entry opens a bracket per trailing zero index, closes one per last index
+        opens.reshape(shape)[(Ellipsis,) + (0,) * t] += 1
+        closes.reshape(shape)[(Ellipsis,) + (-1,) * t] += 1
+    col, count = np.arange(d + 1), np.arange(d + 1)[:, None]
+    open_rows = np.where(col >= d - count, ord("["), 0).astype(np.uint8)  # row j: j brackets and the pair's
+    close_rows = np.where(col < count, ord("]"), ord(",") * (col == d)).astype(np.uint8)  # j brackets, a comma
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        fields = _float_fields(f.reshape(-1)[2 * lo : 2 * hi])
+        fields.reshape(hi - lo, 2, _WIDTH)[..., -1] = (ord(","), ord("]"))
+        rows = np.concatenate([open_rows[opens[lo:hi]], fields.reshape(hi - lo, -1), close_rows[closes[lo:hi]]], axis=1)
+        if hi == n:
+            rows[-1, -1] = 0
+        yield str(rows[rows != 0], "ascii")
+
+
+_SLOT = re.compile(r'"\\u0000(\d+)"')  # the JSON text of an array's placeholder
+
+
+def canonical_dumps(obj: Any) -> str:
+    """Deterministic JSON: sorted keys, 12 significant digits, no whitespace
+    variation.  A numpy array in obj is written as a complex tensor: the C
+    encoder writes the rest of obj around a placeholder per array, and the
+    kernel's text of each array is spliced in."""
+    arrays = []
+
+    def skeleton(o: Any) -> Any:
+        if isinstance(o, float):
+            return _round_sig(o)
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+            return f"\0{len(arrays) - 1}"
+        if isinstance(o, dict):
+            return {key: skeleton(val) for key, val in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [skeleton(val) for val in o]
+        return o
+
+    parts = _SLOT.split(json.dumps(skeleton(obj), sort_keys=True, separators=(",", ":")))
+    if sorted(map(int, parts[1::2])) != list(range(len(arrays))):
+        raise ValueError("a string in the payload mimics an array placeholder")
+    parts[1::2] = ["".join(_array_texts(arrays[int(i)])) for i in parts[1::2]]
+    return "".join(parts + ["\n"])
 
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while JSON for large tensors is
-    built or parsed: the collector's passes over millions of fresh, acyclic
-    lists free nothing and took about a third of a k=3, order-6 job."""
+    parsed: the collector's passes over millions of fresh, acyclic lists
+    free nothing and took about a third of a k=3, order-6 job."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -119,13 +217,6 @@ def gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, 12 significant digits, no whitespace
-    variation.  A numpy array in obj is written as a complex tensor."""
-    with gc_paused():
-        return json.dumps(_round_tree(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- map and distribution specs -------------------------------------------------

@@ -233,6 +233,34 @@ def test_counterexample_scalar_lambda(tmp_path):
     assert abs(result["lambda"] - 0.9) < 1e-10
 
 
+def test_counterexample_honours_level(tmp_path, monkeypatch):
+    from ovfree import converse
+
+    levels = []
+    report = converse.counterexample_report
+    monkeypatch.setattr(converse, "counterexample_report", lambda eta, level, tol: levels.append(level) or report(eta, level, tol))
+    inp = write(tmp_path, "in.json", {"map": map_spec_id_plus_transpose()})
+    for argv in ([], ["--level", "3"], ["--level", "5"]):
+        assert main(["counterexample", "--in", inp, "--out", str(tmp_path / "out.json"), *argv]) == 0
+    assert levels == [4, 3, 5]
+    assert read(tmp_path / "out.json")["nonpositivity"]["level"] == 3
+
+
+def test_counterexample_without_failing_level_prints_null(tmp_path, monkeypatch):
+    # a certificate whose moment matrices are all positive up to its level
+    # certifies nothing: the level-2 search for a Bernoulli lambda in (0, 1)
+    from ovfree import converse
+
+    certify = converse.certify_nonpositive
+    monkeypatch.setattr(converse, "certify_nonpositive", lambda lam, level, tol: certify(lam, 2, tol))
+    inp = write(tmp_path, "in.json", {"map": map_spec_id_plus_transpose()})
+    out = str(tmp_path / "out.json")
+    assert main(["counterexample", "--in", inp, "--out", out]) == 0
+    result = read(out)
+    assert result["lambda"] < 1 and result["witness"] is not None
+    assert result["nonpositivity"] is None
+
+
 def test_deterministic_output(tmp_path):
     inp = write(tmp_path, "in.json", {"map": map_spec_id_plus_transpose()})
     out1 = str(tmp_path / "out1.json")
@@ -377,6 +405,7 @@ def test_convolve_rejects_non_hermitian_cumulants(tmp_path, capsys):
 
 
 GOLDEN_REALIZATION = str(Path(__file__).parent / "golden" / "realization.json")
+GOLDEN_CONVOLVE = str(Path(__file__).parent / "golden" / "convolve.json")
 
 
 def test_verify_realization_order_above_compressed_cap(capsys, monkeypatch):
@@ -409,6 +438,24 @@ def test_cli_run_never_imports_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert '"pass":true' in proc.stdout
+
+
+def test_convolve_power_loads_no_module_at_run_time():
+    # the canonical output loads nothing past the CLI's imports; numpy.ma,
+    # which np.unique pulls in, would add about 2 MB to every job
+    code = (
+        "import sys\n"
+        "from ovfree.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"assert main(['convolve-power', '--in', {GOLDEN_CONVOLVE!r}]) == 0\n"
+        "loaded = sorted(set(sys.modules) - before - {'locale', '_locale'})\n"  # argparse's gettext
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"moments":' in proc.stdout
 
 
 def test_counterexample_zero_map_exit_3(tmp_path, capsys):
@@ -475,6 +522,11 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command, field):
     (["check-cp", "--tol", "inf"], "--tol must be a finite number above 0, got inf"),
     (["check-cp", "--tol", "-1"], "--tol must be a finite number above 0, got -1.0"),
     (["verify-realization", "--tol", "0"], "--tol must be a finite number above 0, got 0.0"),
+    (["counterexample", "--level", "1"], "counterexample needs --level at least 3 (levels 1 and 2 never fail), got 1"),
+    (["counterexample", "--level", "2"], "counterexample needs --level at least 3 (levels 1 and 2 never fail), got 2"),
+    (["convolve-power", "--order", "0"], "--order must be at least 1, got 0"),
+    (["positivity", "--order", "0"], "--order must be at least 1, got 0"),
+    (["verify-realization", "--order", "-1"], "--order must be at least 1, got -1"),
 ])
 def test_flag_out_of_range_exit_2(tmp_path, capsys, argv, needle):
     spec = {"positivity": bernoulli_spec(4), "verify-realization": json.loads(Path(GOLDEN_REALIZATION).read_text())}

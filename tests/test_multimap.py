@@ -131,3 +131,14 @@ def test_moment_map_order_two(rng):
     a = random_complex(rng, (k, k))
     expect = w2.apply([a]) + w1.tensor @ a @ w1.tensor
     assert np.max(np.abs(m2.apply([a]) - expect)) < 1e-12
+
+
+def test_multimap_owns_read_only_tensor(rng):
+    t = random_complex(rng, (4, 2, 2))
+    f = MultiMap(2, t)
+    before = f.tensor.copy()
+    t[0, 0, 0] += 1.0
+    assert np.array_equal(f.tensor, before)
+    assert not f.tensor.flags.writeable
+    with pytest.raises(ValueError):
+        f.tensor[0, 0, 0] = 1.0

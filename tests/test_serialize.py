@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import CPMap, bernoulli, cumulants_from_moments
+from ovfree import CPMap, bernoulli, cumulants_from_moments, serialize
 from ovfree.serialize import (
-    _round_array,
+    _POW10,
+    _decimal,
     _round_sig,
     array_to_json,
     canonical_dumps,
@@ -100,6 +102,17 @@ _magnitudes = st.builds(  # d.dddddddddddddddd x 10^e from 1e-320 to 1e308
 _any_float = st.one_of(st.floats(), _near_ties, _powers_of_ten, _magnitudes, st.sampled_from([0.0, -0.0, 5e-324]))
 
 
+def _round_array(x):
+    """_round_sig of every element of a float array, bit for bit, from
+    serialize._decimal: an exact element is m / 10**p, the double nearest its
+    12-digit decimal; the other nonzero elements go through _round_sig."""
+    m, p, exact = _decimal(x)
+    out = np.where(exact, np.copysign(m / _POW10[p], x), 0.0)
+    rest = ~exact & (x != 0)
+    out[rest] = [_round_sig(v) for v in x[rest].tolist()]
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_any_float, min_size=1, max_size=64))
 def test_round_array_matches_round_sig(values):
@@ -136,15 +149,34 @@ def old_canonical_dumps(obj):
     return json.dumps(_old_round_tree(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 0.5e-3, 123456789012.5, 1e12, 1e-11]
+    # at and next to the ends of repr's positional range and of the 12-digit fast path
+    + [np.nextafter(b, t) for b in (1e-4, 1e16, 1e12, 1e11, 1e-11) for t in (0.0, b, np.inf)]
+    + [0.1234567890125, -98765.43210985, 5.0000000000005e-9, 999999999999.5]  # near-ties
+)
+
+
 def _random_array(rng):
-    shape = tuple(rng.integers(1, 4, size=rng.integers(0, 4)))
-    z = np.asarray(random_complex(rng, shape) * 10.0 ** rng.integers(-14, 14, size=shape))
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 0.5e-3, 123456789012.5, 1e12, 1e-11])
-    mask = rng.random(shape) < 0.2
-    z[mask] = rng.choice(specials, size=int(mask.sum())) + 1j * rng.choice(specials, size=int(mask.sum()))
+    """A complex or real array of a random shape, 0-d and size-1 axes
+    included, now and then one larger than a kernel chunk, with magnitudes
+    from 1e-14 to 1e18 and a fifth of its floats drawn from _SPECIALS."""
+    draw = rng.random()
+    if draw < 0.1:
+        shape = ()
+    elif draw < 0.15:
+        shape = (3, 1, serialize._CHUNK // 2 + 1)  # chunk seams fall inside and between rows
+    else:
+        shape = tuple(rng.integers(1, 4, size=rng.integers(0, 4)))
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-14, 18, size=(2,) + shape)
+    mask = rng.random(parts.shape) < 0.2
+    parts[mask] = rng.choice(_SPECIALS, size=int(mask.sum()))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
     return z if rng.random() < 0.8 else z.real
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_canonical_dumps_matches_per_element_walk(seed):
@@ -156,6 +188,56 @@ def test_canonical_dumps_matches_per_element_walk(seed):
         "int": int(rng.integers(100)),
     }
     assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_canonical_dumps_chunk_seams(monkeypatch, chunk):
+    # every entry of these shapes sits at a chunk seam for some chunk size
+    rng = np.random.default_rng(chunk)
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    payload = [random_complex(rng, (3, 4, 5)), random_complex(rng, (2, 1, 3, 1)), np.array(2.5 - 1e-5j), np.zeros((2, 0))]
+    assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+@pytest.mark.filterwarnings("error")
+def test_canonical_dumps_boundary_values():
+    values = np.concatenate([_SPECIALS, -_SPECIALS, [9.99999999999949e-5, 9.9999999999995e15, 1e15, 123456.0, 1e-4 / 3]])
+    z = values.astype(complex)
+    z.imag = values[::-1]
+    payload = {"real": values, "complex": z, "one": values[:1].reshape(1, 1, 1)}
+    assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exponent_notation_takes_the_kernel(monkeypatch):
+    # |x| in [1e-11, 1e-4) prints as d.ddde-XX; small moments fill this range,
+    # so the kernel writes it rather than the per-element fallback
+    values = [s * float(f"{d}e{e}") for e in range(-11, -4) for d in ("1", "1.5", "9.99999999999", "1.00000000001")
+              for s in (1.0, -1.0)]
+    want = old_canonical_dumps(np.array(values))
+    monkeypatch.setattr(serialize, "_round_sig", None)
+    assert canonical_dumps(np.array(values)) == want
+    assert "1e-05" in want and "-1.5e-11" in want
+
+
+def test_canonical_dumps_memory_bound():
+    # a k=3, order-6 moment tensor; the chunk texts and their join hold the
+    # output twice over, and every other temporary is bounded by one chunk
+    rng = np.random.default_rng(6)
+    t = random_complex(rng, (9,) * 5 + (3, 3))
+    tracemalloc.start()
+    try:
+        text = canonical_dumps(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + (1 << 16)
+
+
+def test_canonical_dumps_refuses_placeholder_lookalike():
+    with pytest.raises(ValueError, match="placeholder"):
+        canonical_dumps({"a": np.zeros(2), "s": "\x000"})
 
 
 @pytest.mark.parametrize("value", [None, [], {}, "3", 2.5, True, 0, -1, float("nan")])
