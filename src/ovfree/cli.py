@@ -17,11 +17,12 @@ written), 3 precondition violation (the emitted JSON then carries the
 certificate; a map whose eta - id is not completely positive where that is
 required, or a failed witness search, prints {"reason", "certificate"}).
 
-The environment variable OVFREE_MAX_ORDER, a positive integer, replaces the
-hard order guard: 8 for the transform commands and
-freeprod.MAX_COMPRESSED_ORDER = 6 for verify-realization; expert use only,
-runtimes grow exponentially.  It does not lift the limit of a realization
-spec, ovdist.MAX_REALIZATION_ORDER = 10.
+The order is --order, else the spec's "order", else 6 for a realization and
+the number of listed cumulants for a cumulant spec.  It is refused above 8 for
+convolve-power and positivity and above 6 for verify-realization; the
+environment variable OVFREE_MAX_ORDER, a positive integer, replaces both caps
+(expert use only: runtimes grow exponentially).  positivity builds moments up
+to order 2L - 2, all that level L reads.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from .serialize import (
     map_from_spec,
     psd_report_to_json,
     realization_from_spec,
+    spec_k,
 )
 
-DEFAULT_ORDER = 6
+DEFAULT_ORDER = 6  # of a realization spec; a cumulant spec's is its number of cumulants
 DEFAULT_LEVEL = 3
 ORDER_CAP = 8
+VERIFY_ORDER_CAP = 6
 COUNTEREXAMPLE_LEVEL = 4
 FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, DEFAULT_TOL)}
 
@@ -86,19 +89,6 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         raise InputError(f"cannot write output {out}: {exc}") from exc
 
 
-def _max_order() -> Optional[int]:
-    value = os.environ.get("OVFREE_MAX_ORDER")
-    if not value:
-        return None
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InputError(f"OVFREE_MAX_ORDER must be a positive integer, got {value!r}")
-    return cap
-
-
 def _cmd_check_cp(args) -> int:
     spec = _load(args.infile)
     eta = map_from_spec(spec)
@@ -114,7 +104,7 @@ def _cmd_check_cp(args) -> int:
 def _cmd_convolve_power(args) -> int:
     spec = _load(args.infile)
     dist_spec, map_spec = _parts(spec, "distribution", "map")
-    cums, label = cumulants_from_spec(_with_order(dist_spec, args))
+    cums, label = cumulants_from_spec(dist_spec, _order(dist_spec, args, ORDER_CAP))
     eta = map_from_spec(map_spec)
     del spec, dist_spec, map_spec  # frees the parsed input lists before the output is built
     k = cums[0].k
@@ -131,7 +121,12 @@ def _cmd_convolve_power(args) -> int:
 def _cmd_positivity(args) -> int:
     spec = _load(args.infile)
     dist_spec = _parts(spec, "distribution")[0] if "distribution" in spec else spec
-    dist = dist_from_spec(_with_order(dist_spec, args))
+    order = _order(dist_spec, args, ORDER_CAP)
+    read = max(1, min(order, 2 * args.level - 2))  # the level-L matrix reads orders up to 2L - 2
+    if "realization" in dist_spec:
+        dist = dist_from_spec(dist_spec, read)
+    else:  # every cumulant up to the order is still read and checked
+        dist = ovdist.moments_from_cumulants(cumulants_from_spec(dist_spec, order)[0][:read])
     report = ovdist.positivity_certificate(dist, args.level, args.tol)
     payload = {
         "k": dist.k,
@@ -148,7 +143,7 @@ def _cmd_verify_realization(args) -> int:
     dist_spec, map_spec = _parts(spec, "distribution", "map")
     if "realization" not in dist_spec:
         raise InputError("verify-realization needs a realization-based distribution")
-    order = _order_of(dist_spec, args, freeprod.MAX_COMPRESSED_ORDER)
+    order = _order(dist_spec, args, VERIFY_ORDER_CAP)
     eta = map_from_spec(map_spec)
     cp_report = eta_minus_id_cp(eta, args.tol)
     if not cp_report.is_psd:
@@ -161,9 +156,9 @@ def _cmd_verify_realization(args) -> int:
             args.out,
         )
         return EXIT_PRECONDITION
-    r = realization_from_spec(int_field(dist_spec, "k"), dist_spec["realization"])
+    r = realization_from_spec(spec_k(dist_spec), dist_spec["realization"])
     dist = ovdist.moments_from_realization(r, order)
-    compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol, max_order=args.max_order)
+    compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol)
     powered = ovdist.eta_power(dist, eta)
     deviation = compressed.max_deviation(powered)
     payload = {
@@ -214,23 +209,23 @@ def _parts(spec: dict, *names: str) -> list:
     return [spec[name] for name in names]
 
 
-def _order_of(dist_spec: dict, args, default_cap: int = ORDER_CAP) -> int:
-    order = args.order if args.order is not None else int_field(dist_spec, "order", DEFAULT_ORDER)
-    cap = args.max_order or default_cap
+def _order(dist_spec: dict, args, cap: int) -> int:
+    """The one order rule: --order, else the spec's "order", else the spec's
+    own default; refused above cap, which OVFREE_MAX_ORDER replaces."""
+    value = os.environ.get("OVFREE_MAX_ORDER")
+    if value:
+        try:
+            cap = int(value)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise InputError(f"OVFREE_MAX_ORDER must be a positive integer, got {value!r}")
+    spec_k(dist_spec)
+    default = DEFAULT_ORDER if "realization" in dist_spec else len(dist_spec["cumulants"])
+    order = args.order if args.order is not None else int_field(dist_spec, "order", default)
     if order > cap:
         raise InputError(f"order {order} exceeds the hard guard {cap}; set OVFREE_MAX_ORDER to override")
-    if "realization" in dist_spec and order > ovdist.MAX_REALIZATION_ORDER:
-        raise InputError(
-            f"order {order} exceeds ovdist.MAX_REALIZATION_ORDER = {ovdist.MAX_REALIZATION_ORDER} "
-            "for a realization spec; OVFREE_MAX_ORDER does not lift it"
-        )
     return order
-
-
-def _with_order(dist_spec: dict, args) -> dict:
-    if args.order is None and "order" not in dist_spec:
-        return dist_spec
-    return {**dist_spec, "order": _order_of(dist_spec, args)}
 
 
 def main(argv=None) -> int:
@@ -262,7 +257,6 @@ def main(argv=None) -> int:
                 raise InputError(f"--level must be at least 1, got {args.level}")
             if not (math.isfinite(tol) and tol > 0):
                 raise InputError(f"--tol must be a finite number above 0, got {tol}")
-            args.max_order = _max_order()
             return args.handler(args)
         except (NotCompletelyPositiveError, converse.NoWitnessError) as exc:
             certificate = None if exc.report is None else psd_report_to_json(exc.report)

@@ -39,7 +39,7 @@ from .ovdist import (
     positivity_certificate,
 )
 
-MAX_TUPLE_WORDS = 20_000
+MAX_TUPLE_WORDS = 20_000  # one dict entry per index word, which the byte rule cannot see
 
 
 class NoWitnessError(ValueError):
@@ -367,7 +367,7 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
             "lambda = 0 is degenerate: every scaled cumulant vanishes and the "
             "resulting point mass at zero is positive"
         )
-    order = 2 * level
+    order = max(2 * level - 2, 1)  # level L reads orders up to 2L - 2
     base = _bernoulli_cumulant_values(order)
     scaled = [
         MultiMap(1, np.full((1,) * (n - 1) + (1, 1), lam * base[n - 1], dtype=complex))
@@ -402,7 +402,7 @@ def counterexample_report(eta: CPMap, level: int = 4, tol: float = DEFAULT_TOL) 
         return CounterexampleReport(rep, True, None, None, None)
     w = find_witness(eta, tol)
     g = build_gns(w)
-    base = _bernoulli_cumulant_values(2 * level)
+    base = _bernoulli_cumulant_values(2 * level - 2)
     _, lam = compression_cumulants(base, w, g)
     cert = certify_nonpositive(lam, level, tol)
     return CounterexampleReport(rep, False, w, lam, cert)

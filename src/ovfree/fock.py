@@ -57,7 +57,7 @@ from .cpmaps import CPMap
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-MAX_FLAT_DIM = 60_000
+MAX_FLAT_DIM = 60_000  # D * k; the basis words are Python tuples, which the byte rule cannot see
 
 Letter = Union[str, np.ndarray]
 

@@ -52,8 +52,6 @@ from .fock import FockSpace, build_fock
 from .multimap import MultiMap
 from .ovdist import OVDistribution, Realization
 
-MAX_COMPRESSED_ORDER = 6
-
 Atom = Union[str, Tuple[str, np.ndarray]]
 
 
@@ -316,13 +314,7 @@ def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
     return _expect_word(letters, env, 0)
 
 
-def compressed_distribution(
-    r: Realization,
-    eta: CPMap,
-    N: int,
-    tol: float = 1e-9,
-    max_order: Optional[int] = None,
-) -> OVDistribution:
+def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-9) -> OVDistribution:
     """Moment maps of v* X v, assembled purely from the freeness recursion.
 
     The n-th moment map is E(v* X (v a_1 v*) X ... (v a_{n-1} v*) X v) with
@@ -331,9 +323,8 @@ def compressed_distribution(
     2 at every order.  Requires eta - id completely positive (otherwise the
     Fock model for psi does not exist; the raised error carries the witness).
     """
-    cap = MAX_COMPRESSED_ORDER if max_order is None else max_order
-    if not 1 <= N <= cap:
-        raise ValueError(f"order must be in [1, {cap}] (set max_order to override)")
+    if N < 1:
+        raise ValueError(f"order must be at least 1, got {N}")
     if eta.k != r.k:
         raise ValueError("map and realization have different base algebras")
     psi = eta.minus_id()

@@ -278,46 +278,48 @@ def realization_from_spec(k: int, real: dict) -> Realization:
     return Realization(k=k, p=p, X=X, rho=state)
 
 
-def _spec_k(spec: dict) -> int:
+def spec_k(spec: dict) -> int:
+    """The k of a distribution spec, after a check of its form: an object
+    with 'k' and exactly one of 'realization' or a non-empty 'cumulants'
+    list."""
     if not isinstance(spec, dict) or "k" not in spec:
         raise ValueError("distribution spec must be an object with a 'k' field")
     if ("realization" in spec) == ("cumulants" in spec):
         raise ValueError("distribution spec needs exactly one of 'realization' or 'cumulants'")
+    if "cumulants" in spec and not (isinstance(spec["cumulants"], list) and spec["cumulants"]):
+        raise ValueError("distribution spec 'cumulants' must be a non-empty list of tensors")
     return int_field(spec, "k")
 
 
-def _spec_cumulants(spec: dict, k: int) -> Tuple[MultiMap, ...]:
-    """The cumulant maps a cumulant spec lists, up to its order; no transform."""
-    if not isinstance(spec["cumulants"], list):
-        raise ValueError("distribution spec 'cumulants' must be a list of tensors")
+def _spec_cumulants(spec: dict, k: int, order: int) -> Tuple[MultiMap, ...]:
+    """The first order cumulant maps a cumulant spec lists; every listed
+    tensor is parsed, and none is transformed."""
     cums = [MultiMap(k, _finite(json_to_array(t), "cumulants").reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
-    order = int_field(spec, "order", len(cums))
     if order > len(cums):
         raise ValueError(f"order {order} requested but only {len(cums)} cumulants supplied")
-    if not cums:
-        raise ValueError("distribution spec lists no cumulants")
     return tuple(cums[:order])
 
 
-def dist_from_spec(spec: dict) -> OVDistribution:
-    """{"k", "order", "realization": {...}} or {"k", "cumulants": [tensor, ...]}."""
-    k = _spec_k(spec)
+def dist_from_spec(spec: dict, order: int) -> OVDistribution:
+    """The distribution of {"k", "realization": {...}} or {"k", "cumulants":
+    [tensor, ...]} up to the given order; the spec's own "order" field is the
+    caller's to resolve."""
+    k = spec_k(spec)
     if "realization" in spec:
-        order = int_field(spec, "order", 6)
         return moments_from_realization(realization_from_spec(k, spec["realization"]), order)
-    return moments_from_cumulants(_spec_cumulants(spec, k), k=k)
+    return moments_from_cumulants(_spec_cumulants(spec, k, order), k=k)
 
 
-def cumulants_from_spec(spec: dict) -> Tuple[Tuple[MultiMap, ...], str]:
-    """The free cumulants of a distribution spec and the label of its
-    distribution.  A cumulant spec is read as it stands, with no transform,
-    after a check of the Hermitian symmetry its distribution would need; a
-    realization spec costs one transform, moments to cumulants."""
-    k = _spec_k(spec)
+def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[MultiMap, ...], str]:
+    """The free cumulants up to order of a distribution spec and the label
+    of its distribution.  A cumulant spec is read as it stands, with no
+    transform, after a check of the Hermitian symmetry its distribution would
+    need; a realization spec costs one transform, moments to cumulants."""
+    k = spec_k(spec)
     if "realization" in spec:
-        dist = dist_from_spec(spec)
+        dist = dist_from_spec(spec, order)
         return cumulants_from_moments(dist), dist.label
-    cums = _spec_cumulants(spec, k)
+    cums = _spec_cumulants(spec, k, order)
     for i, c in enumerate(cums):
         require_hermitian(c, f"cumulant {i + 1}")
     return cums, "cumulant-generated"

@@ -57,3 +57,14 @@ def random_symmetric_cumulants(rng, k, order, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def built_orders(monkeypatch):
+    """The order of every distribution built while the test runs."""
+    from ovfree.ovdist import OVDistribution
+
+    orders = []
+    post_init = OVDistribution.__post_init__
+    monkeypatch.setattr(OVDistribution, "__post_init__", lambda self: orders.append(self.order) or post_init(self))
+    return orders

@@ -275,11 +275,14 @@ def test_unknown_command_rejected():
         main(["frobnicate", "--in", "x.json"])
 
 
-@pytest.mark.parametrize("field", ["p", "X", "state"])
+@pytest.mark.parametrize("field", ["p", "X", "state", "cumulants"])
 @pytest.mark.parametrize("command", ["positivity", "convolve-power", "verify-realization"])
 def test_realization_missing_field_exit_2(tmp_path, capsys, command, field):
     spec = realization_spec(np.random.default_rng(14), k=1, p=2, order=2)
-    del spec["realization"][field]
+    if field == "cumulants":  # not missing but extra: a spec with both forms
+        spec["cumulants"] = semicircle_spec(2)["cumulants"]
+    else:
+        del spec["realization"][field]
     inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})
     assert main([command, "--in", inp]) == 2
     err = capsys.readouterr().err
@@ -409,8 +412,8 @@ GOLDEN_CONVOLVE = str(Path(__file__).parent / "golden" / "convolve.json")
 
 
 def test_verify_realization_order_above_compressed_cap(capsys, monkeypatch):
-    # 7 is within the transform commands' guard of 8 but above the freeness
-    # route's MAX_COMPRESSED_ORDER, so the CLI's own guard must refuse it
+    # 7 is within the transform commands' cap of 8 but above
+    # verify-realization's own, VERIFY_ORDER_CAP = 6
     monkeypatch.delenv("OVFREE_MAX_ORDER", raising=False)
     argv = ["verify-realization", "--in", GOLDEN_REALIZATION, "--order", "7"]
     assert_one_line_exit_2(capsys, argv, "exceeds the hard guard 6; set OVFREE_MAX_ORDER")
@@ -471,11 +474,64 @@ def test_counterexample_zero_map_exit_3(tmp_path, capsys):
     assert not result["certificate"]["is_psd"] and abs(result["certificate"]["min_eigenvalue"] + 2.0) < 1e-12
 
 
-def test_positivity_realization_order_above_realization_limit(capsys, monkeypatch):
-    # OVFREE_MAX_ORDER lifts the order guard but not the realization limit
-    monkeypatch.setenv("OVFREE_MAX_ORDER", "12")
-    argv = ["positivity", "--in", GOLDEN_REALIZATION, "--order", "11", "--level", "2"]
-    assert_one_line_exit_2(capsys, argv, "order 11 exceeds ovdist.MAX_REALIZATION_ORDER = 10")
+@pytest.mark.parametrize("command", ["convolve-power", "positivity"])
+def test_orderless_cumulant_spec_is_capped(tmp_path, capsys, monkeypatch, command):
+    # with neither --order nor an "order" field the order is the number of
+    # listed cumulants, and the cap holds for it as for any other order
+    dist = semicircle_spec(14)
+    del dist["order"]
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(1, 1.0)})
+    monkeypatch.delenv("OVFREE_MAX_ORDER", raising=False)
+    assert_one_line_exit_2(capsys, [command, "--in", inp], "order 14 exceeds the hard guard 8; set OVFREE_MAX_ORDER")
+    monkeypatch.setenv("OVFREE_MAX_ORDER", "14")
+    assert main([command, "--in", inp, "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    # inside every cap: the k = 3, p = 2 product at order 8 has 9^7 * 36 entries
+    pytest.param(["convolve-power", "--order", "8"], None, "an order-8 moment product on M_6 would need 2,755 MB",
+                 id="k3-inside-the-cap"),
+    pytest.param(["positivity", "--order", "12", "--level", "7"], "12", "an order-12 moment product on M_4 would need 1,074 MB",
+                 id="env-lifts-the-cap-not-the-byte-rule"),
+])
+def test_realization_order_above_byte_limit_exit_2(tmp_path, capsys, monkeypatch, argv, env, needle):
+    import tracemalloc
+
+    if argv[0] == "convolve-power":
+        spec = {"distribution": realization_spec(np.random.default_rng(19), k=3), "map": map_spec_scaled_id(3, 1.0)}
+        inp = write(tmp_path, "in.json", spec)
+    else:
+        inp = GOLDEN_REALIZATION
+    if env is None:
+        monkeypatch.delenv("OVFREE_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("OVFREE_MAX_ORDER", env)
+    tracemalloc.start()
+    try:
+        assert_one_line_exit_2(capsys, argv[:1] + ["--in", inp] + argv[1:], needle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000  # refused before the product is allocated
+
+
+@pytest.mark.parametrize("form", ["cumulants", "realization"])
+def test_positivity_builds_orders_up_to_2l_minus_2(tmp_path, built_orders, form):
+    spec = bernoulli_spec(8) if form == "cumulants" else realization_spec(np.random.default_rng(20), order=8)
+    inp = write(tmp_path, "in.json", spec)
+    out = str(tmp_path / "out.json")
+    for level, built in ((3, 4), (1, 1), (5, 8)):
+        built_orders.clear()
+        assert main(["positivity", "--in", inp, "--out", out, "--level", str(level)]) == 0
+        assert built_orders == [built]
+    assert main(["positivity", "--in", inp, "--out", out, "--level", "6"]) == 2  # needs order 10
+
+
+def test_positivity_checks_cumulants_above_the_orders_it_reads(tmp_path, capsys):
+    dist = semicircle_spec(6)
+    dist["cumulants"][5] = array_to_json(np.full((1,) * 7, 1j))  # not Hermitian
+    inp = write(tmp_path, "in.json", dist)
+    assert_one_line_exit_2(capsys, ["positivity", "--in", inp, "--level", "3"], "cumulant 6 violates Hermitian symmetry")
 
 
 def test_positivity_level_needs_order_2l_minus_2(tmp_path):

@@ -275,6 +275,18 @@ def test_certify_negative_lambda():
     assert cert.found and cert.level <= 2
 
 
+def test_certificates_build_orders_up_to_2l_minus_2(built_orders):
+    # the level-L moment matrix reads moments up to order 2L - 2 only
+    for level in (2, 3, 5):
+        certify_nonpositive(0.9, level)
+        assert max(built_orders) == 2 * level - 2
+        built_orders.clear()
+        counterexample_report(id_plus_transpose(), level=level)
+        assert max(built_orders) == 2 * level - 2
+        built_orders.clear()
+    assert certify_nonpositive(0.9, 1).level == 1 and max(built_orders) == 1
+
+
 def test_certify_zero_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         certify_nonpositive(0.0, 3)

@@ -144,13 +144,13 @@ def test_compressed_requires_eta_minus_id_cp(rng):
         compressed_distribution(r, CPMap.scaled_identity(2, 0.5), 3)
 
 
-def test_compressed_order_guard(rng):
+def test_compressed_order_at_least_one(rng):
+    # the library checks only N >= 1; the CLI caps verify-realization at 6
+    # (test_cli.test_verify_realization_order_above_compressed_cap)
     r = random_realization(rng)
-    with pytest.raises(ValueError, match="order must be in"):
-        compressed_distribution(r, CPMap.identity(2), 7)
-    # the override knob raises the cap (kept tiny here: order 1 with cap 1)
-    comp = compressed_distribution(r, CPMap.identity(2), 1, max_order=1)
-    assert comp.order == 1
+    with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+        compressed_distribution(r, CPMap.identity(2), 0)
+    assert compressed_distribution(r, CPMap.identity(2), 1).order == 1
 
 
 def test_unknown_atom_rejected():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from ovfree import (
     positivity_certificate,
     semicircular,
 )
+from ovfree import ovdist
+from ovfree.algebra import psd_check
 
 from conftest import random_complex, random_eta, random_hermitian, random_realization, random_symmetric_cumulants
 
@@ -130,10 +134,70 @@ def test_realization_rejects_bad_inputs(rng):
         Realization(k=1, p=2, X=np.eye(2, dtype=complex), rho=np.eye(2))
 
 
-def test_realization_order_guard(rng):
+def test_realization_validate_names_each_failure(rng, monkeypatch):
+    # Realization's own checks make these unreachable, so each failure is
+    # forced on a valid realization: a non-positive state that is still
+    # unital, then a conditional expectation that is not bimodular
+    r = random_realization(rng, k=2, p=2)
+    r.validate()
+    object.__setattr__(r, "rho", np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match="condexp is not positive"):
+        r.validate()
+    r = random_realization(rng, k=2, p=2)
+    cond_exp = Realization.cond_exp
+    monkeypatch.setattr(Realization, "cond_exp", lambda self, x: np.swapaxes(cond_exp(self, x), -1, -2))
+    with pytest.raises(ValueError, match="E\\(a x b\\) = a E\\(x\\) b"):
+        r.validate()
+
+
+def test_realization_choi_is_that_of_cond_exp(rng, monkeypatch):
+    # validate builds the Choi matrix of E from its formula; block (u, v) must
+    # be cond_exp of the matrix unit e_uv of M_d
+    r = random_realization(rng, k=2, p=3)
+    seen = []
+    monkeypatch.setattr(ovdist, "psd_check", lambda m, tol: seen.append(m) or psd_check(m, tol))
+    r.validate()
+    d, k = r.d, r.k
+    expected = np.zeros((d * k, d * k), dtype=complex)
+    for u in range(d):
+        for v in range(d):
+            e = np.zeros((d, d))
+            e[u, v] = 1.0
+            expected[u * k:(u + 1) * k, v * k:(v + 1) * k] = r.cond_exp(e)
+    assert np.array_equal(seen[0], expected)
+
+
+def test_realization_validate_scales_with_d_squared(rng):
+    # a scalar realization by a 90 x 90 X: the Choi matrix is (dk)^2 entries,
+    # no d^4 stack of matrix units is built
+    r = random_realization(rng, k=1, p=90)
+    r.validate()
+    assert moments_from_realization(r, 3).order == 3
+
+
+def test_realization_validate_memory_at_low_order(rng):
+    # k = 13, p = 2 at order 1: the bimodule check runs one unit at a time,
+    # k^2 d^2 entries per step, never the k^4 d^2 of every unit pair (300 MB)
+    r = random_realization(rng, k=13, p=2)
+    step = 16 * r.k**2 * r.d**2
+    tracemalloc.start()
+    try:
+        moments_from_realization(r, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * step, (peak, step)
+
+
+def test_realization_order_byte_rule(rng):
+    # no order cap of its own: N >= 1, and the largest product, (k^2)^(N-1)
+    # d^2 entries, must pass algebra.check_array_size
     r = random_realization(rng)
-    with pytest.raises(ValueError):
-        moments_from_realization(r, 11)
+    with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+        moments_from_realization(r, 0)
+    with pytest.raises(ValueError, match="an order-12 moment product on M_4 would need 1,074 MB"):
+        moments_from_realization(r, 12)
+    assert moments_from_realization(random_realization(rng, k=1), 12).order == 12
 
 
 # -- cumulants -------------------------------------------------------------------
