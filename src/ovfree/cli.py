@@ -113,7 +113,7 @@ def _cmd_convolve_power(args) -> int:
     # the power's cumulants are eta composed with the given ones, and one
     # forward transform gives its moments
     twisted = [c.compose(eta) for c in cums]
-    powered = ovdist.moments_from_cumulants(twisted, k=k, label=f"eta_power({label})")
+    powered = ovdist.moments_from_cumulants(twisted, label=f"eta_power({label})")
     _emit(dist_to_spec(powered, cumulants=twisted), args.out)
     return EXIT_OK
 

@@ -168,8 +168,8 @@ class Witness:
     def phi_of(self, x: np.ndarray) -> float:
         return float(np.real(np.trace(self.phi @ x)))
 
-    def validate(self, tol: float = 1e-9) -> None:
-        a = self.a
+    def validate(self) -> None:
+        a, tol = self.a, DEFAULT_TOL
         if np.max(np.abs(a @ a - a)) > tol or np.max(np.abs(a - dagger(a))) > tol:
             raise ValueError("witness a is not a projection")
         if psd_check(self.phi, tol).min_eigenvalue < -tol or abs(np.trace(self.phi) - 1) > tol:
@@ -292,7 +292,7 @@ def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:
 
 
 def compression_cumulants(
-    scalar_cumulants: Sequence[float], w: Witness, g: GNSModel, ratio_tol: float = 1e-10
+    scalar_cumulants: Sequence[float], w: Witness, g: GNSModel
 ) -> Tuple[List[float], float]:
     """Push a scalar cumulant sequence through the compression chain.
 
@@ -324,7 +324,7 @@ def compression_cumulants(
         hat = theta_P * phi_eta * theta_aPa ** (n - 1) * om
         tilde.append(hat / theta_aPa**n)
     for n, om in enumerate(scalar_cumulants, start=1):
-        if abs(om) > 1e-12 and abs(tilde[n - 1] / om - lam) > ratio_tol:
+        if abs(om) > 1e-12 and abs(tilde[n - 1] / om - lam) > 1e-10:
             raise ValueError("compressed cumulants are not a constant multiple of the seed")
     bound = (phi_a - w.kappa) / (phi_a - delta)
     if not (lam < bound + 1e-12 and bound < 1.0):
@@ -373,7 +373,7 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
         MultiMap(1, np.full((1,) * (n - 1) + (1, 1), lam * base[n - 1], dtype=complex))
         for n in range(1, order + 1)
     ]
-    dist = moments_from_cumulants(scaled, k=1, label=f"bernoulli-power({lam})")
+    dist = moments_from_cumulants(scaled, label=f"bernoulli-power({lam})")
     report = None
     for lv in range(1, level + 1):
         report = positivity_certificate(dist, lv, tol)

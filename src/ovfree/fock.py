@@ -93,7 +93,6 @@ class FockSpace:
             self.words.extend(p[::-1] for p in product(range(width), repeat=j))
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.degrees = np.array([len(w) for w in self.words])
-        self.unit_coord = self.r  # index of the 0 (+) 1 direction inside K
         self.state_index = self.word_index[(self.r,)]
         # v maps the words below the top degree, the first D - width**depth,
         # onto the indices 1..D-1 in order: row w of this table holds l.w

@@ -13,8 +13,16 @@ only input about the free product this module uses.  Every step shortens the
 word or centers one more letter, so the recursion is a finite binary tree.
 
 Coefficient arguments of a moment map enter the word as extra tensor axes
-("slots") on the letters, so a single recursion pass evaluates the map on the
-whole matrix-unit basis at once instead of once per coefficient tuple.
+("slots"): an A-atom may carry leading k^2 axes over the matrix-unit basis,
+and each becomes a slot of the returned map, in word order, so a single
+recursion pass evaluates the map on the whole basis at once instead of once
+per coefficient tuple.  Merges only ever join adjacent stretches of the word,
+so every tensor of the recursion holds its slots in one fixed order: reverse
+word order, in front of its matrix axes.  A push, and a product of two B
+tensors, puts the slots of the right (later) operand in front, and the final
+expectation is reversed once.  compressed_distribution is evaluate on the
+compression word v* X (v a_1 v*) X ... (v a_{n-1} v*) X v whose a_t are
+slotted A-atoms.
 
 A C-letter T is held as its bra slab T* Omega, where Omega = 0 (+) 1 is the
 state vector; the recursion reads nothing else from it.  E(T) = <T* Omega,
@@ -85,8 +93,8 @@ class MixedWord:
         """Maximal same-algebra runs as (tag, atoms) pairs, tags alternating.
 
         A-atoms attach to the preceding run when one is open, otherwise to
-        the first run that forms; a word with no X/v atoms normalizes to a
-        single "A" run.
+        the first run that forms; a word with no X/v atoms, the empty word
+        too, normalizes to a single "A" run.
         """
         runs: List[Tuple[str, List[Atom]]] = []
         leading: List[Atom] = []
@@ -100,7 +108,7 @@ class MixedWord:
             else:
                 runs.append((tag, leading + [atom]))
                 leading = []
-        if leading:
+        if leading or not runs:
             runs.append(("A", leading))
         return [(tag, tuple(items)) for tag, items in runs]
 
@@ -124,7 +132,7 @@ def required_depth(atoms: Sequence[Atom]) -> int:
 
 
 class _Letter:
-    """One letter of an alternating word, with slot axes recorded in sids.
+    """One letter of an alternating word; slots are in reverse word order.
 
     Tag "B": tensor is a matrix on the realization space, shape
     (*slots, kp, kp).  Tag "C": tensor is the bra slab T* Omega of a Fock
@@ -132,12 +140,11 @@ class _Letter:
     adjoints of T's factors in the order they act on a slab.
     """
 
-    __slots__ = ("tag", "tensor", "sids", "ops", "is_zero", "_e")
+    __slots__ = ("tag", "tensor", "ops", "is_zero", "_e")
 
-    def __init__(self, tag: str, tensor: np.ndarray, sids: Tuple[int, ...], ops: tuple = ()):
+    def __init__(self, tag: str, tensor: np.ndarray, ops: tuple = ()):
         self.tag = tag
         self.tensor = tensor
-        self.sids = sids
         self.ops = ops
         self.is_zero = not np.any(tensor)
         self._e: Optional[np.ndarray] = None
@@ -165,32 +172,27 @@ class _Env:
         t4 = tensor.reshape(tensor.shape[:-2] + (k, p, k, p))
         return np.einsum("ts,...isjt->...ij", self.r.rho, t4)
 
-    def push(self, op, op_sids: Tuple[int, ...], slab: np.ndarray,
-             sids: Tuple[int, ...]) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    def push(self, op, slab: np.ndarray) -> np.ndarray:
         """Apply a Fock push (FockSpace.push_v or push_vstar), or left
         multiplication by an A-valued tensor of shape (*op slots, k, k), to
-        a slab; new slots go in front."""
+        a slab; the op's slots go in front of the slab's."""
         if callable(op):
-            return op(slab), sids
+            return op(slab)
         k = self.k
         n = op.size // (k * k)
         rows = op.reshape(n, k, k).transpose(1, 0, 2).reshape(k * n, k)
         out = rows @ slab.reshape(self.f.D, k, -1)
-        return out.reshape((self.f.D, k) + op.shape[:-2] + slab.shape[2:]), op_sids + sids
+        return out.reshape((self.f.D, k) + op.shape[:-2] + slab.shape[2:])
 
     def c_letter(self, factors: Sequence) -> _Letter:
         """Input C-letter for the product of factors, each "v", "v*" or an
-        A-valued (tensor, sids) pair, held as its bra slab."""
-        ops = []
-        for fac in factors:
-            if isinstance(fac, str):
-                ops.append((self.f.push_vstar if fac == "v" else self.f.push_v, ()))
-            else:
-                ops.append((dagger(fac[0]), fac[1]))
-        slab, sids = self.f.unit_slab(), ()
-        for op, op_sids in ops:
-            slab, sids = self.push(op, op_sids, slab, sids)
-        return _Letter("C", slab, sids, tuple(ops))
+        A-valued tensor, held as its bra slab."""
+        push = {"v": self.f.push_vstar, "v*": self.f.push_v}
+        ops = tuple(push[fac] if isinstance(fac, str) else dagger(fac) for fac in factors)
+        slab = self.f.unit_slab()
+        for op in ops:
+            slab = self.push(op, slab)
+        return _Letter("C", slab, ops)
 
 
 def _expect(letter: _Letter, env: _Env) -> np.ndarray:
@@ -206,83 +208,69 @@ def _expect(letter: _Letter, env: _Env) -> np.ndarray:
 
 def _center(letter: _Letter, e: np.ndarray, env: _Env) -> _Letter:
     if letter.tag == "B":
-        return _Letter("B", letter.tensor - env.embed(e), letter.sids)
+        return _Letter("B", letter.tensor - env.embed(e))
     # (T - E(T))* Omega = T* Omega - E(T)* Omega
     slab = letter.tensor.copy()
     slab[env.f.state_index] = 0
-    return _Letter("C", slab, letter.sids)
+    return _Letter("C", slab)
 
 
-def _b_mul(t1: np.ndarray, n1: int, t2: np.ndarray, n2: int) -> np.ndarray:
-    s1 = ascii_uppercase[:n1]
-    s2 = ascii_uppercase[n1:n1 + n2]
-    return np.einsum(f"{s1}ab,{s2}bc->{s1}{s2}ac", t1, t2)
+def _b_mul(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The matrix product t1 t2, batched over slots; t2's slots go in front."""
+    s1 = ascii_uppercase[:t1.ndim - 2]
+    s2 = ascii_uppercase[t1.ndim - 2:t1.ndim + t2.ndim - 4]
+    return np.einsum(f"{s1}ab,{s2}bc->{s2}{s1}ac", t1, t2)
 
 
-def _merge(left: Optional[_Letter], e: np.ndarray, esids: Tuple[int, ...],
-           right: _Letter, env: _Env) -> _Letter:
+def _flip_slots(t: np.ndarray) -> np.ndarray:
+    """The leading slot axes of a (*slots, k, k) tensor in reverse order."""
+    n = t.ndim - 2
+    return np.ascontiguousarray(t.transpose(tuple(range(n - 1, -1, -1)) + (n, n + 1)))
+
+
+def _merge(left: Optional[_Letter], e: np.ndarray, right: _Letter, env: _Env) -> _Letter:
     """left * scalar * right fused into one letter (left may be absent)."""
     if right.tag == "B":
-        t = _b_mul(env.embed(e), len(esids), right.tensor, len(right.sids))
-        sids = esids + right.sids
-        if left is not None:
-            t = _b_mul(left.tensor, len(left.sids), t, len(sids))
-            sids = left.sids + sids
-        return _Letter("B", t, sids)
+        t = _b_mul(env.embed(e), right.tensor)
+        return _Letter("B", t if left is None else _b_mul(left.tensor, t))
     # (L e R)* Omega = R* e* (L* Omega)
-    slab, sids = (env.f.unit_slab(), ()) if left is None else (left.tensor, left.sids)
-    slab, sids = env.push(dagger(e), esids, slab, sids)
-    for op, op_sids in right.ops:
-        slab, sids = env.push(op, op_sids, slab, sids)
-    return _Letter("C", slab, sids)
-
-
-class _Accumulator:
-    def __init__(self, k: int, n_slots: int):
-        self.k = k
-        self.expected = tuple(range(n_slots))
-        self.total = np.zeros((k * k,) * n_slots + (k, k), dtype=complex)
-
-    def add(self, tensor: np.ndarray, sids: Tuple[int, ...]) -> None:
-        if tuple(sorted(sids)) != self.expected:
-            raise AssertionError("terminal word lost coefficient slots")
-        perm = tuple(np.argsort(sids)) + (len(sids), len(sids) + 1)
-        self.total += np.transpose(tensor, perm)
+    slab = env.push(dagger(e), env.f.unit_slab() if left is None else left.tensor)
+    for op in right.ops:
+        slab = env.push(op, slab)
+    return _Letter("C", slab)
 
 
 def _rec(stack: Tuple[_Letter, ...], m: _Letter, t: int,
-         word: Tuple[_Letter, ...], env: _Env, acc: _Accumulator) -> None:
+         word: Tuple[_Letter, ...], env: _Env, total: np.ndarray) -> None:
     if m.is_zero:
         return
     e = _expect(m, env)
     if t == len(word):
         # word is (centered stack) + m; freeness kills it unless the stack is empty
         if not stack:
-            acc.add(e, m.sids)
+            if e.shape != total.shape:
+                raise AssertionError("terminal word lost coefficient slots")
+            total += e
         return
     nxt = word[t]
-    if stack:
-        merged = _merge(stack[-1], e, m.sids, nxt, env)
-        _rec(stack[:-1], merged, t + 1, word, env, acc)
-    else:
-        merged = _merge(None, e, m.sids, nxt, env)
-        _rec(stack, merged, t + 1, word, env, acc)
+    merged = _merge(stack[-1] if stack else None, e, nxt, env)
+    _rec(stack[:-1], merged, t + 1, word, env, total)
     centered = _center(m, e, env)
     if not centered.is_zero:
-        _rec(stack + (centered,), nxt, t + 1, word, env, acc)
+        _rec(stack + (centered,), nxt, t + 1, word, env, total)
 
 
-def _expect_word(letters: Sequence[_Letter], env: _Env, n_slots: int) -> np.ndarray:
-    letters = tuple(letters)
-    for a, b in zip(letters, letters[1:]):
-        if a.tag == b.tag:
-            raise AssertionError("word letters must alternate")
-    acc = _Accumulator(env.k, n_slots)
-    if letters:
-        _rec((), letters[0], 1, letters, env, acc)
-    else:
-        acc.total += np.eye(env.k)
-    return acc.total
+def _check_letters(r: Realization, f: FockSpace, n_slots: int) -> None:
+    # with n_slots slots of k^2, a slab has D k^2 entries per slot tuple and a B letter (kp)^2
+    check_array_size(max(f.D, r.p**2) * r.k ** (2 * n_slots + 2),
+                     f"a letter with {n_slots} coefficient slots on a Fock module of {f.D} words and M_{r.d}")
+
+
+def _expect_word(letters: Tuple[_Letter, ...], env: _Env, n_slots: int) -> np.ndarray:
+    """E of a nonempty alternating word with n_slots slots, in word order."""
+    total = np.zeros((env.k * env.k,) * n_slots + (env.k, env.k), dtype=complex)
+    _rec((), letters[0], 1, letters, env, total)
+    return _flip_slots(total)
 
 
 # -- public operations ---------------------------------------------------------
@@ -290,6 +278,13 @@ def _expect_word(letters: Sequence[_Letter], env: _Env, n_slots: int) -> np.ndar
 
 def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
     """Expectation of a mixed word onto A, using only the freeness axiom.
+
+    An A-atom may carry leading slot axes of length k^2 over the matrix-unit
+    basis, shape (k^2, ..., k^2, k, k), in B runs and C runs alike.  The
+    result then has shape (k^2,)*S + (k, k), one slot per such axis in word
+    order: the coordinate tensor of a multilinear map, as MultiMap holds it.
+    Letters above the array rule (algebra.check_array_size) are refused
+    before any is built.
 
     Raises ValueError when f is shallower than required_depth(word.atoms),
     where the truncated module would give wrong values.
@@ -299,29 +294,33 @@ def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
         raise ValueError(f"Fock depth {f.depth} is too small for this word; need depth >= {need}")
     env = _Env(r, f)
     k = env.k
+    coefficients = [atom[1] for atom in word.atoms if not isinstance(atom, str)]
+    if any(a.shape[-2:] != (k, k) or any(s != k * k for s in a.shape[:-2]) for a in coefficients):
+        raise ValueError(f"A-coefficients must be {k}x{k}, after slot axes of length {k * k}")
+    n_slots = sum(a.ndim - 2 for a in coefficients)
+    _check_letters(r, f, n_slots)
     letters: List[_Letter] = []
     for tag, atoms in word.normal_form():
-        mats = [atom[1] for atom in atoms if not isinstance(atom, str)]
-        if any(a.shape != (k, k) for a in mats):
-            raise ValueError(f"A-coefficients must be {k}x{k}")
+        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1]) for atom in atoms]
         if tag == "A":
-            return reduce(np.matmul, mats, np.eye(k, dtype=complex))
+            return _flip_slots(reduce(_b_mul, factors, np.eye(k, dtype=complex)))
         if tag == "B":
-            t = reduce(np.matmul, [env.embed(a[1]) if isinstance(a, tuple) else r.X for a in atoms])
-            letters.append(_Letter("B", t, ()))
+            mats = [r.X if isinstance(fac, str) else env.embed(fac) for fac in factors]
+            letters.append(_Letter("B", reduce(_b_mul, mats)))
         else:
-            letters.append(env.c_letter([a if isinstance(a, str) else (a[1], ()) for a in atoms]))
-    return _expect_word(letters, env, 0)
+            letters.append(env.c_letter(factors))
+    return _expect_word(tuple(letters), env, n_slots)
 
 
 def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-9) -> OVDistribution:
     """Moment maps of v* X v, assembled purely from the freeness recursion.
 
-    The n-th moment map is E(v* X (v a_1 v*) X ... (v a_{n-1} v*) X v) with
-    a matrix-unit slot per coefficient, evaluated on the Fock module of
-    psi = eta - id at the depth required_depth gives for that word, which is
-    2 at every order.  Requires eta - id completely positive (otherwise the
-    Fock model for psi does not exist; the raised error carries the witness).
+    The n-th moment map is evaluate on the compression word
+    v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, each a_t the matrix units as
+    one slotted A-atom, on the Fock module of psi = eta - id at the depth
+    required_depth gives for that word, which is 2 at every order.  Requires
+    eta - id completely positive (otherwise the Fock model for psi does not
+    exist; the raised error carries the witness).
     """
     if N < 1:
         raise ValueError(f"order must be at least 1, got {N}")
@@ -335,21 +334,9 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-
             f"{report.min_eigenvalue:.3e}); no compression model exists",
             report,
         )
-    f = build_fock(psi, required_depth(["v*"] + ["v", "v*"] * (N - 1) + ["v"]), tol)
-    # slabs carry one k^2 axis per coefficient slot on top of the module
-    check_array_size(f.D * r.k ** (2 * N), f"an order-{N} slab on a Fock module of {f.D} words")
-    env = _Env(r, f)
-    k = r.k
-    units = np.asarray(matrix_units(k))
-    X = _Letter("B", r.X, ())
-    first, last = env.c_letter(["v*"]), env.c_letter(["v"])
-    middles = [env.c_letter(["v", (units, (t,)), "v*"]) for t in range(N - 1)]
-    moments = []
-    for n in range(1, N + 1):
-        letters: List[_Letter] = [first]
-        for middle in middles[:n - 1]:
-            letters += [X, middle]
-        letters += [X, last]
-        tensor = _expect_word(letters, env, n - 1)
-        moments.append(MultiMap(k, tensor))
-    return OVDistribution(k=k, order=N, moments=tuple(moments), label="compressed")
+    units = ("A", matrix_units(r.k))
+    words = [MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"]) for n in range(1, N + 1)]
+    f = build_fock(psi, required_depth(words[-1].atoms), tol)
+    _check_letters(r, f, N - 1)  # the order-N word's letters are the largest; refuse them before order 1
+    moments = tuple(MultiMap(r.k, evaluate(word, r, f)) for word in words)
+    return OVDistribution(k=r.k, order=N, moments=moments, label="compressed")

@@ -74,9 +74,9 @@ class Realization:
         x4 = x.reshape(x.shape[:-2] + (self.k, self.p, self.k, self.p))
         return np.einsum("ts,...isjt->...ij", self.rho, x4)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Re-check the conditional expectation identities, naming failures."""
-        k, d = self.k, self.d
+        k, d, tol = self.k, self.d, 1e-10
         if np.max(np.abs(self.cond_exp(np.eye(d)) - np.eye(k))) > tol:
             raise ValueError("condexp violates E(1) = 1")
         units = matrix_units(k)
@@ -128,8 +128,8 @@ class OVDistribution:
     def moment(self, n: int) -> MultiMap:
         return self.moments[n - 1]
 
-    def max_deviation(self, other: "OVDistribution", order: int | None = None) -> float:
-        n = min(self.order, other.order) if order is None else order
+    def max_deviation(self, other: "OVDistribution") -> float:
+        n = min(self.order, other.order)
         return max(self.moments[i].max_deviation(other.moments[i]) for i in range(n))
 
 
@@ -266,15 +266,13 @@ def cumulants_from_moments(dist: OVDistribution) -> Tuple[MultiMap, ...]:
     return tuple(MultiMap(dist.k, cums[(0,) * n]) for n in range(1, dist.order + 1))
 
 
-def moments_from_cumulants(
-    cums: Sequence[MultiMap], k: int | None = None, label: str = "cumulant-generated"
-) -> OVDistribution:
+def moments_from_cumulants(cums: Sequence[MultiMap], label: str = "cumulant-generated") -> OVDistribution:
     """Distribution with the given cumulants: M_n = sum over NC(n) of the
     nested evaluations, summed by the interval recursion."""
     cums = list(cums)
     if not cums:
         raise ValueError("need at least the first cumulant")
-    k = cums[0].k if k is None else k
+    k = cums[0].k
     for i, c in enumerate(cums):
         if c.arity != i or c.k != k:
             raise ValueError(f"cumulant {i + 1} has wrong shape")
@@ -291,7 +289,7 @@ def eta_power(dist: OVDistribution, eta: CPMap) -> OVDistribution:
     cums = cumulants_from_moments(dist)
     twisted = [c.compose(eta) for c in cums]
     label = f"eta_power({dist.label})" if dist.label else "eta_power"
-    return moments_from_cumulants(twisted, k=dist.k, label=label)
+    return moments_from_cumulants(twisted, label=label)
 
 
 def _degree_words(k: int, level: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -353,4 +351,4 @@ def semicircular(order: int) -> OVDistribution:
     cums = [MultiMap(1, np.zeros((1,) * (n - 1) + (1, 1), dtype=complex)) for n in range(1, order + 1)]
     if order >= 2:
         cums[1] = MultiMap(1, np.ones((1, 1, 1), dtype=complex))
-    return moments_from_cumulants(cums, k=1, label="semicircular")
+    return moments_from_cumulants(cums, label="semicircular")

@@ -307,7 +307,7 @@ def dist_from_spec(spec: dict, order: int) -> OVDistribution:
     k = spec_k(spec)
     if "realization" in spec:
         return moments_from_realization(realization_from_spec(k, spec["realization"]), order)
-    return moments_from_cumulants(_spec_cumulants(spec, k, order), k=k)
+    return moments_from_cumulants(_spec_cumulants(spec, k, order))
 
 
 def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[MultiMap, ...], str]:

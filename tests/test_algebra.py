@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovfree import CPMap, MultiMap, Realization, compressed_distribution, psd_check
+from ovfree import CPMap, MixedWord, MultiMap, Realization, algebra, build_fock, compressed_distribution, evaluate, psd_check
 from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units
 from ovfree.cli import main
 from ovfree.serialize import array_to_json
@@ -114,3 +114,19 @@ def test_array_size_rule_boundary():
     check_array_size(50_000_000, "an array")
     with pytest.raises(ValueError, match="an array would need 800 MB, above the 800 MB array limit"):
         check_array_size(50_000_001, "an array")
+
+
+def test_array_size_rule_counts_freeness_letters(monkeypatch, rng):
+    monkeypatch.setattr(algebra, "MAX_ARRAY_BYTES", 1_000_000)
+    psi = random_cp(rng, 2, rank=1)
+    eta = CPMap(2, CPMap.identity(2).choi + psi.choi)
+    # k=2, p=20, order 5: the slabs hold 7 * 2**10 entries (115 kB), the B
+    # letters of the compression word 20**2 * 2**10 (6.6 MB)
+    r = Realization(k=2, p=20, X=random_hermitian(rng, 40), rho=np.eye(20) / 20)
+    with pytest.raises(ValueError, match="a letter with 4 coefficient slots on a Fock module of 7 words and M_40 would need 7 MB"):
+        compressed_distribution(r, eta, 5)
+    # evaluate with six slotted atoms in one C run: slabs of 7 * 2**14 entries (1.8 MB)
+    word = MixedWord.from_atoms(["v*"] + [("A", matrix_units(2))] * 6 + ["v"])
+    r = Realization(k=2, p=1, X=random_hermitian(rng, 2), rho=np.eye(1))
+    with pytest.raises(ValueError, match="a letter with 6 coefficient slots on a Fock module of 7 words and M_2 would need 2 MB"):
+        evaluate(word, r, build_fock(psi, 2))

@@ -9,6 +9,9 @@ removes or renames something the benchmark uses.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,7 +31,22 @@ def test_every_traced_target_resolves():
             target = getattr(target, part)
         assert callable(target), (modname, attr)
     # trace_child reads f.v_op().mat.nnz of every module build_fock returns
-    assert callable(importlib.import_module("ovfree.fock").FockSpace.v_op)
+    fock = importlib.import_module("ovfree.fock")
+    psi = importlib.import_module("ovfree.cpmaps").CPMap.identity(2)
+    assert isinstance(fock.build_fock(psi, 2).v_op().mat.nnz, int)
+
+
+def test_cli_import_loads_every_traced_module():
+    # trace_child.install looks each traced module up in sys.modules right
+    # after `import ovfree.cli`; a module the CLI imported lazily would be
+    # missing there and break a traced run
+    modules = sorted({modname for modname, _attr, _layer in _trace_child().TRACED})
+    code = f"import sys\nimport ovfree.cli\nprint([m for m in {modules!r} if m not in sys.modules])\n"
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_src_line_metrics_name_every_module():

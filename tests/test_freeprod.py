@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ovfree import (
     CPMap,
     MixedWord,
+    MultiMap,
     NotCompletelyPositiveError,
     build_fock,
     compressed_distribution,
@@ -15,6 +18,7 @@ from ovfree import (
     moments_from_realization,
     word_expectation,
 )
+from ovfree.algebra import matrix_units
 from ovfree.freeprod import required_depth
 
 from conftest import random_complex, random_cp, random_eta, random_realization
@@ -205,10 +209,49 @@ def test_compressed_matches_eta_power(k, rank, N, seed):
     eta = random_eta(rng, k, rank=rank)
     comp = compressed_distribution(r, eta, N)
     powered = eta_power(moments_from_realization(r, N), eta)
+    f = build_fock(eta.minus_id(), 2)
     for n in range(1, N + 1):
         want = powered.moment(n).tensor
         scale = np.max(np.abs(want))
         assert np.max(np.abs(comp.moment(n).tensor - want)) <= 1e-10 * scale
+        # the n-th moment map on concrete arguments is the compression word with them
+        args = [random_complex(rng, (k, k)) for _ in range(n - 1)]
+        atoms = ["v*"] + [a for arg in args for a in ("X", "v", ("A", arg), "v*")] + ["X", "v"]
+        word = evaluate(MixedWord.from_atoms(atoms), r, f)
+        assert np.max(np.abs(comp.moment(n).apply(args) - word)) <= 1e-12 * max(1.0, np.max(np.abs(word)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("names", [
+    ["X", "U", "b", "X", "v*", "U", "v"],  # slots in a B run and in a C run
+    ["U", "v*", "X", "U2", "X", "v", "U", "v*", "v"],  # a leading slot; two slots in one B atom
+    ["U", "b", "U2"],  # A-atoms only
+])
+def test_slotted_atoms_are_map_arguments(rng, k, names):
+    # "U" is the matrix units as one slotted A-atom and "U2" the products
+    # e_c1 e_c2 as one atom with two slots: evaluate then gives the tensor of
+    # the multilinear map whose value at concrete arguments is evaluate of the
+    # word with those arguments, slots in word order
+    units = matrix_units(k)
+    slotted_atom = {"U": units, "U2": np.einsum("aij,bjl->abil", units, units)}
+    b = random_complex(rng, (k, k))
+    slotted, concrete, args = [], [], []
+    for name in names:
+        if name in slotted_atom:
+            new = [random_complex(rng, (k, k)) for _ in range(slotted_atom[name].ndim - 2)]
+            slotted.append(("A", slotted_atom[name]))
+            concrete.append(("A", reduce(np.matmul, new)))
+            args += new
+        else:
+            atom = ("A", b) if name == "b" else name
+            slotted.append(atom)
+            concrete.append(atom)
+    r = random_realization(rng, k=k)
+    f = build_fock(random_cp(rng, k, rank=2), required_depth(concrete))
+    tensor = evaluate(MixedWord.from_atoms(slotted), r, f)
+    assert tensor.shape == (k * k,) * len(args) + (k, k)
+    want = evaluate(MixedWord.from_atoms(concrete), r, f)
+    assert np.max(np.abs(MultiMap(k, tensor).apply(args) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _random_atoms(rng, alphabet, length, k):
