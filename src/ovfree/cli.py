@@ -23,11 +23,17 @@ convolve-power and positivity and above 6 for verify-realization; the
 environment variable OVFREE_MAX_ORDER, a positive integer, replaces both caps
 (expert use only: runtimes grow exponentially).  positivity builds moments up
 to order 2L - 2, all that level L reads.
+
+The process freezes (gc.freeze) every object alive when main starts, and the
+parsed input, which it reads with the cyclic collector paused: no
+collection, during the command or at exit, traverses them again.  Reference
+counting still frees the input once a command drops it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -38,11 +44,10 @@ from . import converse, freeprod, ovdist
 from .algebra import DEFAULT_TOL
 from .cpmaps import NotCompletelyPositiveError, eta_minus_id_cp
 from .serialize import (
-    canonical_dumps,
+    canonical_chunks,
     cumulants_from_spec,
     dist_from_spec,
     dist_to_spec,
-    gc_paused,
     int_field,
     map_from_spec,
     psd_report_to_json,
@@ -67,24 +72,35 @@ class InputError(Exception):
 
 
 def _load(path: str) -> dict:
+    """The JSON object at path, parsed with the cyclic collector paused and
+    then frozen: its lists are acyclic, and reference counting frees them,
+    so a collection that traversed them would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
     if not isinstance(spec, dict):
         raise InputError(f"JSON input {path} must be an object")
     return spec
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = canonical_dumps(payload)
+    """Write the canonical text of payload chunk by chunk, so the whole text
+    is never held; a payload canonical_chunks refuses writes no byte."""
+    chunks = canonical_chunks(payload)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write output {out}: {exc}") from exc
 
@@ -229,6 +245,14 @@ def _order(dist_spec: dict, args, cap: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Every object alive when main is called, the interpreter's, numpy's and
+    ovfree's import-time objects and an in-process caller's own, is frozen
+    (gc.freeze) and so is the parsed input: no collection during the command
+    or at exit traverses them again, and they are never collected.
+    """
+    gc.freeze()  # here, not only in _load: --help and usage errors never load
     parser = argparse.ArgumentParser(
         prog="ovfree", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )

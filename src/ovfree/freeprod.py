@@ -70,6 +70,7 @@ class MixedWord:
     "X" belongs to the realization algebra, "v"/"v*" to the Fock algebra and
     A-atoms to the common subalgebra; in normal form, maximal runs merge into
     strictly alternating tagged letters.  The empty word represents the unit.
+    from_atoms keeps read-only copies of the A-coefficients.
     """
 
     atoms: Tuple[Atom, ...]
@@ -86,7 +87,9 @@ class MixedWord:
                 tag, mat = a
                 if tag != "A":
                     raise ValueError(f"unknown atom tag {tag!r}")
-                out.append(("A", np.asarray(mat, dtype=complex)))
+                coefficient = np.array(mat, dtype=complex)
+                coefficient.setflags(write=False)
+                out.append(("A", coefficient))
         return cls(tuple(out))
 
     def normal_form(self) -> List[Tuple[str, Tuple[Atom, ...]]]:

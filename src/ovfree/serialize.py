@@ -2,23 +2,25 @@
 
 Complex scalars serialize as two-element arrays [re, im]; matrices and
 tensors as row-major nested arrays of those.  Output payloads hold complex
-tensors as numpy arrays; canonical_dumps writes each in that form, every
+tensors as numpy arrays; canonical_chunks writes each in that form, every
 float rounded to 12 significant digits, so identical inputs produce
-byte-identical files.  The text is what json.dumps would write, but a numpy
-kernel builds it from each float's 12-digit integer, a table of 4-digit ASCII
-words and one layout per decimal exponent, in chunks of _CHUNK entries (about
-3 MB of temporaries); near-ties, |x| outside [1e-11, 1e12), inf and nan take
-the encoder's own text per element.
+byte-identical files, and canonical_dumps joins its chunks.  The text is what
+json.dumps would write, but a numpy kernel builds it from each float's
+12-digit integer, a table of 4-digit ASCII words and one layout per decimal
+exponent, in chunks of _CHUNK entries (about 3 MB of temporaries);
+near-ties, |x| outside [1e-11, 1e12), inf and nan take the encoder's own
+text per element.
 Input arrays are parsed whole by json_to_array, which rejects anything but a
-rectangular array of numeric [re, im] pairs.
+rectangular array of numeric [re, im] pairs (a JSON boolean is not numeric).
 """
 
 from __future__ import annotations
 
-import gc
 import json
+import operator
 import re
-from contextlib import contextmanager
+from functools import reduce
+from itertools import chain
 from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
@@ -53,9 +55,17 @@ def json_to_array(data: Any) -> np.ndarray:
         a = np.asarray(data)
     except (ValueError, TypeError, OverflowError):  # ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2:
+    if a is None or a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2 or _holds_bool(data, a):
         raise ValueError("malformed complex array: need a rectangular array whose leaves are [re, im] numbers")
     return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
+
+
+def _holds_bool(data: Any, a: np.ndarray) -> bool:
+    """Whether a leaf of data, read by np.asarray as a, is a boolean, which
+    np.asarray reads as 0 or 1 beside numbers.  Only the leaves that read 0
+    or 1 are looked up, by their index."""
+    suspects = np.unravel_index(np.flatnonzero((a == 0) | (a == 1)), a.shape)
+    return any(isinstance(reduce(operator.getitem, index, data), bool) for index in zip(*suspects))
 
 
 def _finite(a: np.ndarray, field: str) -> np.ndarray:
@@ -179,11 +189,13 @@ def _array_texts(arr: Any) -> Iterator[str]:
 _SLOT = re.compile(r'"\\u0000(\d+)"')  # the JSON text of an array's placeholder
 
 
-def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, 12 significant digits, no whitespace
-    variation.  A numpy array in obj is written as a complex tensor: the C
-    encoder writes the rest of obj around a placeholder per array, and the
-    kernel's text of each array is spliced in."""
+def canonical_chunks(obj: Any) -> Iterator[str]:
+    """Deterministic JSON in pieces: sorted keys, 12 significant digits, no
+    whitespace variation.  A numpy array in obj is written as a complex
+    tensor: the C encoder writes the rest of obj around a placeholder per
+    array, and the kernel's text of each array is spliced in, one chunk at a
+    time.  The placeholders are checked when this is called, before any text
+    is made."""
     arrays = []
 
     def skeleton(o: Any) -> Any:
@@ -201,22 +213,13 @@ def canonical_dumps(obj: Any) -> str:
     parts = _SLOT.split(json.dumps(skeleton(obj), sort_keys=True, separators=(",", ":")))
     if sorted(map(int, parts[1::2])) != list(range(len(arrays))):
         raise ValueError("a string in the payload mimics an array placeholder")
-    parts[1::2] = ["".join(_array_texts(arrays[int(i)])) for i in parts[1::2]]
-    return "".join(parts + ["\n"])
+    parts[-1] += "\n"
+    return chain.from_iterable(_array_texts(arrays[int(p)]) if i % 2 else (p,) for i, p in enumerate(parts))
 
 
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while JSON for large tensors is
-    parsed: the collector's passes over millions of fresh, acyclic lists
-    free nothing and took about a third of a k=3, order-6 job."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def canonical_dumps(obj: Any) -> str:
+    """The text of canonical_chunks(obj) as one string."""
+    return "".join(canonical_chunks(obj))
 
 
 # -- map and distribution specs -------------------------------------------------

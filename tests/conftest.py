@@ -1,10 +1,21 @@
 """Shared random-instance generators for the test suite."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from ovfree import CPMap, Realization
 from ovfree.multimap import MultiMap
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_after_cli():
+    """cli.main freezes every object alive in its process, a test session
+    too; unfreezing after each test lets the next collections free the
+    session's garbage cycles again."""
+    yield
+    gc.unfreeze()
 
 
 def random_complex(rng, shape, scale=1.0):

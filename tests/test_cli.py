@@ -1,13 +1,17 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ovfree.cli import main
+from ovfree.cli import _emit, _load, main
 from ovfree.serialize import array_to_json
 
 from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
@@ -296,7 +300,7 @@ def test_realization_not_an_object_exit_2(tmp_path, capsys):
     assert "realization spec must be an object" in capsys.readouterr().err
 
 
-BAD_LEAVES = {"short": [1.0], "string": ["x", 0.0], "long": [0.0, 0.0, 3.0]}
+BAD_LEAVES = {"short": [1.0], "string": ["x", 0.0], "long": [0.0, 0.0, 3.0], "boolean": [True, 0.0]}
 
 
 def assert_one_line_exit_2(capsys, argv, needle):
@@ -426,6 +430,15 @@ def test_bad_max_order_env_exit_2(capsys, monkeypatch, value):
     assert_one_line_exit_2(capsys, argv, f"OVFREE_MAX_ORDER must be a positive integer, got '{value}'")
 
 
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports ovfree from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_run_never_imports_scipy():
     # scipy.sparse alone costs about a quarter of a second per CLI process;
     # only the sparse FockOp view, which no command uses, may load it
@@ -436,11 +449,7 @@ def test_cli_run_never_imports_scipy():
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded[:5]\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert '"pass":true' in proc.stdout
+    assert '"pass":true' in run_fresh(code)
 
 
 def test_convolve_power_loads_no_module_at_run_time():
@@ -454,11 +463,62 @@ def test_convolve_power_loads_no_module_at_run_time():
         "loaded = sorted(set(sys.modules) - before - {'locale', '_locale'})\n"  # argparse's gettext
         "assert not loaded, loaded\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert '"moments":' in proc.stdout
+    assert '"moments":' in run_fresh(code)
+
+
+def test_cli_process_freezes_and_keeps_the_collector_enabled():
+    code = (
+        "import gc\n"
+        "from ovfree.cli import main\n"
+        f"assert main(['convolve-power', '--in', {GOLDEN_CONVOLVE!r}]) == 0\n"
+        "assert gc.get_freeze_count() > 0 and gc.isenabled()\n"
+    )
+    assert '"moments":' in run_fresh(code)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
+    good, bad = write(tmp_path, "in.json", {"k": 1}), tmp_path / "bad.json"
+    bad.write_text('{"k": ')
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _load(good) == {"k": 1} and gc.isenabled() == enabled
+        assert main(["check-cp", "--in", str(bad)]) == 2 and gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert "cannot read JSON input" in capsys.readouterr().err
+
+
+def test_emit_holds_no_copy_of_the_text(tmp_path):
+    rng = np.random.default_rng(18)
+    payload = {"moments": [rng.standard_normal(320_000) + 1j * rng.standard_normal(320_000)]}
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        _emit(payload, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 10_000_000
+    assert peak < size  # the chunks are written as they are made: about 3 MB of kernel temporaries
+
+
+def test_main_writes_to_a_redirected_text_stdout(tmp_path):
+    # an in-process caller may send stdout to a str-only stream
+    out = tmp_path / "out.json"
+    assert main(["convolve-power", "--in", GOLDEN_CONVOLVE, "--out", str(out)]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["convolve-power", "--in", GOLDEN_CONVOLVE]) == 0
+    assert buf.getvalue() == out.read_text(encoding="utf-8")
+
+
+def test_emit_refuses_a_placeholder_lookalike_before_writing(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="placeholder"):
+        _emit({"a": np.zeros(1), "b": "\x000"}, str(out))
+    assert not out.exists()
 
 
 def test_counterexample_zero_map_exit_3(tmp_path, capsys):

@@ -162,6 +162,14 @@ def test_unknown_atom_rejected():
         MixedWord.from_atoms(["Y"])
 
 
+def test_from_atoms_keeps_a_read_only_copy():
+    a = np.eye(2, dtype=complex)
+    w = MixedWord.from_atoms(["X", ("A", a)])
+    a[0, 0] = 5
+    coefficient = w.atoms[1][1]
+    assert coefficient[0, 0] == 1 and not coefficient.flags.writeable
+
+
 def test_normal_form_alternates(rng):
     a = random_complex(rng, (2, 2))
     w = MixedWord.from_atoms([("A", a), "v*", "X", "X", ("A", a), "v", ("A", a), "v*", ("A", a)])

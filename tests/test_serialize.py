@@ -50,6 +50,9 @@ def test_malformed_leaf_rejected():
         [[[1.0, 2.0]], [1.0, 2.0]],  # leaves at two depths
         [[1.0, 2.0], [None, 2.0]],
         [[True, False]],
+        [[True, 2.0]],  # np.asarray reads a boolean beside a number as 1 or 0
+        [[1.0, False]],
+        [[0.5, 0.25]] * 40 + [[True, 0.5]],  # one boolean among many numbers
         [[1.0, 2.0], {"re": 1.0}],
         [],
         [[]],
