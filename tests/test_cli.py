@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovfree.cli import _emit, _load, main
+from ovfree.cli import FAST_READ_BYTES, MAX_FAST_DEPTH, _emit, _load, _shallow, main
 from ovfree.serialize import array_to_json
 
 from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
@@ -20,6 +20,20 @@ from conftest import random_cp, random_density, random_hermitian, random_symmetr
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def write_text(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return str(path)
+
+
+def padded(path):
+    """path, padded with trailing spaces to FAST_READ_BYTES, so that orjson
+    reads it unless the guard or orjson itself refuses."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" " * max(0, FAST_READ_BYTES - os.path.getsize(path)))
     return str(path)
 
 
@@ -480,13 +494,17 @@ def test_cli_process_freezes_and_keeps_the_collector_enabled():
 def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
     good, bad = write(tmp_path, "in.json", {"k": 1}), tmp_path / "bad.json"
     bad.write_text('{"k": ')
+    big_bad = tmp_path / "big_bad.json"
+    big_bad.write_text('{"k": ')
     (gc.enable if enabled else gc.disable)()
     try:
         assert _load(good) == {"k": 1} and gc.isenabled() == enabled
-        assert main(["check-cp", "--in", str(bad)]) == 2 and gc.isenabled() == enabled
+        assert _load(padded(write(tmp_path, "big.json", {"k": 1}))) == {"k": 1} and gc.isenabled() == enabled
+        for path in (bad, padded(big_bad)):  # orjson refuses the padded copy and json decides
+            assert main(["check-cp", "--in", str(path)]) == 2 and gc.isenabled() == enabled
+            assert "cannot read JSON input" in capsys.readouterr().err
     finally:
         gc.enable()
-    assert "cannot read JSON input" in capsys.readouterr().err
 
 
 def test_emit_holds_no_copy_of_the_text(tmp_path):
@@ -626,8 +644,10 @@ def _non_finite_input(tmp_path, field):
     ("check-cp", "kraus"), ("positivity", "X"), ("positivity", "state"),
 ])
 def test_non_finite_input_exit_2(tmp_path, capsys, command, field):
-    argv = [command, "--in", _non_finite_input(tmp_path, field)]
-    assert_one_line_exit_2(capsys, argv, f"field '{field}' holds a non-finite number")
+    path = _non_finite_input(tmp_path, field)
+    assert_one_line_exit_2(capsys, [command, "--in", path], f"field '{field}' holds a non-finite number")
+    # orjson refuses NaN, Infinity and 1e999, and json reads them as before
+    assert_one_line_exit_2(capsys, [command, "--in", padded(path)], f"field '{field}' holds a non-finite number")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -674,3 +694,93 @@ def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as info:
         main([command, "--in", write(tmp_path, "in.json", map_spec_id_plus_transpose()), flag, "2"])
     assert info.value.code == 2 and f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def _bits(value):
+    """value with every float as its hex text and every number tagged with
+    its type, so that equal results are equal bit for bit."""
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+_RNG = np.random.default_rng(14)  # finite doubles of every exponent, both signs
+_REPR17 = ["%.17g" % x for x in _RNG.integers(0, 0x7FF0000000000000, 256).view(np.float64) * _RNG.choice([-1, 1], 256)]
+_EDGE_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30]
+
+
+@pytest.mark.parametrize("text", [
+    '{"v": [-0.0, 5e-324, 2.2250738585072014e-308, 1e-400, -0]}',
+    '{"v": [' + ", ".join(_REPR17) + "]}",
+    *(f'{{"k": {n}, "v": [[{n}, {-n}]]}}' for n in _EDGE_INTS),
+    '{"k": 1, "k": 2, "v": {"a": [1.5], "a": []}}',
+    '{"name": "caf\\u00e9", "k": 2}',
+    '{"a": [], "b": [[]], "c": {}, "d": [{}]}',
+], ids=["subnormal-and-zero", "repr17", *(f"int-{n}" for n in _EDGE_INTS), "duplicate-keys", "escape", "empty"])
+def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    small.write_text(text)
+    big.write_text(text)
+    expected = _load(str(small))
+    if "\\" not in text:  # orjson alone decides the padded copy; an escape sends it to json
+        monkeypatch.setattr(json, "load", None)
+    assert _bits(_load(padded(big))) == _bits(expected)
+
+
+def _nest(n):
+    return b"[" * n + b"]" * n
+
+
+def test_shallow_guard():
+    assert _shallow(_nest(MAX_FAST_DEPTH)) and not _shallow(_nest(MAX_FAST_DEPTH + 1))
+    assert _shallow(b'{"a": "' + b"[" * 1000 + b'"}') and _shallow(b'"]]]"' + _nest(MAX_FAST_DEPTH))
+    assert not _shallow(b'["]", ' * 100 + b"[]" + b"]" * 100)  # the strings hide no opener
+    assert not _shallow(b'{"a": "\\u005b"}') and not _shallow(b"]" + _nest(2))
+    assert _shallow(b"") and _shallow(b"1.5")
+
+
+def _deep(where):
+    n = 3_000 if where == "choi" else 200_000
+    body = '["]", ' * n + "[]" + "]" * n if where == "k-strings" else "[" * n + "]" * n
+    return '{"k": 2, "choi": %s}' % body if where == "choi" else '{"k": %s}' % body
+
+
+@pytest.mark.parametrize("where, pad", [
+    ("k", False), ("k", True), ("choi", False), ("choi", True), ("k-strings", False),
+], ids=["k-json", "k-past-threshold", "choi-json", "choi-past-threshold", "k-strings-past-threshold"])
+def test_deeply_nested_input_exit_2(tmp_path, where, pad):
+    # json raises RecursionError; past the threshold the guard declines
+    # before orjson, which crashes the process at about 130,000 levels.
+    # The "]" strings between the brackets (1.2 MB unpadded) hide no depth.
+    path = write_text(tmp_path, _deep(where))
+    if pad:
+        padded(path)
+    assert (os.path.getsize(path) >= FAST_READ_BYTES) == (pad or where == "k-strings")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "ovfree.cli", "check-cp", "--in", path], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"ovfree: cannot read JSON input {path}: ")
+
+
+def test_orjson_is_imported_only_past_the_threshold(tmp_path):
+    big = tmp_path / "convolve.json"
+    big.write_text(Path(GOLDEN_CONVOLVE).read_text())
+    code = (
+        "import contextlib, io, sys\n"
+        "import ovfree.cli\n"
+        "assert 'orjson' not in sys.modules\n"
+        "outs = []\n"
+        f"for path in ({GOLDEN_CONVOLVE!r}, {padded(big)!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        assert ovfree.cli.main(['convolve-power', '--in', path]) == 0\n"
+        "    outs.append(buf.getvalue())\n"
+        "    print('orjson' in sys.modules)\n"
+        "assert outs[0] == outs[1] and '\"moments\":' in outs[0]\n"
+    )
+    assert run_fresh(code).split() == ["False", "True"]
