@@ -141,6 +141,8 @@ def _shallow(data: bytes) -> bool:
 def _parse_int(text: str):
     """An integer literal, exact where orjson reads it exactly, in
     [-2**63, 2**64), and elsewhere the nearest double, as orjson reads it."""
+    if len(text) > 20:  # outside that range, and int() refuses 4,300 digits or more
+        return float(text)
     value = int(text)
     return value if -(1 << 63) <= value < 1 << 64 else float(text)
 

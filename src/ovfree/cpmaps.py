@@ -16,7 +16,7 @@ from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, matrix_units, psd_check
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -72,10 +72,11 @@ class CPMap:
     @classmethod
     def from_kraus(cls, k: int, kraus: Iterable[np.ndarray]) -> "CPMap":
         kraus = [np.asarray(K, dtype=complex) for K in kraus]
+        if any(K.shape != (k, k) for K in kraus):
+            raise ValueError(f"Kraus operators must be {k} x {k}")
+        check_array_size(k**4, f"the Choi matrix of a map on M_{k}")
         choi = np.zeros((k * k, k * k), dtype=complex)
         for K in kraus:
-            if K.shape != (k, k):
-                raise ValueError("Kraus operators must be k x k")
             v = _vec(K)
             choi += np.outer(v, v.conj())
         return cls(k, choi)

@@ -163,9 +163,9 @@ class FockSpace:
         return np.asarray(mat[s:s + self.k, s:s + self.k].todense())
 
     def unit_slab(self) -> np.ndarray:
-        """The module coordinates of 0 (+) 1 as a (D, k, k) array."""
-        slab = np.zeros((self.D, self.k, self.k), dtype=complex)
-        slab[self.state_index] = np.eye(self.k)
+        """0 (+) 1 as the (D, k, 1, k) slab the freeness recursion starts from."""
+        slab = np.zeros((self.D, self.k, 1, self.k), dtype=complex)
+        slab[self.state_index, :, 0] = np.eye(self.k)
         return slab
 
 

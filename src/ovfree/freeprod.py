@@ -17,12 +17,15 @@ Coefficient arguments of a moment map enter the word as extra tensor axes
 and each becomes a slot of the returned map, in word order, so a single
 recursion pass evaluates the map on the whole basis at once instead of once
 per coefficient tuple.  Merges only ever join adjacent stretches of the word,
-so every tensor of the recursion holds its slots in one fixed order: reverse
-word order, in front of its matrix axes.  A push, and a product of two B
-tensors, puts the slots of the right (later) operand in front, and the final
-expectation is reversed once.  compressed_distribution is evaluate on the
-compression word v* X (v a_1 v*) X ... (v a_{n-1} v*) X v whose a_t are
-slotted A-atoms.
+so every tensor of the recursion holds its S slots in one fixed order,
+reverse word order, flattened row-major into one slot axis of n = (k^2)^S
+entries: a B letter is (n, kp, kp), a slab (D, k, n, k) and an expectation
+(n, k, k), whatever the order.  A push, and a product of two B tensors, puts
+the slots of the right (later) operand in front, as the outer product of the
+two slot axes.  The slots are reversed only where slotted atoms enter
+evaluate and where its result leaves.  compressed_distribution is evaluate
+on the compression word v* X (v a_1 v*) X ... (v a_{n-1} v*) X v whose a_t
+are slotted A-atoms.
 
 A C-letter T is held as its bra slab T* Omega, where Omega = 0 (+) 1 is the
 state vector; the recursion reads nothing else from it.  E(T) = <T* Omega,
@@ -49,13 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from string import ascii_uppercase
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import check_array_size, dagger, matrix_units
-from .cpmaps import CPMap, NotCompletelyPositiveError
+from .cpmaps import CPMap
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
 from .ovdist import OVDistribution, Realization
@@ -135,11 +137,11 @@ def required_depth(atoms: Sequence[Atom]) -> int:
 
 
 class _Letter:
-    """One letter of an alternating word; slots are in reverse word order.
+    """One letter of an alternating word; n is the length of its slot axis.
 
-    Tag "B": tensor is a matrix on the realization space, shape
-    (*slots, kp, kp).  Tag "C": tensor is the bra slab T* Omega of a Fock
-    operator T, shape (D, k, *slots, k); on input letters, ops lists the
+    Tag "B": tensor is a stack of matrices on the realization space, shape
+    (n, kp, kp).  Tag "C": tensor is the bra slab T* Omega of a Fock
+    operator T, shape (D, k, n, k); on input letters, ops lists the
     adjoints of T's factors in the order they act on a slab.
     """
 
@@ -164,28 +166,24 @@ class _Env:
         self.k = r.k
 
     def embed(self, tensor: np.ndarray) -> np.ndarray:
-        # a (x) 1_p on the trailing output axes, batched over slots
-        p = self.r.p
-        k = self.k
-        out = np.einsum("...ij,st->...isjt", tensor, np.eye(p))
-        return out.reshape(tensor.shape[:-2] + (k * p, k * p))
+        # a (x) 1_p for each a of an (n, k, k) stack
+        n, k, p = len(tensor), self.k, self.r.p
+        return np.einsum("nij,st->nisjt", tensor, np.eye(p)).reshape(n, k * p, k * p)
 
     def cond_exp_b(self, tensor: np.ndarray) -> np.ndarray:
         k, p = self.k, self.r.p
-        t4 = tensor.reshape(tensor.shape[:-2] + (k, p, k, p))
-        return np.einsum("ts,...isjt->...ij", self.r.rho, t4)
+        return np.einsum("ts,nisjt->nij", self.r.rho, tensor.reshape(-1, k, p, k, p))
 
     def push(self, op, slab: np.ndarray) -> np.ndarray:
         """Apply a Fock push (FockSpace.push_v or push_vstar), or left
-        multiplication by an A-valued tensor of shape (*op slots, k, k), to
-        a slab; the op's slots go in front of the slab's."""
+        multiplication by an A-valued (n, k, k) stack, to a (D, k, m, k)
+        slab; the op's slots go in front of the slab's: (D, k, n * m, k)."""
         if callable(op):
             return op(slab)
         k = self.k
-        n = op.size // (k * k)
-        rows = op.reshape(n, k, k).transpose(1, 0, 2).reshape(k * n, k)
+        rows = op.transpose(1, 0, 2).reshape(-1, k)
         out = rows @ slab.reshape(self.f.D, k, -1)
-        return out.reshape((self.f.D, k) + op.shape[:-2] + slab.shape[2:])
+        return out.reshape(self.f.D, k, -1, k)
 
     def c_letter(self, factors: Sequence) -> _Letter:
         """Input C-letter for the product of factors, each "v", "v*" or an
@@ -199,7 +197,7 @@ class _Env:
 
 
 def _expect(letter: _Letter, env: _Env) -> np.ndarray:
-    """Marginal expectation; tensor shape (*slots of the letter, k, k)."""
+    """Marginal expectation, an (n, k, k) stack over the letter's slot axis."""
     if letter._e is None:
         if letter.tag == "B":
             letter._e = env.cond_exp_b(letter.tensor)
@@ -219,16 +217,18 @@ def _center(letter: _Letter, e: np.ndarray, env: _Env) -> _Letter:
 
 
 def _b_mul(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """The matrix product t1 t2, batched over slots; t2's slots go in front."""
-    s1 = ascii_uppercase[:t1.ndim - 2]
-    s2 = ascii_uppercase[t1.ndim - 2:t1.ndim + t2.ndim - 4]
-    return np.einsum(f"{s1}ab,{s2}bc->{s2}{s1}ac", t1, t2)
+    """The matrix products of an (n, a, b) and an (m, b, c) stack, for every
+    pair of slot entries; t2's slots go in front: shape (m * n, a, c)."""
+    out = np.einsum("nab,mbc->mnac", t1, t2)
+    return out.reshape((-1,) + out.shape[2:])
 
 
-def _flip_slots(t: np.ndarray) -> np.ndarray:
-    """The leading slot axes of a (*slots, k, k) tensor in reverse order."""
-    n = t.ndim - 2
-    return np.ascontiguousarray(t.transpose(tuple(range(n - 1, -1, -1)) + (n, n + 1)))
+def _flip_slots(t: np.ndarray, n_slots: int) -> np.ndarray:
+    """A tensor of n_slots slots of k^2 entries and a k x k output, its slots
+    in reverse order, shape (k^2,)*n_slots + (k, k)."""
+    k = t.shape[-1]
+    t = t.reshape((k * k,) * n_slots + (k, k))
+    return np.ascontiguousarray(t.transpose(tuple(range(n_slots - 1, -1, -1)) + (n_slots, n_slots + 1)))
 
 
 def _merge(left: Optional[_Letter], e: np.ndarray, right: _Letter, env: _Env) -> _Letter:
@@ -271,9 +271,9 @@ def _check_letters(r: Realization, f: FockSpace, n_slots: int) -> None:
 
 def _expect_word(letters: Tuple[_Letter, ...], env: _Env, n_slots: int) -> np.ndarray:
     """E of a nonempty alternating word with n_slots slots, in word order."""
-    total = np.zeros((env.k * env.k,) * n_slots + (env.k, env.k), dtype=complex)
+    total = np.zeros(((env.k * env.k) ** n_slots, env.k, env.k), dtype=complex)
     _rec((), letters[0], 1, letters, env, total)
-    return _flip_slots(total)
+    return _flip_slots(total, n_slots)
 
 
 # -- public operations ---------------------------------------------------------
@@ -304,11 +304,12 @@ def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
     _check_letters(r, f, n_slots)
     letters: List[_Letter] = []
     for tag, atoms in word.normal_form():
-        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1]) for atom in atoms]
+        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1], atom[1].ndim - 2).reshape(-1, k, k)
+                   for atom in atoms]
         if tag == "A":
-            return _flip_slots(reduce(_b_mul, factors, np.eye(k, dtype=complex)))
+            return _flip_slots(reduce(_b_mul, factors, np.eye(k, dtype=complex)[None]), n_slots)
         if tag == "B":
-            mats = [r.X if isinstance(fac, str) else env.embed(fac) for fac in factors]
+            mats = [r.X[None] if isinstance(fac, str) else env.embed(fac) for fac in factors]
             letters.append(_Letter("B", reduce(_b_mul, mats)))
         else:
             letters.append(env.c_letter(factors))
@@ -323,20 +324,13 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-
     one slotted A-atom, on the Fock module of psi = eta - id at the depth
     required_depth gives for that word, which is 2 at every order.  Requires
     eta - id completely positive (otherwise the Fock model for psi does not
-    exist; the raised error carries the witness).
+    exist, and build_fock raises NotCompletelyPositiveError with the witness).
     """
     if N < 1:
         raise ValueError(f"order must be at least 1, got {N}")
     if eta.k != r.k:
         raise ValueError("map and realization have different base algebras")
     psi = eta.minus_id()
-    report = psi.is_cp(tol)
-    if not report.is_psd:
-        raise NotCompletelyPositiveError(
-            f"eta - id is not completely positive (min Choi eigenvalue "
-            f"{report.min_eigenvalue:.3e}); no compression model exists",
-            report,
-        )
     units = ("A", matrix_units(r.k))
     words = [MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"]) for n in range(1, N + 1)]
     f = build_fock(psi, required_depth(words[-1].atoms), tol)

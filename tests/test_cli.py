@@ -360,6 +360,15 @@ def test_convolve_non_integer_field_exit_2(tmp_path, capsys, where, value):
     assert_one_line_exit_2(capsys, ["convolve-power", "--in", write(tmp_path, "in.json", payload)], f"'{field}'")
 
 
+def test_check_cp_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # int() refuses a literal of 4,300 digits or more; such a k is read as
+    # the nearest double, inf, as orjson would read it, and refused as a field
+    path = write_text(tmp_path, '{"k": ' + "1" * 5000 + ', "choi": [[[1.0, 0.0]]]}')
+    needle = "field 'k' must be a positive integer, got Infinity"
+    assert_one_line_exit_2(capsys, ["check-cp", "--in", path], needle)
+    assert_one_line_exit_2(capsys, ["check-cp", "--in", padded(path)], needle)
+
+
 def test_convolve_distribution_not_an_object_exit_2(tmp_path, capsys):
     inp = write(tmp_path, "in.json", {"distribution": [1], "map": map_spec_scaled_id(1, 1.0)})
     assert_one_line_exit_2(capsys, ["convolve-power", "--in", inp, "--order", "2"], "'distribution'")
@@ -571,6 +580,9 @@ def test_orderless_cumulant_spec_is_capped(tmp_path, capsys, monkeypatch, comman
                  id="k3-inside-the-cap"),
     pytest.param(["positivity", "--order", "12", "--level", "7"], "12", "an order-12 moment product on M_4 would need 1,074 MB",
                  id="env-lifts-the-cap-not-the-byte-rule"),
+    # a Kraus spec's shapes are checked before its k^2 x k^2 Choi matrix is allocated
+    pytest.param(["check-cp"], None, "Kraus operators must be 3000 x 3000", id="check-cp-kraus-shape"),
+    pytest.param(["counterexample"], None, "Kraus operators must be 3000 x 3000", id="counterexample-kraus-shape"),
 ])
 def test_realization_order_above_byte_limit_exit_2(tmp_path, capsys, monkeypatch, argv, env, needle):
     import tracemalloc
@@ -578,6 +590,8 @@ def test_realization_order_above_byte_limit_exit_2(tmp_path, capsys, monkeypatch
     if argv[0] == "convolve-power":
         spec = {"distribution": realization_spec(np.random.default_rng(19), k=3), "map": map_spec_scaled_id(3, 1.0)}
         inp = write(tmp_path, "in.json", spec)
+    elif argv[0] in ("check-cp", "counterexample"):
+        inp = write(tmp_path, "in.json", {"k": 3000, "kraus": [[[[1.0, 0.0]]]]})
     else:
         inp = GOLDEN_REALIZATION
     if env is None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ovfree import CPMap, NotCompletelyPositiveError, eta_minus_id_cp
+from ovfree import algebra
 from ovfree.algebra import matrix_units
 from ovfree.cpmaps import _vec
 
@@ -89,6 +90,16 @@ def test_kraus_rejects_non_cp():
     with pytest.raises(NotCompletelyPositiveError) as err:
         CPMap.transpose_map(2).kraus()
     assert err.value.report.witness is not None
+
+
+def test_from_kraus_checks_shapes_and_bytes_before_the_choi_matrix(monkeypatch):
+    with pytest.raises(ValueError, match="Kraus operators must be 3000 x 3000"):
+        CPMap.from_kraus(3000, [np.eye(1)])
+    # a 16^2 x 16^2 Choi matrix needs 1.05 MB, above a lowered limit of 1 MB
+    monkeypatch.setattr(algebra, "MAX_ARRAY_BYTES", 1_000_000)
+    with pytest.raises(ValueError, match="the Choi matrix of a map on M_16 would need 1 MB"):
+        CPMap.from_kraus(16, [np.eye(16)])
+    assert CPMap.from_kraus(15, [np.eye(15)]).k == 15
 
 
 def test_vec_convention_pins_choi(rng):

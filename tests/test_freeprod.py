@@ -144,8 +144,10 @@ def test_compressed_scalar_bernoulli_power(rng):
 
 def test_compressed_requires_eta_minus_id_cp(rng):
     r = random_realization(rng)
-    with pytest.raises(NotCompletelyPositiveError):
-        compressed_distribution(r, CPMap.scaled_identity(2, 0.5), 3)
+    eta = CPMap.scaled_identity(2, 0.5)
+    with pytest.raises(NotCompletelyPositiveError) as info:
+        compressed_distribution(r, eta, 3)
+    assert info.value.report.min_eigenvalue == eta.minus_id().is_cp().min_eigenvalue
 
 
 def test_compressed_order_at_least_one(rng):
@@ -260,6 +262,23 @@ def test_slotted_atoms_are_map_arguments(rng, k, names):
     assert tensor.shape == (k * k,) * len(args) + (k, k)
     want = evaluate(MixedWord.from_atoms(concrete), r, f)
     assert np.max(np.abs(MultiMap(k, tensor).apply(args) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_slots", [27, 30])
+@pytest.mark.parametrize("run", ["A", "B"])
+def test_words_with_more_than_26_slots(rng, run, n_slots):
+    # every tensor of the recursion holds its slots on one axis, so no
+    # alphabet of einsum subscripts bounds their number
+    args = [np.exp(2j * np.pi * rng.random((1, 1))) for _ in range(n_slots)]
+    lead = ["X"] if run == "B" else []
+    slotted = lead + [atom for _ in args for atom in [("A", matrix_units(1))] + lead]
+    concrete = lead + [atom for a in args for atom in [("A", a)] + lead]
+    r = random_realization(rng, k=1)
+    f = build_fock(random_cp(rng, 1, rank=1), 2)
+    tensor = evaluate(MixedWord.from_atoms(slotted), r, f)
+    assert tensor.shape == (1,) * n_slots + (1, 1)
+    want = evaluate(MixedWord.from_atoms(concrete), r, f)
+    assert np.max(np.abs(MultiMap(1, tensor).apply(args) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def _random_atoms(rng, alphabet, length, k):

@@ -1,0 +1,67 @@
+"""Run every benchmark job on this checkout and on another one, and report
+each job whose stdout, stderr or exit code differ between the two.
+
+    python3 tools/same_bytes.py <other checkout> [seed ...]
+
+The jobs are those bench/workloads.make_jobs writes for every workload at
+each seed (1 and 7 by default), written once into a temporary directory and
+read by both checkouts.  Each job is a fresh ``ovfree`` CLI process per
+checkout, with PYTHONPATH set to that checkout's src only and one
+BLAS/OpenMP thread.  The last line counts the jobs and the differences; the
+exit code is 0 when every job agrees and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import WORKLOADS, Job, make_jobs  # noqa: E402
+
+CLI = "import sys; from ovfree.cli import main; sys.exit(main())"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FIELDS = ("stdout", "stderr", "exit code")
+
+
+def run(checkout: str, job: Job, cwd: str) -> tuple:
+    """(stdout, stderr, exit code) of job on the ovfree under checkout/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
+    argv = [sys.executable, "-c", CLI, job.command, "--in", job.infile, *job.args]
+    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("other", help="the checkout to compare with, such as one of the parent commit")
+    parser.add_argument("seeds", nargs="*", type=int, default=[1, 7])
+    args = parser.parse_args(argv)
+    other = os.path.abspath(args.other)
+    if not os.path.isdir(os.path.join(other, "src", "ovfree")):
+        parser.error(f"{other} has no src/ovfree")
+    count = differ = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in args.seeds:
+            for workload in WORKLOADS:
+                jobdir = os.path.join(workdir, f"{workload}-s{seed}")
+                os.mkdir(jobdir)
+                for job in make_jobs(workload, seed, jobdir):
+                    ours, theirs = run(ROOT, job, workdir), run(other, job, workdir)
+                    fields = [name for name, a, b in zip(FIELDS, ours, theirs) if a != b]
+                    count += 1
+                    differ += bool(fields)
+                    verdict = "differs in " + ", ".join(fields) if fields else "same"
+                    print(f"{workload} seed {seed} {job.name} (exit {ours[2]}): {verdict}", flush=True)
+    print(f"{count} jobs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
