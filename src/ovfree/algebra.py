@@ -32,6 +32,14 @@ def check_array_size(entries: int, what: str) -> None:
         )
 
 
+def read_only(a) -> np.ndarray:
+    """A private read-only complex copy of a, as every value object stores
+    its arrays: a caller mutating its own array cannot change the value."""
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of the trailing two axes)."""
     return np.conjugate(np.swapaxes(np.asarray(a), -1, -2))
@@ -72,6 +80,10 @@ class PSDReport:
     witness: Optional[np.ndarray]
     tol: float
 
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness", read_only(self.witness))
+
     @property
     def is_psd(self) -> bool:
         return self.min_eigenvalue >= -self.tol
@@ -93,8 +105,8 @@ def psd_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> PSDReport:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {10.0 * tol:.3e}"
         )
-    herm = (m + dagger(m)) / 2.0
+    herm = m / 2.0 + dagger(m) / 2.0  # halved first: a finite m cannot overflow
     vals, vecs = np.linalg.eigh(herm)
     lam = float(vals[0])
-    witness = vecs[:, 0].copy() if lam < -tol else None
+    witness = vecs[:, 0] if lam < -tol else None
     return PSDReport(min_eigenvalue=lam, witness=witness, tol=float(tol))

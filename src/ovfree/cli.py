@@ -13,7 +13,8 @@ by default and at least 3 (levels 1 and 2 never fail); its "nonpositivity" is
 the first failing level up to L, or null.
 
 Exit codes: 0 success, 2 input error (including an --out path that cannot be
-written), 3 precondition violation (the emitted JSON then carries the
+written, and a result that overflows to inf or NaN: nothing is written then),
+3 precondition violation (the emitted JSON then carries the
 certificate; a map whose eta - id is not completely positive where that is
 required, or a failed witness search, prints {"reason", "certificate"}).
 
@@ -31,10 +32,16 @@ invalid UTF-8, a syntax error), so the value read, the message and the exit
 code never depend on the reader.  Both read an integer outside [-2**63, 2**64)
 as the nearest double.  An input nested too deep to read exits 2.
 
+Each command compiles and runs only the ovfree modules it calls: check-cp
+(and --help) cli, serialize, cpmaps and algebra; positivity and
+convolve-power also ovdist and multimap; counterexample also converse;
+verify-realization also fock and freeprod.
+
 The process freezes (gc.freeze) every object alive when main starts, and the
 parsed input, which it reads with the cyclic collector paused: no
 collection, during the command or at exit, traverses them again.  Reference
-counting still frees the input once a command drops it.
+counting still frees the input once a command drops it.  A module loaded
+after a freeze stays tracked.
 """
 
 from __future__ import annotations
@@ -149,7 +156,8 @@ def _parse_int(text: str):
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     """Write the canonical text of payload chunk by chunk, so the whole text
-    is never held; a payload canonical_chunks refuses writes no byte."""
+    is never held; a payload canonical_chunks refuses, such as one holding
+    inf or NaN, writes no byte."""
     chunks = canonical_chunks(payload)
     if out is None:
         sys.stdout.writelines(chunks)
@@ -159,6 +167,14 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             fh.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write output {out}: {exc}") from exc
+
+
+def _refuse(exc, out: Optional[str]) -> int:
+    """Exit 3 for a failed precondition: emit its reason and certificate."""
+    certificate = None if exc.report is None else psd_report_to_json(exc.report)
+    _emit({"reason": str(exc), "certificate": certificate}, out)
+    print(f"ovfree: {exc}", file=sys.stderr)
+    return EXIT_PRECONDITION
 
 
 def _cmd_check_cp(args) -> int:
@@ -248,7 +264,10 @@ def _cmd_counterexample(args) -> int:
         raise InputError(f"counterexample needs --level at least 3 (levels 1 and 2 never fail), got {args.level}")
     spec = _load(args.infile)
     eta = map_from_spec(spec.get("map", spec))
-    report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
+    try:
+        report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
+    except converse.NoWitnessError as exc:  # caught here: naming it anywhere else would load converse
+        return _refuse(exc, args.out)
     payload = {
         "eta_minus_id_cp": report.preserved,
         "eta_minus_id": psd_report_to_json(report.eta_minus_id),
@@ -337,12 +356,10 @@ def main(argv=None) -> int:
                 raise InputError(f"--level must be at least 1, got {args.level}")
             if not (math.isfinite(tol) and tol > 0):
                 raise InputError(f"--tol must be a finite number above 0, got {tol}")
-            return args.handler(args)
-        except (NotCompletelyPositiveError, converse.NoWitnessError) as exc:
-            certificate = None if exc.report is None else psd_report_to_json(exc.report)
-            _emit({"reason": str(exc), "certificate": certificate}, args.out)
-            print(f"ovfree: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _emit refuses what overflowed
+                return args.handler(args)
+        except NotCompletelyPositiveError as exc:
+            return _refuse(exc, args.out)
     except (InputError, ValueError) as exc:
         print(f"ovfree: {exc}", file=sys.stderr)
         return EXIT_INPUT

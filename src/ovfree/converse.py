@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check
+from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check, read_only
 from .cpmaps import CPMap, eta_minus_id_cp
 from .multimap import MultiMap
 from .ovdist import (
@@ -156,7 +156,7 @@ class Witness:
     """Projection a in M_m(A) and state phi with phi(eta_m(a)) < phi(a) - kappa.
 
     phi is stored as a density matrix; eta_m_a caches id_m (x) eta applied to
-    a, which the compression formulas reuse.
+    a, which the compression formulas reuse.  The arrays are read-only copies.
     """
 
     m: int
@@ -164,6 +164,10 @@ class Witness:
     phi: np.ndarray
     kappa: float
     eta_m_a: np.ndarray
+
+    def __post_init__(self):
+        for name in ("a", "phi", "eta_m_a"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def phi_of(self, x: np.ndarray) -> float:
         return float(np.real(np.trace(self.phi @ x)))
@@ -241,8 +245,11 @@ class GNSModel:
     N basis vectors; with the full basis (N = H_dim) it is tr/N on B(H).
     """
 
-    basis: np.ndarray  # (H_dim, n, n), orthonormal, basis[0] = cyclic vector
+    basis: np.ndarray  # (H_dim, n, n), orthonormal, basis[0] = cyclic vector; a read-only copy
     N: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", read_only(self.basis))
 
     @property
     def H_dim(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, matrix_units, psd_check
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, matrix_units, psd_check, read_only
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -40,16 +40,22 @@ class CPMap:
 
     The name is aspirational: instances may hold arbitrary linear maps (for
     example eta - id); complete positivity is what is_cp certifies.  The map
-    owns a read-only copy of its Choi matrix.
+    is immutable: it owns a read-only copy of its Choi matrix, and neither
+    k nor choi can be rebound.
     """
 
     def __init__(self, k: int, choi: np.ndarray):
-        choi = np.array(choi, dtype=complex)
+        choi = read_only(choi)
         if choi.shape != (k * k, k * k):
             raise ValueError(f"choi must be {k * k}x{k * k} for k={k}")
-        choi.setflags(write=False)
-        self.k = int(k)
-        self.choi = choi
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "choi", choi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CPMap is immutable: cannot assign '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CPMap is immutable: cannot delete '{name}'")
 
     # -- constructors ------------------------------------------------------
 

@@ -56,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import check_array_size, dagger, matrix_units
+from .algebra import check_array_size, dagger, matrix_units, read_only
 from .cpmaps import CPMap
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
@@ -89,9 +89,7 @@ class MixedWord:
                 tag, mat = a
                 if tag != "A":
                     raise ValueError(f"unknown atom tag {tag!r}")
-                coefficient = np.array(mat, dtype=complex)
-                coefficient.setflags(write=False)
-                out.append(("A", coefficient))
+                out.append(("A", read_only(mat)))
         return cls(tuple(out))
 
     def normal_form(self) -> List[Tuple[str, Tuple[Atom, ...]]]:

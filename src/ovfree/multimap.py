@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import check_array_size, matrix_units
-from .ncpart import NCNode, enumerate_nc
+from . import ncpart
+from .algebra import check_array_size, matrix_units, read_only
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class MultiMap:
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.tensor, dtype=complex)
+        t = read_only(self.tensor)
         kk = self.k * self.k
         if t.ndim < 2 or t.shape[-2:] != (self.k, self.k):
             raise ValueError("tensor must end with two output axes of length k")
         if any(s != kk for s in t.shape[:-2]):
             raise ValueError("every slot axis must have length k*k")
-        t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
     @property
@@ -92,7 +91,7 @@ class MultiMap:
         """max |f - herm_reflect(f)|, one leading slice at a time, so that no
         temporary as large as the tensor is built."""
         split, reflected = self._split_reflected()
-        return max(float(np.max(np.abs(a - np.conjugate(b)))) for a, b in zip(split, reflected))
+        return float(np.max([np.max(np.abs(a - np.conjugate(b))) for a, b in zip(split, reflected)]))  # a NaN wins
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return MultiMap(self.k, self.tensor + other.tensor)
@@ -174,7 +173,7 @@ def plug_all(omega: MultiMap, plugs: Sequence[Optional[MultiMap]]) -> MultiMap:
 BlockValue = Callable[[Tuple[int, ...]], MultiMap]
 
 
-def kappa_map(roots: Sequence[NCNode], k: int, block_value: BlockValue) -> MultiMap:
+def kappa_map(roots: Sequence[ncpart.NCNode], k: int, block_value: BlockValue) -> MultiMap:
     """Nested evaluation of one non-crossing forest.
 
     block_value(positions) supplies the map inserted for a block (its arity
@@ -184,7 +183,7 @@ def kappa_map(roots: Sequence[NCNode], k: int, block_value: BlockValue) -> Multi
     return _eval_forest(tuple(roots), k, block_value)
 
 
-def _eval_node(node: NCNode, k: int, block_value: BlockValue) -> MultiMap:
+def _eval_node(node: ncpart.NCNode, k: int, block_value: BlockValue) -> MultiMap:
     omega = block_value(node.block)
     if omega.arity != len(node.block) - 1:
         raise ValueError("block value has wrong arity")
@@ -197,7 +196,7 @@ def _eval_node(node: NCNode, k: int, block_value: BlockValue) -> MultiMap:
     return plug_all(omega, plugs)
 
 
-def _eval_forest(roots: Tuple[NCNode, ...], k: int, block_value: BlockValue) -> MultiMap:
+def _eval_forest(roots: Tuple[ncpart.NCNode, ...], k: int, block_value: BlockValue) -> MultiMap:
     val = _eval_node(roots[0], k, block_value)
     for node in roots[1:]:
         val = join(right_slot(val), _eval_node(node, k, block_value))
@@ -207,6 +206,6 @@ def _eval_forest(roots: Tuple[NCNode, ...], k: int, block_value: BlockValue) -> 
 def moment_map(n: int, k: int, block_value: BlockValue) -> MultiMap:
     """Sum of the nested evaluations over all non-crossing partitions of n."""
     total = MultiMap.zero(k, n - 1)
-    for p in enumerate_nc(n):
+    for p in ncpart.enumerate_nc(n):
         total = total + kappa_map(p.roots, k, block_value)
     return total

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, is_hermitian, matrix_units, psd_check, unit_adjoint_index
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, is_hermitian, matrix_units, psd_check, read_only, unit_adjoint_index
 from .cpmaps import CPMap
 from .multimap import MultiMap
 
@@ -44,10 +44,7 @@ class Realization:
 
     def __post_init__(self):
         # private read-only copies: a caller mutating its arrays cannot void the checks below
-        X = np.array(self.X, dtype=complex)
-        rho = np.array(self.rho, dtype=complex)
-        X.setflags(write=False)
-        rho.setflags(write=False)
+        X, rho = read_only(self.X), read_only(self.rho)
         d = self.k * self.p
         if X.shape != (d, d):
             raise ValueError(f"X must be {d}x{d} for k={self.k}, p={self.p}")
@@ -96,8 +93,10 @@ class Realization:
 def require_hermitian(m: MultiMap, what: str) -> None:
     """Raise unless m is a fixed point of MultiMap.herm_reflect, as every
     moment and every cumulant map of a distribution is."""
-    scale = max(1.0, float(np.max(np.abs(m.tensor))))
-    if m.herm_defect() > HERMITIAN_SYMMETRY_TOL * scale:
+    scale = float(np.max(np.abs(m.tensor)))
+    if not np.isfinite(scale):
+        raise ValueError(f"{what} holds a non-finite number: the input's values are too large to compute with")
+    if m.herm_defect() > HERMITIAN_SYMMETRY_TOL * max(1.0, scale):
         raise ValueError(f"{what} violates Hermitian symmetry")
 
 
@@ -107,7 +106,7 @@ class OVDistribution:
 
     moments[i] is the map with i+1 occurrences of X, so moments[0] = E(X).
     Hermitian symmetry M_n(a_1, .., a_{n-1})^* = M_n(a_{n-1}^*, .., a_1^*)
-    is enforced at construction.
+    and finite entries are enforced at construction.
     """
 
     k: int
@@ -130,7 +129,7 @@ class OVDistribution:
 
     def max_deviation(self, other: "OVDistribution") -> float:
         n = min(self.order, other.order)
-        return max(self.moments[i].max_deviation(other.moments[i]) for i in range(n))
+        return float(np.max([self.moments[i].max_deviation(other.moments[i]) for i in range(n)]))  # a NaN wins
 
 
 def moments_from_realization(r: Realization, N: int, label: str = "realized") -> OVDistribution:

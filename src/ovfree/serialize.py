@@ -8,8 +8,8 @@ byte-identical files, and canonical_dumps joins its chunks.  The text is what
 json.dumps would write, but a numpy kernel builds it from each float's
 12-digit integer, a table of 4-digit ASCII words and one layout per decimal
 exponent, in chunks of _CHUNK entries (about 3 MB of temporaries);
-near-ties, |x| outside [1e-11, 1e12), inf and nan take the encoder's own
-text per element.
+near-ties and |x| outside [1e-11, 1e12) take the encoder's own text per
+element.  A payload holding inf or nan is refused with a ValueError.
 Input arrays are parsed whole by json_to_array, which rejects anything but a
 rectangular array of numeric [re, im] pairs (a JSON boolean is not numeric).
 """
@@ -25,17 +25,9 @@ from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import multimap, ovdist
 from .algebra import PSDReport
 from .cpmaps import CPMap
-from .multimap import MultiMap
-from .ovdist import (
-    OVDistribution,
-    Realization,
-    cumulants_from_moments,
-    moments_from_cumulants,
-    moments_from_realization,
-    require_hermitian,
-)
 
 
 def _pairs(arr: Any) -> np.ndarray:
@@ -194,11 +186,13 @@ def canonical_chunks(obj: Any) -> Iterator[str]:
     whitespace variation.  A numpy array in obj is written as a complex
     tensor: the C encoder writes the rest of obj around a placeholder per
     array, and the kernel's text of each array is spliced in, one chunk at a
-    time.  The placeholders are checked when this is called, before any text
-    is made."""
+    time.  The placeholders, and that every float is finite (JSON has no
+    inf or NaN), are checked when this is called, before any text is made."""
     arrays = []
 
     def skeleton(o: Any) -> Any:
+        if isinstance(o, (float, np.ndarray)) and not np.isfinite(o).all():
+            raise ValueError("the result holds a non-finite number, which JSON cannot hold: the input's values are too large to compute with")
         if isinstance(o, float):
             return _round_sig(o)
         if isinstance(o, np.ndarray):
@@ -259,7 +253,7 @@ def map_to_spec(m: CPMap) -> dict:
     return {"k": m.k, "choi": array_to_json(m.choi)}
 
 
-def realization_from_spec(k: int, real: dict) -> Realization:
+def realization_from_spec(k: int, real: dict) -> ovdist.Realization:
     """{"d", "X", "embedding": "tensor-block", "p", "state"}; the state is a
     density matrix or a unit vector (taken as the corresponding vector
     state)."""
@@ -278,7 +272,7 @@ def realization_from_spec(k: int, real: dict) -> Realization:
     state = _finite(json_to_array(real["state"]), "state")
     if state.ndim == 1:
         state = np.outer(state, state.conj())
-    return Realization(k=k, p=p, X=X, rho=state)
+    return ovdist.Realization(k=k, p=p, X=X, rho=state)
 
 
 def spec_k(spec: dict) -> int:
@@ -294,26 +288,26 @@ def spec_k(spec: dict) -> int:
     return int_field(spec, "k")
 
 
-def _spec_cumulants(spec: dict, k: int, order: int) -> Tuple[MultiMap, ...]:
+def _spec_cumulants(spec: dict, k: int, order: int) -> Tuple[multimap.MultiMap, ...]:
     """The first order cumulant maps a cumulant spec lists; every listed
     tensor is parsed, and none is transformed."""
-    cums = [MultiMap(k, _finite(json_to_array(t), "cumulants").reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
+    cums = [multimap.MultiMap(k, _finite(json_to_array(t), "cumulants").reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
     if order > len(cums):
         raise ValueError(f"order {order} requested but only {len(cums)} cumulants supplied")
     return tuple(cums[:order])
 
 
-def dist_from_spec(spec: dict, order: int) -> OVDistribution:
+def dist_from_spec(spec: dict, order: int) -> ovdist.OVDistribution:
     """The distribution of {"k", "realization": {...}} or {"k", "cumulants":
     [tensor, ...]} up to the given order; the spec's own "order" field is the
     caller's to resolve."""
     k = spec_k(spec)
     if "realization" in spec:
-        return moments_from_realization(realization_from_spec(k, spec["realization"]), order)
-    return moments_from_cumulants(_spec_cumulants(spec, k, order))
+        return ovdist.moments_from_realization(realization_from_spec(k, spec["realization"]), order)
+    return ovdist.moments_from_cumulants(_spec_cumulants(spec, k, order))
 
 
-def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[MultiMap, ...], str]:
+def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[multimap.MultiMap, ...], str]:
     """The free cumulants up to order of a distribution spec and the label
     of its distribution.  A cumulant spec is read as it stands, with no
     transform, after a check of the Hermitian symmetry its distribution would
@@ -321,14 +315,14 @@ def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[MultiMap, ...], s
     k = spec_k(spec)
     if "realization" in spec:
         dist = dist_from_spec(spec, order)
-        return cumulants_from_moments(dist), dist.label
+        return ovdist.cumulants_from_moments(dist), dist.label
     cums = _spec_cumulants(spec, k, order)
     for i, c in enumerate(cums):
-        require_hermitian(c, f"cumulant {i + 1}")
+        ovdist.require_hermitian(c, f"cumulant {i + 1}")
     return cums, "cumulant-generated"
 
 
-def dist_to_spec(d: OVDistribution, cumulants=None) -> dict:
+def dist_to_spec(d: ovdist.OVDistribution, cumulants=None) -> dict:
     """A distribution's output payload; its tensors stay arrays until
     canonical_dumps."""
     out = {

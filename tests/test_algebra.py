@@ -66,6 +66,25 @@ def test_psd_rejects_non_finite():
             psd_check(np.diag([1.0, bad]))
 
 
+def test_psd_near_the_double_limit():
+    # m + m^dagger would overflow; the report is that of m itself
+    rep = psd_check(np.array([[1e308]]))
+    assert rep.min_eigenvalue == 1e308 and rep.is_psd
+    rep = psd_check(np.diag([1.5e308, -1.5e308]))
+    assert rep.min_eigenvalue == -1.5e308 and not rep.is_psd
+
+
+def test_psd_report_owns_a_read_only_witness():
+    rep = psd_check(np.diag([-1.0, 2.0]))
+    assert not rep.witness.flags.writeable
+    with pytest.raises(ValueError):
+        rep.witness[0] = 0.0
+    mine = np.array([1.0, 0.0])
+    rep = algebra.PSDReport(min_eigenvalue=-1.0, witness=mine, tol=1e-9)
+    mine[0] = 5.0
+    assert rep.witness.tolist() == [1.0, 0.0] and not rep.witness.flags.writeable
+
+
 def test_matrix_units():
     for k in (1, 2, 3):
         units = matrix_units(k)

@@ -476,8 +476,10 @@ def test_cli_run_never_imports_scipy():
 
 
 def test_convolve_power_loads_no_module_at_run_time():
-    # the canonical output loads nothing past the CLI's imports; numpy.ma,
-    # which np.unique pulls in, would add about 2 MB to every job
+    # no module enters sys.modules while a command runs: ovfree's own modules
+    # are there, lazily, from the import on, and the canonical output loads
+    # nothing else; numpy.ma, which np.unique pulls in, would add about 2 MB
+    # to every job
     code = (
         "import sys\n"
         "from ovfree.cli import main\n"
@@ -798,3 +800,67 @@ def test_orjson_is_imported_only_past_the_threshold(tmp_path):
         "assert outs[0] == outs[1] and '\"moments\":' in outs[0]\n"
     )
     assert run_fresh(code).split() == ["False", "True"]
+
+
+OVERFLOW_INPUTS = {
+    # eigenvalues 0, 0, 0 and 4 * 1.7e308
+    "check-cp": {"k": 2, "choi": [[[1.7e308 if i == j else -1.7e308, 0.0] for j in range(4)] for i in range(4)]},
+    "convolve-power": {
+        "distribution": {"k": 1, "cumulants": [[[[1e200, 0.0]]], [[[[1e200, 0.0]]]]]},
+        "map": map_spec_scaled_id(1, 1.0),
+    },
+    "verify-realization": {
+        "distribution": {"k": 1, "realization": {"d": 1, "p": 1, "X": [[[1e200, 0.0]]], "state": [[[1.0, 0.0]]]}},
+        "map": map_spec_scaled_id(1, 1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW_INPUTS))
+def test_overflowing_result_exit_2_and_writes_nothing(tmp_path, capsys, command):
+    # finite inputs whose results overflow to inf or nan: no Infinity token,
+    # no passing certificate, no RuntimeWarning, and no byte of output
+    out = tmp_path / "out.json"
+    argv = [command, "--in", write(tmp_path, "in.json", OVERFLOW_INPUTS[command]), "--out", str(out)]
+    assert_one_line_exit_2(capsys, argv, "non-finite number")
+    assert not out.exists()
+    assert_one_line_exit_2(capsys, argv[:3], "non-finite number")
+    assert capsys.readouterr().out == ""
+
+
+def test_check_cp_near_the_double_limit(tmp_path, capsys):
+    # a finite Choi matrix near the largest double is certified as it is
+    assert main(["check-cp", "--in", write(tmp_path, "in.json", {"k": 1, "choi": [[[1e308, 0.0]]]})]) == 0
+    assert json.loads(capsys.readouterr().out)["eta"] == {"is_psd": True, "min_eigenvalue": 1e308, "tol": 1e-9, "witness": None}
+
+
+# the ovfree modules a fresh CLI process runs for each command; the rest stay
+# lazy in sys.modules (and no command runs ncpart)
+FRONT = {"cli", "serialize", "cpmaps", "algebra"}
+TRANSFORM = FRONT | {"ovdist", "multimap"}
+LOADED = {
+    ("--help",): FRONT,
+    ("check-cp", "map.json"): FRONT,
+    ("check-cp", "convolve.json"): FRONT,  # exit 2: not a map spec
+    ("positivity", "positivity.json"): TRANSFORM,
+    ("convolve-power", "convolve.json"): TRANSFORM,
+    ("counterexample", "map.json"): TRANSFORM | {"converse"},
+    ("verify-realization", "realization.json"): TRANSFORM | {"fock", "freeprod"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LOADED), ids=["-".join(argv) for argv in sorted(LOADED)])
+def test_each_command_runs_only_the_modules_it_calls(argv):
+    args = [argv[0]] + (["--in", str(Path(GOLDEN_CONVOLVE).parent / argv[1])] if len(argv) > 1 else [])
+    code = (
+        "import contextlib, io, sys, types\n"
+        "from ovfree.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        main({args!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "ours = [name for name in sys.modules if name.startswith('ovfree.')]\n"
+        "print(len(ours), sorted(name[7:] for name in ours if type(sys.modules[name]) is types.ModuleType))\n"
+    )
+    assert run_fresh(code) == f"10 {sorted(LOADED[argv])}\n"  # every submodule is in sys.modules

@@ -146,6 +146,19 @@ def test_find_witness_rejects_cp_case():
         find_witness(CPMap.scaled_identity(2, 2.0))
 
 
+def test_witness_and_gns_own_read_only_arrays():
+    a, phi = np.diag([1.0, 0.0]), np.eye(2) / 2
+    w = Witness(m=1, a=a, phi=phi, kappa=0.05, eta_m_a=0.8 * a)
+    a[0, 0] = phi[0, 0] = 5.0
+    assert w.a[0, 0] == 1.0 and w.phi[0, 0] == 0.5
+    g = build_gns(w)
+    found = find_witness(id_plus_transpose())
+    for arr in (w.a, w.phi, w.eta_m_a, g.basis, found.a, found.phi, found.eta_m_a):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
 # -- GNS -------------------------------------------------------------------------
 
 

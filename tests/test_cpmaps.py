@@ -203,3 +203,17 @@ def test_cpmap_owns_a_read_only_choi(rng):
         m.choi[0, 0] = 1.0
     with pytest.raises(ValueError):
         m.choi4[0, 0, 0, 0] = 1.0
+
+
+def test_cpmap_refuses_assignment(rng):
+    m = random_cp(rng, 2, rank=2)
+    choi = m.choi
+    with pytest.raises(AttributeError, match="immutable"):
+        m.k = 3  # a 4x4 Choi matrix read as k = 3 would void every shape check
+    with pytest.raises(AttributeError, match="immutable"):
+        m.choi = np.zeros((4, 4))
+    with pytest.raises(AttributeError, match="immutable"):
+        del m.k
+    with pytest.raises(AttributeError, match="immutable"):
+        m.cache = None
+    assert m.k == 2 and m.choi is choi

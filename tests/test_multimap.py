@@ -95,6 +95,10 @@ def test_herm_reflect_equals_take_oracle(rng, k):
         f = random_map(rng, k, arity)
         assert np.array_equal(f.herm_reflect().tensor, take_herm_reflect(f))
         assert f.herm_defect() == np.max(np.abs(f.tensor - take_herm_reflect(f)))
+        if arity:
+            t = f.tensor.copy()
+            t[(-1,) * arity] = np.nan  # in the last leading slice: a NaN anywhere wins
+            assert np.isnan(MultiMap(k, t).herm_defect())
 
 
 def test_kappa_two_singletons(rng):

@@ -329,6 +329,17 @@ def test_hermitian_symmetry_preserved(rng):
         assert m.max_deviation(m.herm_reflect()) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_require_hermitian_refuses_non_finite(bad):
+    # a NaN defect would pass a "defect > tol" test
+    with pytest.raises(ValueError, match="m holds a non-finite number"):
+        ovdist.require_hermitian(MultiMap(1, np.full((1, 1, 1), bad)), "m")
+    t = np.zeros((4, 2, 2), dtype=complex)
+    t[3, 1, 1] = bad
+    with pytest.raises(ValueError, match="moment 2 holds a non-finite number"):
+        ovdist.OVDistribution(2, 2, (MultiMap(2, np.eye(2)), MultiMap(2, t)))
+
+
 # -- positivity -------------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from ovfree.serialize import (
     _decimal,
     _round_sig,
     array_to_json,
+    canonical_chunks,
     canonical_dumps,
     dist_from_spec,
     dist_to_spec,
@@ -154,8 +155,8 @@ def old_canonical_dumps(obj):
     return json.dumps(_old_round_tree(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-_SPECIALS = np.array(
-    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 0.5e-3, 123456789012.5, 1e12, 1e-11]
+_SPECIALS = np.array(  # finite: canonical_dumps refuses inf and nan
+    [0.0, -0.0, 1.7976931348623157e308, 1e-320, 0.5e-3, 123456789012.5, 1e12, 1e-11]
     # at and next to the ends of repr's positional range and of the 12-digit fast path
     + [np.nextafter(b, t) for b in (1e-4, 1e16, 1e12, 1e11, 1e-11) for t in (0.0, b, np.inf)]
     + [0.1234567890125, -98765.43210985, 5.0000000000005e-9, 999999999999.5]  # near-ties
@@ -203,6 +204,16 @@ def test_canonical_dumps_chunk_seams(monkeypatch, chunk):
     monkeypatch.setattr(serialize, "_CHUNK", chunk)
     payload = [random_complex(rng, (3, 4, 5)), random_complex(rng, (2, 1, 3, 1)), np.array(2.5 - 1e-5j), np.zeros((2, 0))]
     assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_canonical_dumps_refuses_non_finite(bad):
+    # JSON has no inf or nan: a payload holding one, as a float or as an array
+    # entry at any depth, is refused before any text is made
+    for payload in [{"x": bad}, [1.0, (2.0, bad)], {"a": np.array([[1.0, complex(0.0, bad)]])}, {"a": [np.full(3, bad)]}]:
+        with pytest.raises(ValueError, match="non-finite number"):
+            canonical_chunks(payload)
+    assert canonical_dumps({"x": 1e308, "a": np.array([1e308])}) == '{"a":[[1e+308,0.0]],"x":1e+308}\n'
 
 
 @pytest.mark.filterwarnings("error")
