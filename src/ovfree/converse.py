@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +66,10 @@ class TupleDistribution:
     k: int
     s: int
     order: int
-    moments: Dict[Tuple[int, ...], MultiMap]
+    moments: Mapping[Tuple[int, ...], MultiMap]
+
+    def __post_init__(self):  # moments becomes a read-only view of a private copy
+        object.__setattr__(self, "moments", MappingProxyType(dict(self.moments)))
 
     @classmethod
     def from_cumulants(

@@ -179,12 +179,18 @@ class FockOp:
     """Right A-linear operator on the truncated Fock module.
 
     degree_shift is +1 / -1 / 0 for pure raising / lowering / preserving
-    operators and None for mixed products.
+    operators and None for mixed products; mat is a private, read-only CSR copy.
     """
 
     space: FockSpace
-    mat: sp.spmatrix
+    mat: sp.csr_matrix
     degree_shift: Optional[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "mat", self.mat.tocsr(copy=True))
+        self.mat.sum_duplicates()  # sorts the indices now, which scipy would otherwise do in place later
+        for a in (self.mat.data, self.mat.indices, self.mat.indptr):
+            _frozen(a)
 
     def __matmul__(self, other: "FockOp") -> "FockOp":
         if other.space is not self.space:
@@ -192,15 +198,15 @@ class FockOp:
         shift = None
         if self.degree_shift is not None and other.degree_shift is not None:
             shift = self.degree_shift + other.degree_shift
-        return FockOp(self.space, (self.mat @ other.mat).tocsr(), shift)
+        return FockOp(self.space, self.mat @ other.mat, shift)
 
     def __add__(self, other: "FockOp") -> "FockOp":
         shift = self.degree_shift if self.degree_shift == other.degree_shift else None
-        return FockOp(self.space, (self.mat + other.mat).tocsr(), shift)
+        return FockOp(self.space, self.mat + other.mat, shift)
 
     def __sub__(self, other: "FockOp") -> "FockOp":
         shift = self.degree_shift if self.degree_shift == other.degree_shift else None
-        return FockOp(self.space, (self.mat - other.mat).tocsr(), shift)
+        return FockOp(self.space, self.mat - other.mat, shift)
 
     def __mul__(self, t: complex) -> "FockOp":
         return FockOp(self.space, t * self.mat, self.degree_shift)
@@ -209,7 +215,7 @@ class FockOp:
 
     def adjoint(self) -> "FockOp":
         shift = None if self.degree_shift is None else -self.degree_shift
-        return FockOp(self.space, self.mat.conj().T.tocsr(), shift)
+        return FockOp(self.space, self.mat.conj().T, shift)
 
     def block(self, i: int, j: int) -> np.ndarray:
         k = self.space.k

@@ -6,10 +6,10 @@ tensors as numpy arrays; canonical_chunks writes each in that form, every
 float rounded to 12 significant digits, so identical inputs produce
 byte-identical files, and canonical_dumps joins its chunks.  The text is what
 json.dumps would write, but a numpy kernel builds it from each float's
-12-digit integer, a table of 4-digit ASCII words and one layout per decimal
-exponent, in chunks of _CHUNK entries (about 3 MB of temporaries);
-near-ties and |x| outside [1e-11, 1e12) take the encoder's own text per
-element.  A payload holding inf or nan is refused with a ValueError.
+12-digit integer, in chunks of _CHUNK entries (about 3 MB of temporaries), by
+a stable sort on decimal exponent and one take per exponent's layout from a
+table of 4-digit ASCII words; near-ties (see _decimal) and |x| outside
+[1e-11, 1e12) take the encoder's own text.  inf and nan raise a ValueError.
 Input arrays are parsed whole by json_to_array, which rejects anything but a
 rectangular array of numeric [re, im] pairs (a JSON boolean is not numeric).
 """
@@ -82,11 +82,11 @@ def _decimal(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     copysign(m, x) / 10**p, with m an integral float in [1e11, 1e12).
 
     For p = 11 - floor(log10|x|) in [0, 22], 10**p is an exact double, so
-    s = |x| 10**p is off by at most half an ulp (< 1e-4, as s < 1e12), and
-    m = rint(s) is the 12-digit decimal of x whenever s lies in [1e11, 1e12)
-    and its fractional part is not within 1e-3 of 1/2.  The other elements
-    (zeros, near-ties, |x| outside [1e-11, 1e12), inf, nan, and any exponent
-    an inexact log10 misjudged) are not exact.
+    s = |x| 10**p is off by at most half an ulp (2**-14 < 1e-4, as s < 1e12 <
+    2**40), and m = rint(s) is the 12-digit decimal of x whenever s lies in
+    [1e11, 1e12) and its fractional part is not within 1e-4 of 1/2.  The
+    other elements (zeros, near-ties, |x| outside [1e-11, 1e12), inf, nan,
+    and any exponent an inexact log10 misjudged) are not exact.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf and nan
@@ -95,67 +95,72 @@ def _decimal(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = np.where(exact, p, 0).astype(np.intp)
         s = a * _POW10[p]
         m = np.rint(s)
-        exact &= (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) >= 1e-3)
+        exact &= (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) >= 1e-4)
     return m, p, exact
 
 
 # -- the array kernel: JSON text of a complex array from its 12-digit integers --
 
 _CHUNK = 1 << 13  # entries per pass; bounds the kernel's temporaries to about 3 MB
-_WIDTH = 20  # bytes per float: a sign, up to 18 of text, a separator
-# the 4 ASCII digits of each of 0..9999 as one word, and their trailing zeros (4 for 0)
-_QUAD = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32)[:, 0]
-_QUAD_TZ = np.select([np.arange(10_000) % 10**t == 0 for t in (4, 3, 2, 1)], [4, 3, 2, 1])
-_TAIL = np.frombuffer(b"0.0\0", dtype=np.uint32)[0]  # the fourth word of a digit row
-# the fifth, per row e + 11 of the layouts below: the exponent of e in [-11, -5]
-_EXP = np.frombuffer(b"".join(b"e-%02d" % -e if e < -4 else bytes(4) for e in range(-11, 13)), dtype=np.uint32)
+_WIDTH = 19  # bytes per float: a sign and up to 18 of text
+# the 4 ASCII digits of each of 0..9999 as one word: [0, 10_000) with their trailing zeros masked to NUL, then as they are
+_QUAD = np.stack(np.indices((2,) + (10,) * 4, dtype=np.uint8)[1:], axis=-1) + ord("0")
+for _j in range(4):  # in row 0, digit j is NUL where it and every later digit are 0
+    _QUAD[(0,) + (slice(None),) * _j + (0,) * (4 - _j) + (_j,)] = 0
+_QUAD = _QUAD.view(np.uint32).ravel()
+# the last 8 bytes of a digit row, per row e + 11 of the layouts below: '.', '0', two NULs and the exponent of e < -4
+_TAIL = np.frombuffer(b"".join(b".0\0\0" + (b"e-%02d" % -e if e < -4 else bytes(4)) for e in range(-11, 13)), dtype=np.uint64)
 
 
-def _layouts() -> Tuple[np.ndarray, np.ndarray]:
-    """repr's text of m * 10**(e - 11) as 18 indices into a digit row [12 digits of m, '0', '.', '0', NUL, _EXP],
-    in row e + 11 for e in [-11, 11] (23 is blank), and the trailing zeros each may drop; d.ddde-XX below e = -4."""
-    index, trim = np.full((24, 18), 15), np.full(24, 12)  # d.ddde-XX drops every trailing zero of m
-    index[:7, :17] = [0, 13, *range(1, 12), *range(16, 20)]  # and the caller drops a '.' left bare
-    for e in range(-4, 12):
-        z, whole = [14] * max(-e, 0) + list(range(13)), max(e, 0) + 1  # 0.00ddd or ddd, and the 0 of ".0"
-        index[e + 11, : len(z) + 1] = z[:whole] + [13] + z[whole:]
-        trim[e + 11] = len(z) - whole - 1  # a fraction keeps one digit
-    return index, trim
+def _layouts() -> np.ndarray:
+    """repr's text of m * 10**(e - 11) less its sign as 18 indices into a digit row [12 digits of m, the same with trailing
+    zeros as NUL, _TAIL], in row e + 11 for e in [-11, 11] (23 is blank): d.ddde-XX below e = -4 (the caller drops a '.'
+    left bare), 0.00ddd below e = 0, and ddd.d on, whose whole part and first fraction digit keep their zeros."""
+    index = np.full((24, _WIDTH - 1), 26)
+    index[:7, :17] = [12, 24, *range(13, 24), *range(28, 32)]
+    for e in range(-4, 0):
+        index[e + 11, : 13 - e] = [25, 24, *[25] * (-e - 1), *range(12, 24)]
+    for e in range(11):
+        index[e + 11, :13] = [*range(e + 1), 24, e + 1, *range(e + 14, 24)]
+    index[22, :14] = [*range(12), 24, 25]
+    return index
 
 
-_LAYOUT, _LAYOUT_TRIM = _layouts()
-# row j keeps the first j bytes of a digit row and its '.', '0', NUL and exponent
-_KEEP = np.where((np.arange(20) < np.arange(14)[:, None]) | (np.arange(20) >= 13), 255, 0).astype(np.uint8).view(np.uint32)
+_LAYOUT = _layouts()
 
 
 def _float_fields(x: np.ndarray) -> np.ndarray:
-    """The JSON text of each float of x as _round_sig rounds it, in rows of
-    _WIDTH NUL-padded bytes (the last is the caller's).  Zeros and exact
-    elements are laid out from the digits of m, trailing zeros masked off;
-    the rest take the encoder's own text per element."""
+    """The JSON text of each float of x as _round_sig rounds it, in rows of _WIDTH NUL-padded bytes: sorted stably by
+    layout, zeros and exact elements take one contiguous take per layout and the rest, last, the encoder's text per
+    element; one scatter puts the rows back, and the signs are written in place."""
     m, p, exact = _decimal(x)
-    key = np.where(exact, 22 - p, np.where(x == 0, 11, 23))  # e + 11; zeros print as 0e0
-    m = np.where(exact, m, 0.0)
+    key = np.where(exact, 22 - p, np.where(x == 0, 11, 23)).astype(np.uint8)  # e + 11; zeros print as 0e0
+    order = np.argsort(key, kind="stable")
+    edge = np.searchsorted(key[order], np.arange(25)).tolist()
+    m = np.where(exact, m, 0.0)[order]
     q4, hi = np.floor(m / 1e4), np.floor(m / 1e8)  # exact: m is an integer below 2**53
     hi, mid, lo = hi.astype(np.intp), (q4 - hi * 1e4).astype(np.intp), (m - q4 * 1e4).astype(np.intp)
-    digits = np.stack([_QUAD[hi], _QUAD[mid], _QUAD[lo], np.full(x.size, _TAIL), _EXP[key]], axis=1)
-    tz = np.select([lo > 0, mid > 0], [_QUAD_TZ[lo], 4 + _QUAD_TZ[mid]], 8 + _QUAD_TZ[hi])
-    digits &= _KEEP[13 - np.minimum(tz + 1, _LAYOUT_TRIM[key])]
-    out = np.zeros((x.size, _WIDTH), dtype=np.uint8)
-    for g in np.flatnonzero(np.bincount(key, minlength=24)[:23]):
-        rows = np.flatnonzero(key == g)
-        out[rows, 1:19] = digits[rows].view(np.uint8).take(_LAYOUT[g], axis=1)
-    out[(key < 7) & (tz == 11), 2] = 0  # "1e-05": no '.' before an empty fraction
-    out[:, 0] = np.where(x < 0, ord("-"), 0)
-    other = np.flatnonzero(key == 23)  # near-ties, |x| < 1e-11 or >= 1e12, inf and nan
-    padded = "".join(json.dumps(_round_sig(v)).ljust(_WIDTH - 1, "\0") for v in x[other].tolist())
-    out[other, :-1] = np.frombuffer(padded.encode("ascii"), dtype=np.uint8).reshape(-1, _WIDTH - 1)
+    digits = np.empty((x.size, 8), dtype=np.uint32)  # m's digits, the same trimmed (a word keeps its zeros before a nonzero one), _TAIL
+    digits[:, 0], digits[:, 1], digits[:, 2] = _QUAD[10_000:][hi], _QUAD[10_000:][mid], _QUAD[10_000:][lo]
+    digits[:, 3], digits[:, 4], digits[:, 5] = _QUAD[hi + 10_000 * ((mid | lo) > 0)], _QUAD[mid + 10_000 * (lo > 0)], _QUAD[lo]
+    rows = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    for g in np.flatnonzero(np.diff(edge[:24])):
+        a, b = edge[g], edge[g + 1]
+        digits[a:b].view(np.uint64)[:, 3] = _TAIL[g]
+        rows[a:b, 1:] = digits[a:b].view(np.uint8)[:, _LAYOUT[g]]
+    rows[: edge[7]][m[: edge[7]] % 1e11 == 0, 2] = 0  # "1e-05": no '.' before an empty fraction
+    other = x[order[edge[23] :]]  # near-ties, |x| < 1e-11 or >= 1e12, inf and nan
+    padded = "".join(json.dumps(_round_sig(v)).ljust(_WIDTH - 1, "\0") for v in np.abs(other).tolist())
+    rows[edge[23] :, 1:] = np.frombuffer(padded.encode("ascii"), dtype=np.uint8).reshape(-1, _WIDTH - 1)
+    out = np.empty_like(rows)
+    out.view(f"V{_WIDTH}")[order] = rows.view(f"V{_WIDTH}")  # a row as one item
+    out[:, 0] = (x < 0).view(np.uint8) * ord("-")
     return out
 
 
 def _array_texts(arr: Any) -> Iterator[str]:
     """json.dumps of _pairs(arr) as nested lists, floats rounded by _round_sig, in pieces of _CHUNK entries:
-    each entry is a NUL-padded row of its brackets, "[re,im]" and a comma, and a keep-mask drops the padding."""
+    each entry is a NUL-padded row of its brackets, "[re,im]" and a comma in one reused buffer, and the NULs are dropped."""
     f = _pairs(arr)
     shape, n, d = f.shape[:-1], f.size // 2, f.ndim - 1
     if n == 0:
@@ -166,16 +171,20 @@ def _array_texts(arr: Any) -> Iterator[str]:
         opens.reshape(shape)[(Ellipsis,) + (0,) * t] += 1
         closes.reshape(shape)[(Ellipsis,) + (-1,) * t] += 1
     col, count = np.arange(d + 1), np.arange(d + 1)[:, None]
-    open_rows = np.where(col >= d - count, ord("["), 0).astype(np.uint8)  # row j: j brackets and the pair's
-    close_rows = np.where(col < count, ord("]"), ord(",") * (col == d)).astype(np.uint8)  # j brackets, a comma
+    brackets = np.dtype((np.void, d + 1))  # row j: j brackets and the pair's; j brackets and a comma
+    open_rows = np.where(col >= d - count, ord("["), 0).astype(np.uint8).view(brackets)[:, 0]
+    close_rows = np.where(col < count, ord("]"), ord(",") * (col == d)).astype(np.uint8).view(brackets)[:, 0]
+    buf = np.empty((min(n, _CHUNK), 2 * d + 2 * _WIDTH + 4), dtype=np.uint8)
+    fields = buf[:, d + 1 : -d - 1].reshape(-1, 2, _WIDTH + 1)
+    fields[..., -1] = (ord(","), ord("]"))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        fields = _float_fields(f.reshape(-1)[2 * lo : 2 * hi])
-        fields.reshape(hi - lo, 2, _WIDTH)[..., -1] = (ord(","), ord("]"))
-        rows = np.concatenate([open_rows[opens[lo:hi]], fields.reshape(hi - lo, -1), close_rows[closes[lo:hi]]], axis=1)
+        buf[: hi - lo, : d + 1].view(brackets)[:, 0] = open_rows.take(opens[lo:hi])
+        fields[: hi - lo, :, :-1] = _float_fields(f.reshape(-1)[2 * lo : 2 * hi]).reshape(hi - lo, 2, _WIDTH)
+        buf[: hi - lo, -d - 1 :].view(brackets)[:, 0] = close_rows.take(closes[lo:hi])
         if hi == n:
-            rows[-1, -1] = 0
-        yield str(rows[rows != 0], "ascii")
+            buf[hi - lo - 1, -1] = 0
+        yield buf[: hi - lo].tobytes().translate(None, b"\0").decode("ascii")
 
 
 _SLOT = re.compile(r'"\\u0000(\d+)"')  # the JSON text of an array's placeholder

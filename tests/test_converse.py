@@ -342,3 +342,15 @@ def test_dichotomy_small_sweep():
         assert rep.preserved == eta_minus_id_cp(eta).is_psd
         if not rep.preserved:
             assert rep.nonpositivity.found
+
+
+def test_tuple_distribution_moments_are_read_only():
+    given = {(i,): MultiMap(1, np.full((1, 1), float(i))) for i in range(2)}
+    td = TupleDistribution(k=1, s=2, order=1, moments=given)
+    given[(0,)] = MultiMap(1, np.full((1, 1), 9.0))
+    assert td.moments[(0,)].tensor[0, 0] == 0.0
+    with pytest.raises(TypeError):
+        td.moments[(0,)] = given[(0,)]
+    with pytest.raises(AttributeError):
+        td.moments.clear()
+    assert td.eta_power(CPMap.identity(1)).moments.keys() == td.moments.keys()

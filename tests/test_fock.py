@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import CPMap, NotCompletelyPositiveError, build_fock, word_expectation
+from ovfree import CPMap, FockOp, NotCompletelyPositiveError, build_fock, word_expectation
 from ovfree.algebra import matrix_units
 
 from conftest import random_complex, random_cp
@@ -229,3 +229,23 @@ def test_index_maps_are_read_only(rng):
     for table in (f.prepend_index, f.letter_coords):
         with pytest.raises(ValueError):
             table.flat[0] = 0
+
+
+def test_fock_op_owns_a_read_only_csr():
+    f = build_fock(CPMap.identity(2), 2)
+    v = f.v_op()
+    assert isinstance(v.mat.nnz, int) and v.mat.nnz > 0
+    for arr in (v.mat.data, v.mat.indices, v.mat.indptr):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(ValueError):
+        v.mat[v.mat.nonzero()[0][0], v.mat.nonzero()[1][0]] = 5.0  # a stored entry is written in place
+    # the operator keeps its own copy: changing the matrix it was built from changes nothing
+    import scipy.sparse as sp
+
+    mat = sp.identity(f.dim, format="csr", dtype=complex)
+    op = FockOp(f, mat, 0)
+    mat.data[:] = 7.0
+    assert np.array_equal(op.mat.toarray(), np.eye(f.dim))
+    assert (op @ v).mat.nnz == v.mat.nnz and not (v.adjoint() @ v).mat.data.flags.writeable

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovfree import MultiMap, enumerate_nc
+from ovfree import CPMap, MultiMap, enumerate_nc
 from ovfree.multimap import join, kappa_map, left_slot, moment_map, plug_all, right_slot
 
 from conftest import random_complex, random_cp
@@ -60,6 +60,19 @@ def test_compose_is_pointwise(rng):
     a, b = args(rng, k, 2)
     got = f.compose(eta).apply([a, b])
     assert np.max(np.abs(got - eta.apply(f.apply([a, b])))) < 1e-12
+
+
+@pytest.mark.parametrize("k, arity", [(k, n) for k in (1, 2, 3) for n in range(6 if k < 3 else 5)])
+def test_compose_equals_the_einsum_it_reorders(k, arity):
+    # bit for bit: the reshaped einsum makes the same products and sums over
+    # (p, q) in the same order, on magnitudes from 1e-3 to 1e3 and on
+    # arbitrary (non-Hermitian, so not completely positive) Choi matrices
+    rng = np.random.default_rng([k, arity])
+    for _ in range(3):
+        shape = (k * k,) * arity + (k, k)
+        t = random_complex(rng, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        eta = CPMap(k, random_complex(rng, (k * k, k * k)) * 10.0 ** rng.uniform(-3, 3, (k * k, k * k)))
+        assert np.array_equal(MultiMap(k, t).compose(eta).tensor, np.einsum("...pq,piqj->...ij", t, eta.choi4))
 
 
 def test_herm_reflect_involution(rng):

@@ -237,6 +237,30 @@ def test_exponent_notation_takes_the_kernel(monkeypatch):
     assert "1e-05" in want and "-1.5e-11" in want
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offset", ["5", "9", "11", "20"])
+def test_near_ties_at_the_band_edge(offset):
+    # m.5 +- offset * 1e-5 for 12-digit m, scaled to |x| from 1e-11 to 1e12:
+    # about 1e-4 from a tie, where the kernel's fast path hands over to the
+    # encoder; either side must agree with the per-element walk
+    rng = np.random.default_rng(int(offset))
+    frac = [f"{50000 + int(offset):05d}", f"{50000 - int(offset):05d}"]
+    values = [float(f"{sign}{m}.{rng.choice(frac)}e{e - 11}") for e in range(-11, 12)
+              for m, sign in zip(rng.integers(10**11, 10**12, 40), rng.choice(["", "-"], 40))]
+    payload = {"real": np.array(values), "complex": np.array(values[::2]) + 1j * np.array(values[1::2])}
+    assert canonical_dumps(payload) == old_canonical_dumps(payload)
+
+
+def test_few_floats_take_the_encoder(monkeypatch):
+    # of 100k standard-normal floats, only those within 1e-4 of a tie in
+    # their 13th digit (about 0.02%) are written by the encoder per element
+    values = np.random.default_rng(17).standard_normal(100_000)
+    want, calls = old_canonical_dumps(values), []
+    monkeypatch.setattr(serialize, "_round_sig", lambda v: calls.append(v) or _round_sig(v))
+    assert canonical_dumps(values) == want
+    assert len(calls) <= 50
+
+
 def test_canonical_dumps_memory_bound():
     # a k=3, order-6 moment tensor; the chunk texts and their join hold the
     # output twice over, and every other temporary is bounded by one chunk
