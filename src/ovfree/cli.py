@@ -26,11 +26,16 @@ environment variable OVFREE_MAX_ORDER, a positive integer, replaces both caps
 to order 2L - 2, all that level L reads.
 
 An input of 1 MiB or more is parsed by orjson, unless it holds a backslash
-or nests more than 64 deep outside its strings.  Python's json reads every
-smaller input and every document orjson refuses (NaN, Infinity, 1e999,
-invalid UTF-8, a syntax error), so the value read, the message and the exit
-code never depend on the reader.  Both read an integer outside [-2**63, 2**64)
-as the nearest double.  An input nested too deep to read exits 2.
+or nests more than 64 deep outside its strings.  There, each array field
+(a "choi", "X" or "state" value, or an element of a "kraus" or "cumulants"
+list) of 4 KiB or more whose text is a rectangular array of numbers, written
+compactly or with ", " separators, is read as flat lists of numbers into an
+ndarray; the rest of the document, and every other field, is parsed as
+nested lists.  Python's json reads every smaller input and every document
+orjson refuses (NaN, Infinity, 1e999, invalid UTF-8, a syntax error), so the
+value read, the message and the exit code never depend on the reader.  Both
+read an integer outside [-2**63, 2**64) as the nearest double.  An input
+nested too deep to read exits 2.
 
 Each command compiles and runs only the ovfree modules it calls: check-cp
 (and --help) cli, serialize, cpmaps and algebra; positivity and
@@ -60,6 +65,7 @@ from . import converse, freeprod, ovdist
 from .algebra import DEFAULT_TOL
 from .cpmaps import NotCompletelyPositiveError, eta_minus_id_cp
 from .serialize import (
+    ARRAY_FIELDS,
     canonical_chunks,
     cumulants_from_spec,
     dist_from_spec,
@@ -86,6 +92,19 @@ FAST_READ_BYTES = 1 << 20
 MAX_FAST_DEPTH = 64
 _NOT_STRUCTURE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+# An array site, the value of a "choi", "X" or "state" field or an element of
+# a "kraus" or "cumulants" list, whose text is this long or longer is read as
+# flat lists of numbers; a shorter one does not repay the per-site work.
+MIN_SITE_BYTES = 4096
+# The elements of list fields are scanned for sites until this many in the
+# document were shorter: k^2 Kraus operators at k <= 7 and the shorter
+# cumulants (at most 3 for k >= 2) stay within it.
+MAX_SHORT_ELEMENTS = 64
+# A site's numbers are parsed in pieces of about this many bytes, so that no
+# list of more than a piece's numbers is held.
+FLAT_PIECE_BYTES = 1 << 20
+_NUMBER = b"0123456789+-.eE"
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,7 +118,10 @@ class InputError(Exception):
 def _load(path: str) -> dict:
     """The JSON object at path, parsed with the cyclic collector paused and
     then frozen: its lists are acyclic, and reference counting frees them,
-    so a collection that traversed them would free nothing."""
+    so a collection that traversed them would free nothing.  Past
+    FAST_READ_BYTES a long array field may hold the ndarray of its numbers
+    instead of nested lists (see _loads_with_arrays); json_to_array reads
+    either the same."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -116,9 +138,10 @@ def _load(path: str) -> dict:
 
 
 def _parse(path: str):
-    """orjson reads a file of FAST_READ_BYTES or more that _shallow admits;
-    json decides every other file and every document orjson refuses, so the
-    value, message and exit code never depend on which reader ran."""
+    """orjson reads a file of FAST_READ_BYTES or more that _shallow admits,
+    its long array fields as flat lists (_loads_with_arrays); json decides
+    every other file and every document orjson refuses, so the value,
+    message and exit code never depend on which reader ran."""
     if os.stat(path).st_size >= FAST_READ_BYTES:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -126,7 +149,7 @@ def _parse(path: str):
             import orjson  # here, not at import: 15 ms that a small input never repays
 
             try:
-                return orjson.loads(data)
+                return _loads_with_arrays(data, orjson.loads)
             except orjson.JSONDecodeError:
                 pass
         del data  # json reads the file again; the bytes need not stay alive
@@ -143,6 +166,138 @@ def _shallow(data: bytes) -> bool:
     outside = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
     depth = np.frombuffer(outside.translate(_DEPTH_STEP), dtype=np.int8).cumsum(dtype=np.int32)
     return depth.size == 0 or (depth.min() >= 0 and depth.max() <= MAX_FAST_DEPTH)
+
+
+def _loads_with_arrays(data: bytes, loads):
+    """loads(data), with an ndarray in place of the nested lists of each
+    array site that _site_array reads.  Each such site becomes a placeholder,
+    "\\u0000<i>", which no string of a document without a backslash can
+    equal, and the rest is parsed as it stands; the document is parsed whole
+    instead if a placeholder is not found again in its field.  A site and
+    its placeholder are both JSON values, so the text with placeholders is
+    valid JSON exactly when data is."""
+    sites = _array_sites(data, loads)
+    if not sites:
+        return loads(data)
+    parts, done = [], 0
+    for i, (start, end, _) in enumerate(sites):
+        parts += (data[done:start], b'"\\u0000%d"' % i)
+        done = end
+    parts.append(data[done:])
+    spec = loads(b"".join(parts))
+    if _put_arrays(spec, [array for _, _, array in sites]) != len(sites):
+        return loads(data)
+    return spec
+
+
+def _array_sites(data: bytes, loads) -> list:
+    """(start, end, array) of each site of MIN_SITE_BYTES or more that
+    _site_array reads.  Such a site lies in a stretch of that many bytes or
+    more between a key's closing quote and the next quote, so the candidate
+    keys come from one numpy scan of the quotes, and a document in which
+    every block of a quarter of that size holds a quote has none.  A site
+    ends at the first run of as many ']' as it opens with."""
+    is_quote = np.frombuffer(data, dtype=np.uint8) == ord('"')
+    block = max(1, MIN_SITE_BYTES // 4)  # a longer gap holds a whole block of this size: none is free of quotes
+    if is_quote[: len(data) - len(data) % block].reshape(-1, block).any(axis=1).all():
+        return []
+    quotes = np.flatnonzero(is_quote)
+    del is_quote  # as large as data: not held while the sites are read
+    gaps = np.diff(quotes, append=len(data))
+    sites, short = [], 0
+    for j in np.flatnonzero(gaps[1::2] > MIN_SITE_BYTES).tolist():  # after a closing quote: no escapes here
+        opening, close = int(quotes[2 * j]), int(quotes[2 * j + 1])
+        stop = close + int(gaps[2 * j + 1])  # the next quote, or the end of data
+        is_list = ARRAY_FIELDS.get(data[opening + 1 : close].decode("latin-1"))
+        if is_list is None or not data.startswith((b":[", b": ["), close + 1):
+            continue
+        start = data.index(b"[", close) + is_list  # the site, or the list's first element
+        while short < MAX_SHORT_ELEMENTS:
+            head = data[start : start + MAX_FAST_DEPTH + 1]
+            depth = len(head) - len(head.lstrip(b"["))
+            if not 0 < depth <= MAX_FAST_DEPTH:
+                break
+            end = data.find(b"]" * depth, start, stop)
+            if end < 0:
+                break
+            end += depth
+            if end - start < MIN_SITE_BYTES:
+                short += 1
+            else:
+                array = _site_array(data, start, end, depth, loads)
+                if array is not None:
+                    sites.append((start, end, array))
+            if not is_list or data[end : end + 1] != b",":
+                break
+            start = end + 1 + (data[end + 1 : end + 2] == b" ")
+    return sites
+
+
+def _site_array(data: bytes, start: int, end: int, depth: int, loads) -> Optional[np.ndarray]:
+    """The array of the numbers in data[start:end], a site that opens with
+    depth brackets, read as flat lists a piece at a time; None unless the
+    site's text less its numbers is the canonical text of the shape its
+    first path gives, with one separator, "," or ", ", throughout.  That text
+    holds only brackets, commas and spaces, so a site holding anything else,
+    such as true, null, a string, an object or a newline, is declined."""
+    text = bytearray(memoryview(data)[start:end])
+    structure = text.translate(None, _NUMBER)
+    comma = structure.find(b",")
+    sep = b", " if structure[comma + 1 : comma + 2] == b" " else b","
+    shape, inner = [], 0  # inner: the length of an element of the level below
+    for level in range(depth - 1, -1, -1):  # the first array of each level, innermost first
+        size = structure.find(b"]" * (depth - level)) + depth - 2 * level  # 2 + n inner + (n - 1) len(sep)
+        n, rest = divmod(size - 2 + len(sep), inner + len(sep))
+        if rest or n < 1:
+            return None
+        shape.append(n)
+        inner = size
+    canonical = b""
+    for n in shape:
+        canonical = b"[" + sep.join([canonical] * n) + b"]"
+    if canonical != structure:
+        return None
+    flat = text.translate(_BLANK_BRACKETS)
+    del text
+    try:  # orjson checks that each slot holds one number, and reshape that none is empty
+        pieces = [np.array(loads(b"[" + piece + b"]")) for piece in _pieces(flat)]
+        return np.concatenate(pieces).reshape(shape[::-1])  # numpy promotes the pieces' dtypes as it does the numbers'
+    except (ValueError, TypeError, OverflowError):
+        return None
+
+
+def _pieces(flat: bytearray):
+    """Views of flat split at the first comma after every FLAT_PIECE_BYTES:
+    a piece's parse holds a list of its own numbers only."""
+    view, lo = memoryview(flat), 0
+    while lo < len(flat):
+        hi = flat.find(b",", lo + FLAT_PIECE_BYTES) % (len(flat) + 1)  # the end if no comma follows
+        yield view[lo:hi]
+        lo = hi + 1
+
+
+def _put_arrays(obj, arrays: list) -> int:
+    """Put each array in place of its placeholder where an array field of
+    obj, or of an object nested in obj through objects and lists that start
+    with an object, holds it; returns the number put."""
+    if not isinstance(obj, dict):
+        return 0
+    count = 0
+    for key, value in obj.items():
+        is_list = ARRAY_FIELDS.get(key)
+        if is_list and isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, str) and item[:1] == "\0":
+                    value[i] = arrays[int(item[1:])]
+                    count += 1
+        elif is_list is False and isinstance(value, str) and value[:1] == "\0":
+            obj[key] = arrays[int(value[1:])]
+            count += 1
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            count += sum(_put_arrays(item, arrays) for item in value)
+        else:
+            count += _put_arrays(value, arrays)
+    return count
 
 
 def _parse_int(text: str):

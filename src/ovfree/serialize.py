@@ -9,9 +9,12 @@ json.dumps would write, but a numpy kernel builds it from each float's
 12-digit integer, in chunks of _CHUNK entries (about 3 MB of temporaries), by
 a stable sort on decimal exponent and one take per exponent's layout from a
 table of 4-digit ASCII words; near-ties (see _decimal) and |x| outside
-[1e-11, 1e12) take the encoder's own text.  inf and nan raise a ValueError.
-Input arrays are parsed whole by json_to_array, which rejects anything but a
-rectangular array of numeric [re, im] pairs (a JSON boolean is not numeric).
+[1e-11, 1e12) take repr's text of the rounded float, one by one.  inf and
+nan raise a ValueError.  An input array reaches json_to_array as nested
+lists of [re, im] pairs or, where the CLI read a large array field
+(ARRAY_FIELDS) from its own text, as the ndarray of its numbers; either way
+anything but a rectangular array of numeric pairs is rejected (a JSON
+boolean is not numeric).
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ def array_to_json(arr: Any) -> Any:
 
 
 def json_to_array(data: Any) -> np.ndarray:
-    """The complex array of a rectangular nested list of [re, im] pairs."""
+    """The complex array of a rectangular nested list of [re, im] pairs, or
+    of the array of their numbers that the CLI read from an array field's
+    text, which holds no boolean."""
     try:
         a = np.asarray(data)
     except (ValueError, TypeError, OverflowError):  # ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2 or _holds_bool(data, a):
+    if a is None or a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2 or (not isinstance(data, np.ndarray) and _holds_bool(data, a)):
         raise ValueError("malformed complex array: need a rectangular array whose leaves are [re, im] numbers")
     return np.ascontiguousarray(a, dtype=np.float64).view(complex)[..., 0]
 
@@ -72,6 +77,11 @@ def _round_sig(x: float, digits: int = 12) -> float:
         return 0.0
     rounded = float(f"{x:.{digits}g}")
     return 0.0 if rounded == 0.0 else rounded
+
+
+def _float_text(v: float) -> str:
+    """json.dumps(_round_sig(v)) for a finite v > 0, at about half its cost."""
+    return repr(float(f"{v:.12g}"))
 
 
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
@@ -131,8 +141,8 @@ _LAYOUT = _layouts()
 
 def _float_fields(x: np.ndarray) -> np.ndarray:
     """The JSON text of each float of x as _round_sig rounds it, in rows of _WIDTH NUL-padded bytes: sorted stably by
-    layout, zeros and exact elements take one contiguous take per layout and the rest, last, the encoder's text per
-    element; one scatter puts the rows back, and the signs are written in place."""
+    layout, zeros and exact elements take one contiguous take per layout and the rest, last, _float_text per element;
+    one scatter puts the rows back, and the signs are written in place."""
     m, p, exact = _decimal(x)
     key = np.where(exact, 22 - p, np.where(x == 0, 11, 23)).astype(np.uint8)  # e + 11; zeros print as 0e0
     order = np.argsort(key, kind="stable")
@@ -149,8 +159,8 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
         digits[a:b].view(np.uint64)[:, 3] = _TAIL[g]
         rows[a:b, 1:] = digits[a:b].view(np.uint8)[:, _LAYOUT[g]]
     rows[: edge[7]][m[: edge[7]] % 1e11 == 0, 2] = 0  # "1e-05": no '.' before an empty fraction
-    other = x[order[edge[23] :]]  # near-ties, |x| < 1e-11 or >= 1e12, inf and nan
-    padded = "".join(json.dumps(_round_sig(v)).ljust(_WIDTH - 1, "\0") for v in np.abs(other).tolist())
+    other = x[order[edge[23] :]]  # near-ties and |x| < 1e-11 or >= 1e12 (canonical_chunks refuses inf and nan first)
+    padded = "".join(_float_text(v).ljust(_WIDTH - 1, "\0") for v in np.abs(other).tolist())
     rows[edge[23] :, 1:] = np.frombuffer(padded.encode("ascii"), dtype=np.uint8).reshape(-1, _WIDTH - 1)
     out = np.empty_like(rows)
     out.view(f"V{_WIDTH}")[order] = rows.view(f"V{_WIDTH}")  # a row as one item
@@ -226,6 +236,10 @@ def canonical_dumps(obj: Any) -> str:
 
 
 # -- map and distribution specs -------------------------------------------------
+
+# The spec fields that json_to_array reads, each mapped to whether its value
+# is a list of arrays rather than one array.
+ARRAY_FIELDS = {"choi": False, "X": False, "state": False, "kraus": True, "cumulants": True}
 
 
 def int_field(spec: dict, name: str, default: Optional[int] = None) -> int:

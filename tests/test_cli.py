@@ -5,14 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ovfree.cli import FAST_READ_BYTES, MAX_FAST_DEPTH, _emit, _load, _shallow, main
-from ovfree.serialize import array_to_json
+from ovfree import cli, serialize
+from ovfree.cli import FAST_READ_BYTES, MAX_FAST_DEPTH, MAX_SHORT_ELEMENTS, MIN_SITE_BYTES, _emit, _load, _shallow, main
+from ovfree.serialize import ARRAY_FIELDS, array_to_json, json_to_array
 
 from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
 
@@ -759,18 +763,261 @@ def test_shallow_guard():
     assert _shallow(b"") and _shallow(b"1.5")
 
 
+# -- array sites: past the threshold an array field is read from its own text --
+
+_EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+_POISONS = ["none", "int", "float", "1e999", "nan", "bool", "null", "string", "object", "ragged", "empty", "hollow", "one",
+            "three", "shifted", "comma"]
+_STYLES = {"compact": {"separators": (",", ":")}, "spaced": {}, "indented": {"indent": 1}}
+
+
+def _site_value(rng, shape, ints):
+    """Nested [re, im] lists of the given leading shape: random doubles, or small integers."""
+    values = rng.integers(-3, 4, shape + (2,)) if ints else rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-8, 8)
+    return values.tolist()
+
+
+def _poison(rng, value, kind):
+    """value with one leaf, row or pair replaced as kind says; raw JSON tokens are quoted markers."""
+    if kind == "none":
+        return value
+    if kind == "hollow":
+        value.clear()
+        return value
+    if kind == "comma":  # the text of the first "], [" turns to ",] [", which is not JSON
+        return value
+    row = value
+    while isinstance(row[0], list) and isinstance(row[0][0], list):  # down to a list of pairs
+        row = row[int(rng.integers(len(row)))]
+    i = int(rng.integers(len(row)))
+    leaf = {"int": _EDGE_INTS[int(rng.integers(len(_EDGE_INTS)))], "float": _EDGE_FLOATS[int(rng.integers(4))],
+            "1e999": "@1e999@", "nan": float("nan"), "bool": True, "null": None, "string": "choi", "object": {}}
+    if kind in leaf:
+        row[i][int(rng.integers(2))] = leaf[kind]
+    elif kind == "ragged":
+        del row[i]
+        if not row:
+            row.append([])
+    elif kind == "empty":
+        row[i] = []
+    elif kind == "shifted" and len(row) > 1:  # as many numbers, not in pairs
+        i = min(i, len(row) - 2)
+        row[i], row[i + 1] = row[i][:1], [row[i][1]] + row[i + 1]
+    else:
+        row[i] = row[i][:1] if kind == "one" else row[i] + [0.5]
+    return value
+
+
+@st.composite
+def _site_documents(draw):
+    """(command, JSON text) of a spec whose array fields vary in k, shape and
+    whitespace, one of them poisoned, with duplicate keys, field names as
+    string values, a placeholder look-alike or an array field in a list of
+    objects now and then."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, ints, kind = draw(st.integers(1, 3)), draw(st.booleans()), draw(st.sampled_from(_POISONS))
+    site = lambda *shape: _site_value(rng, shape, ints)  # noqa: E731
+    if draw(st.booleans()):
+        eta = {"k": k, "choi": site(k * k, k * k)}
+    else:
+        eta = {"k": k, "kraus": [site(k, k) for _ in range(draw(st.integers(1, 3)))]}
+    order = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        dist = {"k": k, "order": order, "cumulants": [site(*((k * k,) * i + (k, k))) for i in range(order)]}
+    else:
+        p = draw(st.integers(1, 2))
+        state = site(k * p) if draw(st.booleans()) else site(k * p, k * p)
+        dist = {"k": k, "order": order, "realization": {"p": p, "X": site(k * p, k * p), "state": state}}
+    command = draw(st.sampled_from(["check-cp", "convolve-power", "positivity"]))
+    spec = {"check-cp": eta, "convolve-power": {"distribution": dist, "map": eta}, "positivity": dist}[command]
+    fields = [(obj, key) for obj in (eta, dist, dist.get("realization", {})) for key in ("choi", "kraus", "cumulants", "X", "state")
+              if key in obj]
+    obj, key = fields[draw(st.integers(0, len(fields) - 1))]
+    if key in ("kraus", "cumulants"):  # a list of arrays: poison one of them
+        _poison(rng, obj[key][int(rng.integers(len(obj[key])))], kind)
+    else:
+        _poison(rng, obj[key], kind)
+    extra = draw(st.sampled_from(["none", "duplicate", "names", "mimic", "listed"]))
+    if extra == "duplicate":  # the first of two equal keys is dropped by both readers
+        value = obj.pop(key)
+        obj[key + "@first"], obj[key + "@dup"] = site(2, 2), value
+    elif extra == "names":
+        spec["label"], obj["note"] = key, {"choi": "kraus", "cumulants": "X"}
+    elif extra == "mimic":
+        spec["label"] = "@mimic@"
+    elif extra == "listed":  # array fields in objects in lists, which no command reads
+        spec["maps"] = [{"k": k, "choi": site(k * k, k * k)}, {"kraus": [site(k, k)]}]
+        spec["nested"] = [[{"choi": site(k * k, k * k)}]]
+    text = json.dumps(spec, **_STYLES[draw(st.sampled_from(sorted(_STYLES)))])
+    for marker, token in (('"@1e999@"', "1e999"), ('"@mimic@"', '"\\u00000"')):
+        text = text.replace(marker, token)
+    if kind == "comma":
+        text = text.replace("], [", ",] [", 1).replace("],[", ",][", 1)
+    for tag in ("@first", "@dup"):  # "x@first": [...], ..., "x@dup": [...] -> two "x" keys
+        text = text.replace(f'"{key}{tag}"', f'"{key}"')
+    return command, text
+
+
+def _site_reads(value):
+    """value with each array field's value, or each element of a list field,
+    as json_to_array reads it (its bytes or its message), the rest by _bits."""
+
+    def read(data):
+        try:
+            a = json_to_array(data)
+        except ValueError as exc:
+            return ("error", str(exc))
+        return (a.dtype.str, a.shape, a.tobytes())
+
+    if not isinstance(value, dict):
+        return _bits(value)
+    out = []
+    for key, v in value.items():
+        if ARRAY_FIELDS.get(key) and isinstance(v, list):
+            out.append((key, [read(item) for item in v]))
+        elif key in ARRAY_FIELDS and not isinstance(v, (dict, str)):
+            out.append((key, read(v)))
+        elif isinstance(v, list):
+            out.append((key, [_site_reads(item) for item in v]))
+        else:
+            out.append((key, _site_reads(v)))
+    return out
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_site_documents(), min_site=st.sampled_from([1, 40, 4096]), piece=st.sampled_from([1, 30, 1 << 20]))
+@example(document=("convolve-power", json.dumps({"distribution": {"k": 1, "cumulants": [[[[1, 0]]], [[[[0.5, 0]]]]]},
+                                                 "map": {"k": 1, "kraus": [[[[1, 0]]]]}})), min_site=1, piece=1)
+@example(document=("check-cp", '{"k": 1, "choi": [[[1, 0.5]]]}'), min_site=1, piece=1)  # an int piece, then a float one
+@example(document=("check-cp", '{"k": 1, "choi": [[[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]]}'), min_site=1, piece=30)
+@example(document=("check-cp", '{"k": 2, "choi": [[[1.0, 0.0],] [[0.0, 1.0]]]}'), min_site=1, piece=30)  # not JSON
+def test_readers_agree_on_array_sites(tmp_path, monkeypatch, document, min_site, piece):
+    # the same arrays, bit for bit, and the same output, message and exit
+    # code whether an array field is read from its own text, in pieces of
+    # its numbers, or as nested lists
+    command, text = document
+    monkeypatch.setattr(cli, "MIN_SITE_BYTES", min_site)
+    monkeypatch.setattr(cli, "FLAT_PIECE_BYTES", piece)
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    small.write_text(text)
+    big.write_text(text)
+    padded(big)
+    reads = []
+    for path in (small, big):
+        try:
+            reads.append(_site_reads(_load(str(path))))
+        except cli.InputError as exc:
+            reads.append(("error", str(exc).replace(str(path), "<path>")))
+    assert reads[0] == reads[1]
+    runs = [_run([command, "--in", str(path)]) for path in (small, big)]
+    assert runs[0][:2] == runs[1][:2] and runs[0][2].replace(str(small), "") == runs[1][2].replace(str(big), "")
+
+
+def _cumulant_spec(ragged=False):
+    """A k=2, order-5 convolve-power input, its last two cumulants longer
+    than MIN_SITE_BYTES in every style; ragged drops one row of the last."""
+    cums = [array_to_json(c.tensor) for c in random_symmetric_cumulants(np.random.default_rng(9), 2, 5)]
+    if ragged:
+        del cums[4][0][0][0][0][1]
+    return {"distribution": {"k": 2, "cumulants": cums}, "map": map_spec_scaled_id(2, 1.5)}
+
+
+@pytest.mark.parametrize("style", ["spaced", "compact", "indented", "ragged"])
+def test_padded_cumulant_spec_reaches_json_to_array_as_arrays(tmp_path, monkeypatch, style):
+    # past the threshold each long, canonical array field reaches
+    # json_to_array as the ndarray read from its text; indented or ragged
+    # text, and a field shorter than MIN_SITE_BYTES, stays nested lists
+    spec = _cumulant_spec(ragged=style == "ragged")
+    text = json.dumps(spec, **_STYLES["spaced" if style == "ragged" else style])
+    small, big = write_text(tmp_path, text), str(tmp_path / "big.json")
+    Path(big).write_text(text)
+    padded(big)
+    seen = []
+    monkeypatch.setattr(serialize, "json_to_array", lambda data: seen.append(type(data)) or json_to_array(data))
+    runs, types = [], []
+    for path in (small, big):
+        seen.clear()
+        runs.append(_run(["convolve-power", "--in", path]))
+        types.append(list(seen))
+    assert runs[0][:2] == runs[1][:2] and runs[0][2].replace(small, "") == runs[1][2].replace(big, "")
+    sizes = [len(json.dumps(c, **_STYLES["compact"])) for c in spec["distribution"]["cumulants"]]
+    assert [size >= MIN_SITE_BYTES for size in sizes] == [False] * 3 + [True] * 2
+    if style == "ragged":  # the last cumulant stays a list, and json_to_array refuses it
+        assert types == [[list] * 5, [list] * 3 + [np.ndarray, list]] and runs[1][0] == 2
+        assert "malformed complex array" in runs[1][2]
+    else:
+        fast = np.ndarray if style in ("spaced", "compact") else list
+        assert types == [[list] * 6, [list] * 3 + [fast] * 2 + [list]] and runs[1][0] == 0
+
+
+def _tiny_sites_document(n):
+    """n tiny choi and kraus fields in objects and n strings naming the fields."""
+    tiny = [[[1.0, 0.0]]]
+    return json.dumps({"maps": [{"k": 1, "choi": tiny, "kraus": [tiny]} for _ in range(n)],
+                       "names": ["choi", "kraus", "cumulants"] * n}).encode()
+
+
+def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
+    # a site shorter than MIN_SITE_BYTES or nested deeper than MAX_FAST_DEPTH
+    # is never read as a site, and list fields are scanned only up to the
+    # document's MAX_SHORT_ELEMENTS'th short element
+    import orjson
+
+    def refuse(*args):
+        raise AssertionError("per-site work on a declined site")
+
+    class Fields(dict):  # records each key looked up
+        def get(self, key, default=None):
+            looked.append(key)
+            return super().get(key, default)
+
+    looked = []
+    monkeypatch.setattr(cli, "_site_array", refuse)
+    monkeypatch.setattr(cli, "ARRAY_FIELDS", Fields(cli.ARRAY_FIELDS))
+    tiny = _tiny_sites_document(20_000)
+    assert len(tiny) > FAST_READ_BYTES and cli._array_sites(tiny, refuse) == []
+    assert looked == []  # no quote-free stretch as long as a site: no key is looked at
+    long_site = json.dumps(np.ones((MIN_SITE_BYTES, 1, 2)).tolist()).encode()
+    kraus = b'{"k": 1, "kraus": [' + b", ".join([b"[[[1.0, 0.0]]]"] * MAX_SHORT_ELEMENTS + [long_site]) + b"]}"
+    assert cli._array_sites(kraus, refuse) == []
+    with pytest.raises(AssertionError, match="per-site work"):  # one short element fewer, and the long one is read
+        cli._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1), refuse)
+    deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"  # orjson would crash on it
+    assert cli._array_sites(deep, refuse) == []
+    # the scan for keys is a small part of a read of many tiny sites
+    monkeypatch.undo()
+    scan = min(_timed(cli._array_sites, tiny, orjson.loads) for _ in range(5))
+    parse = min(_timed(orjson.loads, tiny) for _ in range(5))
+    assert scan < 0.25 * parse
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
 def _deep(where):
     n = 3_000 if where == "choi" else 200_000
     body = '["]", ' * n + "[]" + "]" * n if where == "k-strings" else "[" * n + "]" * n
-    return '{"k": 2, "choi": %s}' % body if where == "choi" else '{"k": %s}' % body
+    return '{"k": 2, "choi": %s}' % body if where.startswith("choi") else '{"k": %s}' % body
 
 
 @pytest.mark.parametrize("where, pad", [
-    ("k", False), ("k", True), ("choi", False), ("choi", True), ("k-strings", False),
-], ids=["k-json", "k-past-threshold", "choi-json", "choi-past-threshold", "k-strings-past-threshold"])
+    ("k", False), ("k", True), ("choi", False), ("choi", True), ("k-strings", False), ("choi-200k", True),
+], ids=["k-json", "k-past-threshold", "choi-json", "choi-past-threshold", "k-strings-past-threshold",
+        "choi-200k-past-threshold"])
 def test_deeply_nested_input_exit_2(tmp_path, where, pad):
     # json raises RecursionError; past the threshold the guard declines
-    # before orjson, which crashes the process at about 130,000 levels.
+    # before orjson, which crashes the process at about 130,000 levels, and
+    # before the array fields are looked for.
     # The "]" strings between the brackets (1.2 MB unpadded) hide no depth.
     path = write_text(tmp_path, _deep(where))
     if pad:
@@ -779,7 +1026,7 @@ def test_deeply_nested_input_exit_2(tmp_path, where, pad):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "ovfree.cli", "check-cp", "--in", path], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"ovfree: cannot read JSON input {path}: ")
 

@@ -11,6 +11,7 @@ from ovfree import CPMap, bernoulli, cumulants_from_moments, serialize
 from ovfree.serialize import (
     _POW10,
     _decimal,
+    _float_text,
     _round_sig,
     array_to_json,
     canonical_chunks,
@@ -232,7 +233,7 @@ def test_exponent_notation_takes_the_kernel(monkeypatch):
     values = [s * float(f"{d}e{e}") for e in range(-11, -4) for d in ("1", "1.5", "9.99999999999", "1.00000000001")
               for s in (1.0, -1.0)]
     want = old_canonical_dumps(np.array(values))
-    monkeypatch.setattr(serialize, "_round_sig", None)
+    monkeypatch.setattr(serialize, "_float_text", None)
     assert canonical_dumps(np.array(values)) == want
     assert "1e-05" in want and "-1.5e-11" in want
 
@@ -256,9 +257,23 @@ def test_few_floats_take_the_encoder(monkeypatch):
     # their 13th digit (about 0.02%) are written by the encoder per element
     values = np.random.default_rng(17).standard_normal(100_000)
     want, calls = old_canonical_dumps(values), []
-    monkeypatch.setattr(serialize, "_round_sig", lambda v: calls.append(v) or _round_sig(v))
+    monkeypatch.setattr(serialize, "_float_text", lambda v: calls.append(v) or _float_text(v))
     assert canonical_dumps(values) == want
     assert len(calls) <= 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+def test_float_text_is_the_encoders_text(v):
+    # the per-element fallback writes what json.dumps(_round_sig(v)) writes
+    assert _float_text(v) == json.dumps(_round_sig(v))
+
+
+def test_float_text_over_every_exponent():
+    rng = np.random.default_rng(18)  # finite positive doubles of every exponent, subnormals and the specials
+    values = rng.integers(1, 0x7FF0000000000000, 20_000).view(np.float64).tolist()
+    values += [abs(v) for v in _SPECIALS.tolist() if v != 0] + [5e-324, 2.2250738585072014e-308]
+    assert [_float_text(v) for v in values] == [json.dumps(_round_sig(v)) for v in values]
 
 
 def test_canonical_dumps_memory_bound():

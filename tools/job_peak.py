@@ -1,0 +1,99 @@
+"""Run ovfree CLI jobs, each in a wrapper process, and print that process's
+own peak RSS and CPU time.
+
+    python3 tools/job_peak.py [--checkout DIR] [--runs N] <ovfree CLI arguments...>
+    python3 tools/job_peak.py [--checkout DIR] [--runs N] --workload NAME [--seed S]
+
+The first form runs one command line, such as ``convolve-power --in x.json``;
+the second runs every job that bench/workloads.make_jobs writes for the
+workload at the seed (1 by default), written once into a temporary directory.
+Each run is a fresh Python process with PYTHONPATH set to the checkout's src
+only (this one by default) and one BLAS/OpenMP thread.  It calls
+ovfree.cli.main with stdout sent to /dev/null and, once main returns, reads
+its own VmHWM from /proc/self/status and its user plus system CPU time from
+os.times().  These are the job's own figures: a benchmark that reads a
+child's ru_maxrss also counts the high-water RSS the child inherited from
+its parent at exec.  Each run prints one line; with more than one run, a
+last line per job gives the medians.  Linux only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+WRAPPER = """\
+import json, os, sys, time
+wall = time.perf_counter()
+from ovfree.cli import main
+stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
+code = main(sys.argv[1:])
+wall = time.perf_counter() - wall
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+times = os.times()
+stdout.write(json.dumps({"exit": code, "vmhwm_mb": hwm / 1024, "cpu_s": times.user + times.system, "wall_s": wall}))
+"""
+
+
+def measure(checkout: str, argv: list) -> dict:
+    """The wrapper's exit code, VmHWM in MB, CPU seconds and wall seconds for one run of argv."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, *argv], env=env, capture_output=True, text=True)
+    if proc.returncode != 0 or not proc.stdout:
+        raise SystemExit(f"wrapper failed ({proc.returncode}): {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def report(label: str, checkout: str, argv: list, runs: int) -> None:
+    rows = []
+    for i in range(runs):
+        row = measure(checkout, argv)
+        rows.append(row)
+        print(f"{label} run {i + 1}: exit {row['exit']} vmhwm_mb {row['vmhwm_mb']:.1f} "
+              f"cpu_s {row['cpu_s']:.3f} wall_s {row['wall_s']:.3f}", flush=True)
+    if runs > 1:
+        medians = {key: statistics.median(row[key] for row in rows) for key in ("vmhwm_mb", "cpu_s", "wall_s")}
+        print(f"{label} median of {runs}: vmhwm_mb {medians['vmhwm_mb']:.1f} "
+              f"cpu_s {medians['cpu_s']:.3f} wall_s {medians['wall_s']:.3f}", flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--checkout", default=ROOT, help="the checkout whose src is run (default: this one)")
+    parser.add_argument("--runs", type=int, default=1, help="runs per job (default 1)")
+    parser.add_argument("--workload", help="run every bench job of this workload instead of a command line")
+    parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
+    parser.add_argument("cli", nargs=argparse.REMAINDER, help="ovfree CLI arguments")
+    args = parser.parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    if not os.path.isdir(os.path.join(checkout, "src", "ovfree")):
+        parser.error(f"{checkout} has no src/ovfree")
+    if (args.workload is None) == (not args.cli):
+        parser.error("give either ovfree CLI arguments or --workload")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if args.cli:
+        report(" ".join(args.cli[:1]), checkout, args.cli, args.runs)
+        return 0
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import WORKLOADS, make_jobs
+
+    if args.workload not in WORKLOADS:
+        parser.error(f"--workload must be one of {', '.join(WORKLOADS)}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for job in make_jobs(args.workload, args.seed, workdir):
+            report(f"{args.workload} seed {args.seed} {job.name}", checkout, [job.command, "--in", job.infile, *job.args], args.runs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
