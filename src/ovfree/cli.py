@@ -25,16 +25,15 @@ environment variable OVFREE_MAX_ORDER, a positive integer, replaces both caps
 (expert use only: runtimes grow exponentially).  positivity builds moments up
 to order 2L - 2, all that level L reads.
 
-An input of 1 MiB or more is parsed by orjson, unless it holds a backslash
-or nests more than 64 deep outside its strings.  There, each array field
-(a "choi", "X" or "state" value, or an element of a "kraus" or "cumulants"
-list) of 4 KiB or more whose text is a rectangular array of numbers, written
-compactly or with ", " separators, is read as flat lists of numbers into an
-ndarray; the rest of the document, and every other field, is parsed as
-nested lists.  Python's json reads every smaller input and every document
-orjson refuses (NaN, Infinity, 1e999, invalid UTF-8, a syntax error), so the
-value read, the message and the exit code never depend on the reader.  Both
-read an integer outside [-2**63, 2**64) as the nearest double.  An input
+Python's json parses every input's structure.  In an input of 1 MiB or
+more that holds no backslash, each array field (a "choi", "X" or "state"
+value, or an element of a "kraus" or "cumulants" list) of 4 KiB or more
+whose text is a rectangular array of numbers, written compactly or with ", "
+separators, is cut out and read by orjson as flat lists of numbers into an
+ndarray, and json parses the rest.  Every other input, and every document
+whose rest json refuses or that leaves any doubt, is read by json whole, so
+the value read, the message and the exit code never depend on the route.
+An integer outside [-2**63, 2**64) is read as the nearest double.  An input
 nested too deep to read exits 2.
 
 Each command compiles and runs only the ovfree modules it calls: check-cp
@@ -84,14 +83,11 @@ VERIFY_ORDER_CAP = 6
 COUNTEREXAMPLE_LEVEL = 4
 FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, DEFAULT_TOL)}
 
-# Inputs of this size or more are parsed by orjson: its import costs about 15 ms
-# and it saves 12-20 ms per MB against json, so this is the measured crossover.
+# In inputs of this size or more the long array fields are read from their
+# own text: importing orjson costs about 15 ms, which a smaller input never repays.
 FAST_READ_BYTES = 1 << 20
-# orjson 3.8.3 segfaults on valid JSON nested about 130,000 deep; specs nest
-# at most 13 deep and numpy arrays have at most 64 axes.
+# numpy arrays have at most 64 axes, which also bounds the work per site.
 MAX_FAST_DEPTH = 64
-_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b'[]{}"')
-_DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 # An array site, the value of a "choi", "X" or "state" field or an element of
 # a "kraus" or "cumulants" list, whose text is this long or longer is read as
 # flat lists of numbers; a shorter one does not repay the per-site work.
@@ -138,59 +134,50 @@ def _load(path: str) -> dict:
 
 
 def _parse(path: str):
-    """orjson reads a file of FAST_READ_BYTES or more that _shallow admits,
-    its long array fields as flat lists (_loads_with_arrays); json decides
-    every other file and every document orjson refuses, so the value,
-    message and exit code never depend on which reader ran."""
+    """json decides every document.  Past FAST_READ_BYTES, in a file with
+    no backslash, it parses the text left when each long array field is cut
+    out (_loads_with_arrays); any doubt sends the whole file to json.load,
+    so the value, message and exit code never depend on the route."""
     if os.stat(path).st_size >= FAST_READ_BYTES:
         with open(path, "rb") as fh:
             data = fh.read()
-        if _shallow(data):
-            import orjson  # here, not at import: 15 ms that a small input never repays
-
-            try:
-                return _loads_with_arrays(data, orjson.loads)
-            except orjson.JSONDecodeError:
-                pass
+        spec = None if b"\\" in data else _loads_with_arrays(data)
+        if spec is not None:
+            return spec
         del data  # json reads the file again; the bytes need not stay alive
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_int=_parse_int)
 
 
-def _shallow(data: bytes) -> bool:
-    """Whether data holds no backslash and every prefix of it, outside its
-    strings, nests 0 to MAX_FAST_DEPTH deep (without escapes every quote
-    opens or closes a string)."""
-    if b"\\" in data:
-        return False
-    outside = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
-    depth = np.frombuffer(outside.translate(_DEPTH_STEP), dtype=np.int8).cumsum(dtype=np.int32)
-    return depth.size == 0 or (depth.min() >= 0 and depth.max() <= MAX_FAST_DEPTH)
-
-
-def _loads_with_arrays(data: bytes, loads):
-    """loads(data), with an ndarray in place of the nested lists of each
-    array site that _site_array reads.  Each such site becomes a placeholder,
-    "\\u0000<i>", which no string of a document without a backslash can
-    equal, and the rest is parsed as it stands; the document is parsed whole
-    instead if a placeholder is not found again in its field.  A site and
+def _loads_with_arrays(data: bytes):
+    """json's value of data, with an ndarray in place of the nested lists of
+    each array site that _site_array reads, or None if there is no such site
+    or any doubt.  Each site becomes a placeholder, "\\u0000<i>", which no
+    string of a document without a backslash can equal, and json parses the
+    rest; None if it refuses that text (a message or position would name it,
+    not data) or a placeholder is not found again in its field.  A site and
     its placeholder are both JSON values, so the text with placeholders is
     valid JSON exactly when data is."""
-    sites = _array_sites(data, loads)
+    sites = _array_sites(data)
     if not sites:
-        return loads(data)
+        return None
     parts, done = [], 0
     for i, (start, end, _) in enumerate(sites):
         parts += (data[done:start], b'"\\u0000%d"' % i)
         done = end
     parts.append(data[done:])
-    spec = loads(b"".join(parts))
-    if _put_arrays(spec, [array for _, _, array in sites]) != len(sites):
-        return loads(data)
-    return spec
+    # decoded as the text-mode read decodes (json.loads(bytes) would detect
+    # UTF-16); an untranslated CR changes no valid document, only positions
+    try:
+        spec = json.loads(b"".join(parts).decode("utf-8"), parse_int=_parse_int)
+        if _put_arrays(spec, [array for _, _, array in sites]) == len(sites):
+            return spec
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        pass
+    return None
 
 
-def _array_sites(data: bytes, loads) -> list:
+def _array_sites(data: bytes) -> list:
     """(start, end, array) of each site of MIN_SITE_BYTES or more that
     _site_array reads.  Such a site lies in a stretch of that many bytes or
     more between a key's closing quote and the next quote, so the candidate
@@ -224,7 +211,7 @@ def _array_sites(data: bytes, loads) -> list:
             if end - start < MIN_SITE_BYTES:
                 short += 1
             else:
-                array = _site_array(data, start, end, depth, loads)
+                array = _site_array(data, start, end, depth)
                 if array is not None:
                     sites.append((start, end, array))
             if not is_list or data[end : end + 1] != b",":
@@ -233,7 +220,7 @@ def _array_sites(data: bytes, loads) -> list:
     return sites
 
 
-def _site_array(data: bytes, start: int, end: int, depth: int, loads) -> Optional[np.ndarray]:
+def _site_array(data: bytes, start: int, end: int, depth: int) -> Optional[np.ndarray]:
     """The array of the numbers in data[start:end], a site that opens with
     depth brackets, read as flat lists a piece at a time; None unless the
     site's text less its numbers is the canonical text of the shape its
@@ -257,10 +244,12 @@ def _site_array(data: bytes, start: int, end: int, depth: int, loads) -> Optiona
         canonical = b"[" + sep.join([canonical] * n) + b"]"
     if canonical != structure:
         return None
+    import orjson  # here, not at import: 15 ms that a small input never repays
+
     flat = text.translate(_BLANK_BRACKETS)
     del text
     try:  # orjson checks that each slot holds one number, and reshape that none is empty
-        pieces = [np.array(loads(b"[" + piece + b"]")) for piece in _pieces(flat)]
+        pieces = [np.array(orjson.loads(b"[" + piece + b"]")) for piece in _pieces(flat)]
         return np.concatenate(pieces).reshape(shape[::-1])  # numpy promotes the pieces' dtypes as it does the numbers'
     except (ValueError, TypeError, OverflowError):
         return None
@@ -301,8 +290,8 @@ def _put_arrays(obj, arrays: list) -> int:
 
 
 def _parse_int(text: str):
-    """An integer literal, exact where orjson reads it exactly, in
-    [-2**63, 2**64), and elsewhere the nearest double, as orjson reads it."""
+    """An integer literal, exact in [-2**63, 2**64) and elsewhere the nearest
+    double: orjson reads a site's numbers so, and json must agree."""
     if len(text) > 20:  # outside that range, and int() refuses 4,300 digits or more
         return float(text)
     value = int(text)

@@ -115,8 +115,6 @@ class CPMap:
             raise ValueError(f"expected a {self.k}x{self.k} matrix, got {a.shape}")
         return np.einsum("pq,piqj->ij", a, self.choi4)
 
-    __call__ = apply
-
     def __add__(self, other: "CPMap") -> "CPMap":
         self._check_same(other)
         return CPMap(self.k, self.choi + other.choi)

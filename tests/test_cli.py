@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ovfree import cli, serialize
-from ovfree.cli import FAST_READ_BYTES, MAX_FAST_DEPTH, MAX_SHORT_ELEMENTS, MIN_SITE_BYTES, _emit, _load, _shallow, main
+from ovfree.cli import FAST_READ_BYTES, MAX_SHORT_ELEMENTS, MIN_SITE_BYTES, _emit, _load, main
 from ovfree.serialize import ARRAY_FIELDS, array_to_json, json_to_array
 
 from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
@@ -34,8 +34,8 @@ def write_text(tmp_path, text):
 
 
 def padded(path):
-    """path, padded with trailing spaces to FAST_READ_BYTES, so that orjson
-    reads it unless the guard or orjson itself refuses."""
+    """path, padded with trailing spaces to FAST_READ_BYTES, so that its long
+    array fields are read from their own text."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(" " * max(0, FAST_READ_BYTES - os.path.getsize(path)))
     return str(path)
@@ -366,7 +366,7 @@ def test_convolve_non_integer_field_exit_2(tmp_path, capsys, where, value):
 
 def test_check_cp_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
     # int() refuses a literal of 4,300 digits or more; such a k is read as
-    # the nearest double, inf, as orjson would read it, and refused as a field
+    # the nearest double, inf, as a site's numbers are read, and refused as a field
     path = write_text(tmp_path, '{"k": ' + "1" * 5000 + ', "choi": [[[1.0, 0.0]]]}')
     needle = "field 'k' must be a positive integer, got Infinity"
     assert_one_line_exit_2(capsys, ["check-cp", "--in", path], needle)
@@ -515,7 +515,7 @@ def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
     try:
         assert _load(good) == {"k": 1} and gc.isenabled() == enabled
         assert _load(padded(write(tmp_path, "big.json", {"k": 1}))) == {"k": 1} and gc.isenabled() == enabled
-        for path in (bad, padded(big_bad)):  # orjson refuses the padded copy and json decides
+        for path in (bad, padded(big_bad)):  # no site in the padded copy: json decides
             assert main(["check-cp", "--in", str(path)]) == 2 and gc.isenabled() == enabled
             assert "cannot read JSON input" in capsys.readouterr().err
     finally:
@@ -666,7 +666,7 @@ def _non_finite_input(tmp_path, field):
 def test_non_finite_input_exit_2(tmp_path, capsys, command, field):
     path = _non_finite_input(tmp_path, field)
     assert_one_line_exit_2(capsys, [command, "--in", path], f"field '{field}' holds a non-finite number")
-    # orjson refuses NaN, Infinity and 1e999, and json reads them as before
+    # the padded copy holds no site, and json reads NaN, Infinity and 1e999 as before
     assert_one_line_exit_2(capsys, [command, "--in", padded(path)], f"field '{field}' holds a non-finite number")
 
 
@@ -734,33 +734,29 @@ _EDGE_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30]
 
 
 @pytest.mark.parametrize("text", [
-    '{"v": [-0.0, 5e-324, 2.2250738585072014e-308, 1e-400, -0]}',
-    '{"v": [' + ", ".join(_REPR17) + "]}",
-    *(f'{{"k": {n}, "v": [[{n}, {-n}]]}}' for n in _EDGE_INTS),
-    '{"k": 1, "k": 2, "v": {"a": [1.5], "a": []}}',
-    '{"name": "caf\\u00e9", "k": 2}',
-    '{"a": [], "b": [[]], "c": {}, "d": [{}]}',
+    '{"k": 1, "choi": [[-0.0, 5e-324], [2.2250738585072014e-308, 1e-400], [-0, 0]]}',
+    '{"k": 1, "choi": [' + ", ".join(f"[{a}, {b}]" for a, b in zip(_REPR17[::2], _REPR17[1::2])) + "]}",
+    *(f'{{"k": {n}, "choi": [[{n}, {-n}], [1, 0]]}}' for n in _EDGE_INTS),
+    '{"k": 1, "k": 2, "choi": [[1.5, 0]], "v": {"a": [1.5], "a": []}, "choi": [[2, 0.5]]}',
+    '{"name": "caf\\u00e9", "k": 2, "choi": [[1.5, 0]]}',
+    '{"a": [], "b": [[]], "c": {}, "d": [{}], "choi": [[]]}',
 ], ids=["subnormal-and-zero", "repr17", *(f"int-{n}" for n in _EDGE_INTS), "duplicate-keys", "escape", "empty"])
 def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
+    # orjson's flat parse of a site and json's nested parse of the same
+    # numbers give the same array, dtype included; a duplicated site, an
+    # escape or an empty site sends the padded copy to json whole
+    monkeypatch.setattr(cli, "MIN_SITE_BYTES", 1)
     small, big = tmp_path / "small.json", tmp_path / "big.json"
     small.write_text(text)
     big.write_text(text)
-    expected = _load(str(small))
-    if "\\" not in text:  # orjson alone decides the padded copy; an escape sends it to json
-        monkeypatch.setattr(json, "load", None)
-    assert _bits(_load(padded(big))) == _bits(expected)
-
-
-def _nest(n):
-    return b"[" * n + b"]" * n
-
-
-def test_shallow_guard():
-    assert _shallow(_nest(MAX_FAST_DEPTH)) and not _shallow(_nest(MAX_FAST_DEPTH + 1))
-    assert _shallow(b'{"a": "' + b"[" * 1000 + b'"}') and _shallow(b'"]]]"' + _nest(MAX_FAST_DEPTH))
-    assert not _shallow(b'["]", ' * 100 + b"[]" + b"]" * 100)  # the strings hide no opener
-    assert not _shallow(b'{"a": "\\u005b"}') and not _shallow(b"]" + _nest(2))
-    assert _shallow(b"") and _shallow(b"1.5")
+    expected, got = _load(str(small)), _load(padded(big))
+    site = got["choi"]
+    if isinstance(site, np.ndarray):
+        nested = np.array(expected.pop("choi"))
+        assert (site.dtype, site.shape, site.tobytes()) == (nested.dtype, nested.shape, nested.tobytes())
+        del got["choi"]
+    assert isinstance(site, np.ndarray) == (text.count('"choi"') == 1 and "\\" not in text and "[[]]" not in text)
+    assert _bits(got) == _bits(expected)
 
 
 # -- array sites: past the threshold an array field is read from its own text --
@@ -982,18 +978,19 @@ def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
     monkeypatch.setattr(cli, "_site_array", refuse)
     monkeypatch.setattr(cli, "ARRAY_FIELDS", Fields(cli.ARRAY_FIELDS))
     tiny = _tiny_sites_document(20_000)
-    assert len(tiny) > FAST_READ_BYTES and cli._array_sites(tiny, refuse) == []
+    assert len(tiny) > FAST_READ_BYTES and cli._array_sites(tiny) == []
     assert looked == []  # no quote-free stretch as long as a site: no key is looked at
     long_site = json.dumps(np.ones((MIN_SITE_BYTES, 1, 2)).tolist()).encode()
     kraus = b'{"k": 1, "kraus": [' + b", ".join([b"[[[1.0, 0.0]]]"] * MAX_SHORT_ELEMENTS + [long_site]) + b"]}"
-    assert cli._array_sites(kraus, refuse) == []
+    assert cli._array_sites(kraus) == []
     with pytest.raises(AssertionError, match="per-site work"):  # one short element fewer, and the long one is read
-        cli._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1), refuse)
-    deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"  # orjson would crash on it
-    assert cli._array_sites(deep, refuse) == []
-    # the scan for keys is a small part of a read of many tiny sites
+        cli._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1))
+    deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    assert cli._array_sites(deep) == []
+    # the scan for keys is a small part of a read of many tiny sites, even
+    # by orjson, the faster parser
     monkeypatch.undo()
-    scan = min(_timed(cli._array_sites, tiny, orjson.loads) for _ in range(5))
+    scan = min(_timed(cli._array_sites, tiny) for _ in range(5))
     parse = min(_timed(orjson.loads, tiny) for _ in range(5))
     assert scan < 0.25 * parse
 
@@ -1015,10 +1012,10 @@ def _deep(where):
 ], ids=["k-json", "k-past-threshold", "choi-json", "choi-past-threshold", "k-strings-past-threshold",
         "choi-200k-past-threshold"])
 def test_deeply_nested_input_exit_2(tmp_path, where, pad):
-    # json raises RecursionError; past the threshold the guard declines
-    # before orjson, which crashes the process at about 130,000 levels, and
-    # before the array fields are looked for.
-    # The "]" strings between the brackets (1.2 MB unpadded) hide no depth.
+    # json raises RecursionError; past the threshold a site nested deeper
+    # than MAX_FAST_DEPTH is declined before its shape is read, and json
+    # reads the whole file.  The "]" strings between the brackets (1.2 MB
+    # unpadded) hide no depth.
     path = write_text(tmp_path, _deep(where))
     if pad:
         padded(path)
@@ -1032,21 +1029,45 @@ def test_deeply_nested_input_exit_2(tmp_path, where, pad):
 
 
 def test_orjson_is_imported_only_past_the_threshold(tmp_path):
+    # only a padded document with a long site loads orjson, for the site's
+    # numbers; padding changes no output
     big = tmp_path / "convolve.json"
     big.write_text(Path(GOLDEN_CONVOLVE).read_text())
+    long_site = write(tmp_path, "long.json", _cumulant_spec())
+    (tmp_path / "long_big.json").write_text(Path(long_site).read_text())
+    paths = [GOLDEN_CONVOLVE, padded(big), long_site, padded(tmp_path / "long_big.json")]
     code = (
         "import contextlib, io, sys\n"
         "import ovfree.cli\n"
         "assert 'orjson' not in sys.modules\n"
         "outs = []\n"
-        f"for path in ({GOLDEN_CONVOLVE!r}, {padded(big)!r}):\n"
+        f"for path in {paths!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
         "        assert ovfree.cli.main(['convolve-power', '--in', path]) == 0\n"
         "    outs.append(buf.getvalue())\n"
         "    print('orjson' in sys.modules)\n"
-        "assert outs[0] == outs[1] and '\"moments\":' in outs[0]\n"
+        "assert outs[0] == outs[1] and outs[2] == outs[3] and '\"moments\":' in outs[2]\n"
     )
-    assert run_fresh(code).split() == ["False", "True"]
+    assert run_fresh(code).split() == ["False", "False", "False", "True"]
+
+
+@pytest.mark.parametrize("tail", [b'"x": tru', b'"x": "\xff"', b'"k": ' + b"[" * 200_000 + b"]" * 200_000],
+                         ids=["syntax-error", "invalid-utf-8", "nested-200k"])
+def test_refused_skeleton_sends_the_whole_file_to_json(tmp_path, monkeypatch, tail):
+    # json refuses the text around the one long site, and reads the whole
+    # file again: the one stderr line and exit code of json.load's read of
+    # the file, positions in the original CRLF text
+    site = json.dumps(np.ones((64, 64, 2)).tolist()).encode()
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"k": 2,\r\n "choi": ' + site + b",\r\n " + tail + b"}")
+    padded(path)
+    found, scan = [], cli._array_sites
+    monkeypatch.setattr(cli, "_array_sites", lambda data: found.append(scan(data)) or found[-1])
+    runs = [_run(["check-cp", "--in", str(path)])]
+    monkeypatch.setattr(cli, "FAST_READ_BYTES", os.path.getsize(path) + 1)  # json.load alone
+    runs.append(_run(["check-cp", "--in", str(path)]))
+    assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2].count("\n") == 1
+    assert [len(sites) for sites in found] == [1]
 
 
 OVERFLOW_INPUTS = {
