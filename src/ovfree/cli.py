@@ -36,16 +36,18 @@ the value read, the message and the exit code never depend on the route.
 An integer outside [-2**63, 2**64) is read as the nearest double.  An input
 nested too deep to read exits 2.
 
-Each command compiles and runs only the ovfree modules it calls: check-cp
-(and --help) cli, serialize, cpmaps and algebra; positivity and
-convolve-power also ovdist and multimap; counterexample also converse;
-verify-realization also fock and freeprod.
+Each command compiles and runs only the ovfree modules it calls: --help
+and argument errors, the --order, --level and --tol range errors included,
+cli alone, without numpy; check-cp cli, serialize, cpmaps and algebra;
+positivity and convolve-power also ovdist and multimap; counterexample also
+converse; verify-realization also fock and freeprod.
 
-The process freezes (gc.freeze) every object alive when main starts, and the
-parsed input, which it reads with the cyclic collector paused: no
-collection, during the command or at exit, traverses them again.  Reference
-counting still frees the input once a command drops it.  A module loaded
-after a freeze stays tracked.
+The process freezes (gc.freeze) every object alive when main starts; once
+the arguments are checked, numpy's and those of serialize, cpmaps and
+algebra; and the parsed input, which it reads with the cyclic collector
+paused: no collection, during the command or at exit, traverses them again.
+Reference counting still frees the input once a command drops it.  A module
+loaded after the last freeze stays tracked.
 """
 
 from __future__ import annotations
@@ -58,30 +60,14 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import converse, freeprod, ovdist
-from .algebra import DEFAULT_TOL
-from .cpmaps import NotCompletelyPositiveError, eta_minus_id_cp
-from .serialize import (
-    ARRAY_FIELDS,
-    canonical_chunks,
-    cumulants_from_spec,
-    dist_from_spec,
-    dist_to_spec,
-    int_field,
-    map_from_spec,
-    psd_report_to_json,
-    realization_from_spec,
-    spec_k,
-)
+from . import algebra, converse, cpmaps, freeprod, ovdist, serialize
 
 DEFAULT_ORDER = 6  # of a realization spec; a cumulant spec's is its number of cumulants
 DEFAULT_LEVEL = 3
 ORDER_CAP = 8
 VERIFY_ORDER_CAP = 6
 COUNTEREXAMPLE_LEVEL = 4
-FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, DEFAULT_TOL)}
+FLAGS = {"order": (int, None), "level": (int, DEFAULT_LEVEL), "tol": (float, None)}  # no --tol: algebra.DEFAULT_TOL
 
 # In inputs of this size or more the long array fields are read from their
 # own text: importing orjson costs about 15 ms, which a smaller input never repays.
@@ -122,7 +108,7 @@ def _load(path: str) -> dict:
     gc.disable()
     try:
         spec = _parse(path)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON input {path}: {exc}") from exc
     finally:
         gc.freeze()
@@ -184,6 +170,8 @@ def _array_sites(data: bytes) -> list:
     keys come from one numpy scan of the quotes, and a document in which
     every block of a quarter of that size holds a quote has none.  A site
     ends at the first run of as many ']' as it opens with."""
+    import numpy as np
+
     is_quote = np.frombuffer(data, dtype=np.uint8) == ord('"')
     block = max(1, MIN_SITE_BYTES // 4)  # a longer gap holds a whole block of this size: none is free of quotes
     if is_quote[: len(data) - len(data) % block].reshape(-1, block).any(axis=1).all():
@@ -195,7 +183,7 @@ def _array_sites(data: bytes) -> list:
     for j in np.flatnonzero(gaps[1::2] > MIN_SITE_BYTES).tolist():  # after a closing quote: no escapes here
         opening, close = int(quotes[2 * j]), int(quotes[2 * j + 1])
         stop = close + int(gaps[2 * j + 1])  # the next quote, or the end of data
-        is_list = ARRAY_FIELDS.get(data[opening + 1 : close].decode("latin-1"))
+        is_list = serialize.ARRAY_FIELDS.get(data[opening + 1 : close].decode("latin-1"))
         if is_list is None or not data.startswith((b":[", b": ["), close + 1):
             continue
         start = data.index(b"[", close) + is_list  # the site, or the list's first element
@@ -220,7 +208,7 @@ def _array_sites(data: bytes) -> list:
     return sites
 
 
-def _site_array(data: bytes, start: int, end: int, depth: int) -> Optional[np.ndarray]:
+def _site_array(data: bytes, start: int, end: int, depth: int):
     """The array of the numbers in data[start:end], a site that opens with
     depth brackets, read as flat lists a piece at a time; None unless the
     site's text less its numbers is the canonical text of the shape its
@@ -244,6 +232,7 @@ def _site_array(data: bytes, start: int, end: int, depth: int) -> Optional[np.nd
         canonical = b"[" + sep.join([canonical] * n) + b"]"
     if canonical != structure:
         return None
+    import numpy as np
     import orjson  # here, not at import: 15 ms that a small input never repays
 
     flat = text.translate(_BLANK_BRACKETS)
@@ -273,7 +262,7 @@ def _put_arrays(obj, arrays: list) -> int:
         return 0
     count = 0
     for key, value in obj.items():
-        is_list = ARRAY_FIELDS.get(key)
+        is_list = serialize.ARRAY_FIELDS.get(key)
         if is_list and isinstance(value, list):
             for i, item in enumerate(value):
                 if isinstance(item, str) and item[:1] == "\0":
@@ -302,7 +291,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     """Write the canonical text of payload chunk by chunk, so the whole text
     is never held; a payload canonical_chunks refuses, such as one holding
     inf or NaN, writes no byte."""
-    chunks = canonical_chunks(payload)
+    chunks = serialize.canonical_chunks(payload)
     if out is None:
         sys.stdout.writelines(chunks)
         return
@@ -315,7 +304,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _refuse(exc, out: Optional[str]) -> int:
     """Exit 3 for a failed precondition: emit its reason and certificate."""
-    certificate = None if exc.report is None else psd_report_to_json(exc.report)
+    certificate = None if exc.report is None else serialize.psd_report_to_json(exc.report)
     _emit({"reason": str(exc), "certificate": certificate}, out)
     print(f"ovfree: {exc}", file=sys.stderr)
     return EXIT_PRECONDITION
@@ -323,11 +312,11 @@ def _refuse(exc, out: Optional[str]) -> int:
 
 def _cmd_check_cp(args) -> int:
     spec = _load(args.infile)
-    eta = map_from_spec(spec)
+    eta = serialize.map_from_spec(spec)
     payload = {
         "k": eta.k,
-        "eta": psd_report_to_json(eta.is_cp(args.tol)),
-        "eta_minus_id": psd_report_to_json(eta_minus_id_cp(eta, args.tol)),
+        "eta": serialize.psd_report_to_json(eta.is_cp(args.tol)),
+        "eta_minus_id": serialize.psd_report_to_json(cpmaps.eta_minus_id_cp(eta, args.tol)),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -336,8 +325,8 @@ def _cmd_check_cp(args) -> int:
 def _cmd_convolve_power(args) -> int:
     spec = _load(args.infile)
     dist_spec, map_spec = _parts(spec, "distribution", "map")
-    cums, label = cumulants_from_spec(dist_spec, _order(dist_spec, args, ORDER_CAP))
-    eta = map_from_spec(map_spec)
+    cums, label = serialize.cumulants_from_spec(dist_spec, _order(dist_spec, args, ORDER_CAP))
+    eta = serialize.map_from_spec(map_spec)
     del spec, dist_spec, map_spec  # frees the parsed input lists before the output is built
     k = cums[0].k
     if eta.k != k:
@@ -346,7 +335,7 @@ def _cmd_convolve_power(args) -> int:
     # forward transform gives its moments
     twisted = [c.compose(eta) for c in cums]
     powered = ovdist.moments_from_cumulants(twisted, label=f"eta_power({label})")
-    _emit(dist_to_spec(powered, cumulants=twisted), args.out)
+    _emit(serialize.dist_to_spec(powered, cumulants=twisted), args.out)
     return EXIT_OK
 
 
@@ -356,14 +345,14 @@ def _cmd_positivity(args) -> int:
     order = _order(dist_spec, args, ORDER_CAP)
     read = max(1, min(order, 2 * args.level - 2))  # the level-L matrix reads orders up to 2L - 2
     if "realization" in dist_spec:
-        dist = dist_from_spec(dist_spec, read)
+        dist = serialize.dist_from_spec(dist_spec, read)
     else:  # every cumulant up to the order is still read and checked
-        dist = ovdist.moments_from_cumulants(cumulants_from_spec(dist_spec, order)[0][:read])
+        dist = ovdist.moments_from_cumulants(serialize.cumulants_from_spec(dist_spec, order)[0][:read])
     report = ovdist.positivity_certificate(dist, args.level, args.tol)
     payload = {
         "k": dist.k,
         "level": args.level,
-        "certificate": psd_report_to_json(report),
+        "certificate": serialize.psd_report_to_json(report),
         "positive_up_to_level": report.is_psd,
     }
     _emit(payload, args.out)
@@ -376,19 +365,19 @@ def _cmd_verify_realization(args) -> int:
     if "realization" not in dist_spec:
         raise InputError("verify-realization needs a realization-based distribution")
     order = _order(dist_spec, args, VERIFY_ORDER_CAP)
-    eta = map_from_spec(map_spec)
-    cp_report = eta_minus_id_cp(eta, args.tol)
+    eta = serialize.map_from_spec(map_spec)
+    cp_report = cpmaps.eta_minus_id_cp(eta, args.tol)
     if not cp_report.is_psd:
         _emit(
             {
                 "pass": False,
                 "reason": "eta - id is not completely positive; see the counterexample command",
-                "eta_minus_id": psd_report_to_json(cp_report),
+                "eta_minus_id": serialize.psd_report_to_json(cp_report),
             },
             args.out,
         )
         return EXIT_PRECONDITION
-    r = realization_from_spec(spec_k(dist_spec), dist_spec["realization"])
+    r = serialize.realization_from_spec(serialize.spec_k(dist_spec), dist_spec["realization"])
     dist = ovdist.moments_from_realization(r, order)
     compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol)
     powered = ovdist.eta_power(dist, eta)
@@ -397,24 +386,22 @@ def _cmd_verify_realization(args) -> int:
         "order": order,
         "max_deviation": deviation,
         "pass": bool(deviation < 1e-8),
-        "eta_minus_id": psd_report_to_json(cp_report),
+        "eta_minus_id": serialize.psd_report_to_json(cp_report),
     }
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_counterexample(args) -> int:
-    if args.level < 3:
-        raise InputError(f"counterexample needs --level at least 3 (levels 1 and 2 never fail), got {args.level}")
     spec = _load(args.infile)
-    eta = map_from_spec(spec.get("map", spec))
+    eta = serialize.map_from_spec(spec.get("map", spec))
     try:
         report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
     except converse.NoWitnessError as exc:  # caught here: naming it anywhere else would load converse
         return _refuse(exc, args.out)
     payload = {
         "eta_minus_id_cp": report.preserved,
-        "eta_minus_id": psd_report_to_json(report.eta_minus_id),
+        "eta_minus_id": serialize.psd_report_to_json(report.eta_minus_id),
         "witness": None,
         "lambda": report.lam,
         "nonpositivity": None,
@@ -455,9 +442,9 @@ def _order(dist_spec: dict, args, cap: int) -> int:
             cap = 0
         if cap < 1:
             raise InputError(f"OVFREE_MAX_ORDER must be a positive integer, got {value!r}")
-    spec_k(dist_spec)
+    serialize.spec_k(dist_spec)
     default = DEFAULT_ORDER if "realization" in dist_spec else len(dist_spec["cumulants"])
-    order = args.order if args.order is not None else int_field(dist_spec, "order", default)
+    order = args.order if args.order is not None else serialize.int_field(dist_spec, "order", default)
     if order > cap:
         raise InputError(f"order {order} exceeds the hard guard {cap}; set OVFREE_MAX_ORDER to override")
     return order
@@ -466,10 +453,13 @@ def _order(dist_spec: dict, args, cap: int) -> int:
 def main(argv=None) -> int:
     """Run one command; returns its exit code.
 
-    Every object alive when main is called, the interpreter's, numpy's and
-    ovfree's import-time objects and an in-process caller's own, is frozen
-    (gc.freeze) and so is the parsed input: no collection during the command
-    or at exit traverses them again, and they are never collected.
+    The arguments are checked before numpy or any ovfree module but cli is
+    run, so --help and argument errors never load them.  Every object alive
+    when main is called, the interpreter's, cli's and an in-process caller's
+    own, is frozen (gc.freeze), then numpy's and those of the modules every
+    command runs once they are loaded, and then the parsed input: no
+    collection during the command or at exit traverses them again, and they
+    are never collected.
     """
     gc.freeze()  # here, not only in _load: --help and usage errors never load
     parser = argparse.ArgumentParser(
@@ -491,18 +481,26 @@ def main(argv=None) -> int:
             p.add_argument(f"--{flag}", type=kind, default=default)
         p.set_defaults(handler=fn, **({"level": COUNTEREXAMPLE_LEVEL} if name == "counterexample" else {}))
     args = parser.parse_args(argv)
-    tol = getattr(args, "tol", DEFAULT_TOL)
     try:
+        if getattr(args, "order", None) is not None and args.order < 1:
+            raise InputError(f"--order must be at least 1, got {args.order}")
+        if getattr(args, "level", 1) < 1:
+            raise InputError(f"--level must be at least 1, got {args.level}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise InputError(f"--tol must be a finite number above 0, got {tol}")
+        if args.command == "counterexample" and args.level < 3:
+            raise InputError(f"counterexample needs --level at least 3 (levels 1 and 2 never fail), got {args.level}")
+        import numpy as np  # only now: --help and argument errors exit without it
+
+        if "tol" in args and tol is None:
+            args.tol = algebra.DEFAULT_TOL
+        serialize.ARRAY_FIELDS  # runs serialize, and so cpmaps and algebra: every command runs the three
+        gc.freeze()  # their objects and numpy's, as the first freeze did when cli imported them
         try:
-            if getattr(args, "order", None) is not None and args.order < 1:
-                raise InputError(f"--order must be at least 1, got {args.order}")
-            if getattr(args, "level", 1) < 1:
-                raise InputError(f"--level must be at least 1, got {args.level}")
-            if not (math.isfinite(tol) and tol > 0):
-                raise InputError(f"--tol must be a finite number above 0, got {tol}")
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _emit refuses what overflowed
                 return args.handler(args)
-        except NotCompletelyPositiveError as exc:
+        except cpmaps.NotCompletelyPositiveError as exc:
             return _refuse(exc, args.out)
     except (InputError, ValueError) as exc:
         print(f"ovfree: {exc}", file=sys.stderr)

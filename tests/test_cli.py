@@ -481,12 +481,16 @@ def test_cli_run_never_imports_scipy():
 
 def test_convolve_power_loads_no_module_at_run_time():
     # no module enters sys.modules while a command runs: ovfree's own modules
-    # are there, lazily, from the import on, and the canonical output loads
-    # nothing else; numpy.ma, which np.unique pulls in, would add about 2 MB
-    # to every job
+    # are there, lazily, from the import on, main loads numpy and runs
+    # serialize, cpmaps and algebra before every command, and the canonical
+    # output loads nothing else; numpy.ma, which np.unique pulls in, would add
+    # about 2 MB to every job
     code = (
         "import sys\n"
+        "import numpy\n"
+        "from ovfree import serialize\n"
         "from ovfree.cli import main\n"
+        "serialize.ARRAY_FIELDS\n"
         "before = set(sys.modules)\n"
         f"assert main(['convolve-power', '--in', {GOLDEN_CONVOLVE!r}]) == 0\n"
         "loaded = sorted(set(sys.modules) - before - {'locale', '_locale'})\n"  # argparse's gettext
@@ -520,6 +524,15 @@ def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
             assert "cannot read JSON input" in capsys.readouterr().err
     finally:
         gc.enable()
+
+
+def test_invalid_utf8_names_its_path(tmp_path, capsys):
+    # a codec error is a read error like any other: one line naming the path
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"k": "\xff"}')
+    assert main(["check-cp", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == (f"ovfree: cannot read JSON input {path}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 7: invalid start byte\n")
 
 
 def test_emit_holds_no_copy_of_the_text(tmp_path):
@@ -976,7 +989,7 @@ def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
 
     looked = []
     monkeypatch.setattr(cli, "_site_array", refuse)
-    monkeypatch.setattr(cli, "ARRAY_FIELDS", Fields(cli.ARRAY_FIELDS))
+    monkeypatch.setattr(serialize, "ARRAY_FIELDS", Fields(serialize.ARRAY_FIELDS))
     tiny = _tiny_sites_document(20_000)
     assert len(tiny) > FAST_READ_BYTES and cli._array_sites(tiny) == []
     assert looked == []  # no quote-free stretch as long as a site: no key is looked at
@@ -1107,7 +1120,7 @@ def test_check_cp_near_the_double_limit(tmp_path, capsys):
 FRONT = {"cli", "serialize", "cpmaps", "algebra"}
 TRANSFORM = FRONT | {"ovdist", "multimap"}
 LOADED = {
-    ("--help",): FRONT,
+    ("--help",): {"cli"},
     ("check-cp", "map.json"): FRONT,
     ("check-cp", "convolve.json"): FRONT,  # exit 2: not a map spec
     ("positivity", "positivity.json"): TRANSFORM,
@@ -1132,3 +1145,62 @@ def test_each_command_runs_only_the_modules_it_calls(argv):
         "print(len(ours), sorted(name[7:] for name in ours if type(sys.modules[name]) is types.ModuleType))\n"
     )
     assert run_fresh(code) == f"10 {sorted(LOADED[argv])}\n"  # every submodule is in sys.modules
+
+
+# each argument error's exit code and last stderr line (a prefix of it), and --help's
+ARGUMENT_EXITS = [
+    (["--help"], 0, ""),
+    ([], 2, "ovfree: error: the following arguments are required: command"),
+    (["nope"], 2, "ovfree: error: argument command: invalid choice: 'nope'"),
+    (["check-cp"], 2, "ovfree check-cp: error: the following arguments are required: --in"),
+    (["positivity", "--in", GOLDEN_CONVOLVE, "--level", "0"], 2, "ovfree: --level must be at least 1, got 0"),
+    (["counterexample", "--in", GOLDEN_CONVOLVE, "--level", "2"], 2,
+     "ovfree: counterexample needs --level at least 3 (levels 1 and 2 never fail), got 2"),
+    (["check-cp", "--in", GOLDEN_CONVOLVE, "--tol", "nan"], 2, "ovfree: --tol must be a finite number above 0, got nan"),
+    (["convolve-power", "--in", GOLDEN_CONVOLVE, "--order", "0"], 2, "ovfree: --order must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", ARGUMENT_EXITS, ids=[" ".join(a[:1] + a[3:]) or "none" for a, _, _ in ARGUMENT_EXITS])
+def test_help_and_argument_errors_exit_before_numpy_is_imported(argv, code, line):
+    # main checks its arguments before it imports numpy or runs any ovfree
+    # module but cli
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from ovfree.cli import main\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "ran = sorted(m[7:] for m in sys.modules if m.startswith('ovfree.') and type(sys.modules[m]) is types.ModuleType)\n"
+        "print(json.dumps([code, out.getvalue(), err.getvalue(), 'numpy' in sys.modules, ran]))\n"
+    )
+    got_code, out, err, numpy_loaded, ran = json.loads(run_fresh(script))
+    assert (got_code, numpy_loaded, ran) == (code, False, ["cli"])
+    if code == 0:
+        assert out.startswith("usage: ovfree ") and err == ""
+    else:
+        assert out == "" and err.endswith("\n") and err.splitlines()[-1].startswith(line)
+
+
+def test_numpy_and_the_front_modules_are_frozen_before_the_input_is_read():
+    # numpy and the modules every command runs are loaded after main's first
+    # freeze; a second one keeps every collection from traversing them
+    code = (
+        "import contextlib, gc, io\n"
+        "from ovfree import cli\n"
+        "load, tracked = cli._load, []\n"
+        "def probe(path):\n"
+        "    import numpy\n"
+        "    from ovfree import serialize\n"
+        "    ids = {id(o) for o in gc.get_objects()}\n"
+        "    tracked.extend(id(o) in ids for o in (numpy.__dict__, serialize.__dict__, serialize.canonical_chunks))\n"
+        "    return load(path)\n"
+        "cli._load = probe\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['check-cp', '--in', {str(Path(GOLDEN_CONVOLVE).parent / 'map.json')!r}]) == 0\n"
+        "print(tracked)\n"
+    )
+    assert run_fresh(code) == "[False, False, False]\n"

@@ -1,0 +1,62 @@
+"""The two routes to the eta-power share no code: the Fock-space compression
+(freeprod, fock) takes only value types from the transform (ovdist,
+multimap), never a transform function, and the transform imports neither
+compression module.  Read from the sources' imports, at any depth."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from test_package import FORMER_EXPORTS
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ovfree"
+SUBMODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+HOME = {name: module for module, names in FORMER_EXPORTS.items() for name in names}
+VALUE_TYPES = {"OVDistribution", "Realization", "MultiMap"}
+TRANSFORMS = {"_interval_dp", "moments_from_cumulants", "cumulants_from_moments", "eta_power"}
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _imports(module):
+    """(home, name) of each import in module's source: home is the dotted
+    module a name is taken from (a re-export of the package is traced to its
+    submodule), name None where a whole module is imported."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            found |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            home = "ovfree" + (f".{node.module}" if node.module else "") if node.level else node.module
+            for alias in node.names:
+                if home == "ovfree" and alias.name in SUBMODULES:
+                    found.add((f"ovfree.{alias.name}", None))
+                elif home == "ovfree" and alias.name in HOME:
+                    found.add((f"ovfree.{HOME[alias.name]}", alias.name))
+                else:
+                    found.add((home, alias.name))
+    return found
+
+
+def test_imports_are_read():
+    assert {("ovfree.ovdist", "OVDistribution"), ("ovfree.multimap", "MultiMap")} <= _imports("freeprod")
+    assert ("ovfree.fock", "build_fock") in _imports("freeprod")
+    assert ("ovfree.ncpart", None) in _imports("multimap")
+
+
+@pytest.mark.parametrize("module", ["freeprod", "fock"])
+def test_the_compression_takes_only_value_types_from_the_transform(module):
+    taken = {(home, name) for home, name in _imports(module) if home in ("ovfree", "ovfree.ovdist", "ovfree.multimap")}
+    assert all(name in VALUE_TYPES for _, name in taken), taken  # a whole module (None) is refused too
+    used = {node.id for node in ast.walk(_tree(module)) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(_tree(module)) if isinstance(node, ast.Attribute)}
+    assert not used & TRANSFORMS
+
+
+@pytest.mark.parametrize("module", ["ovdist", "multimap"])
+def test_the_transform_imports_no_compression_module(module):
+    homes = {home for home, _ in _imports(module)}
+    assert not homes & {"ovfree.freeprod", "ovfree.fock", "ovfree"}

@@ -20,3 +20,27 @@ def test_job_peak_reports_each_run_and_the_medians():
     fields = lines[0].split()
     assert fields[3:5] == ["exit", "0"] and fields[5] == "vmhwm_mb" and fields[7] == "cpu_s"
     assert 1 < float(fields[6]) < 4096 and float(fields[8]) >= 0
+
+
+def test_job_peak_times_help_after_a_double_dash():
+    # "--" hands --help to ovfree, whose SystemExit(0) the wrapper reports
+    argv = [sys.executable, str(ROOT / "tools" / "job_peak.py"), "--", "--help"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("--help run 1: exit 0 vmhwm_mb ") and proc.stdout.count("\n") == 1
+
+
+def test_job_peak_alternates_with_a_baseline():
+    # the tree against itself: a line per run of each, in alternating order,
+    # then both medians and the pairs the checkout won on CPU time
+    argv = [sys.executable, str(ROOT / "tools" / "job_peak.py"), "--runs", "2", "--baseline", str(ROOT),
+            "check-cp", "--in", str(ROOT / "tests" / "golden" / "map.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "check-cp run 1", "check-cp baseline run 1", "check-cp baseline run 2", "check-cp run 2", "check-cp median of 2"]
+    assert all(line.split()[-8:-6] == ["exit", "0"] for line in lines[:4])
+    mine, theirs, won = lines[-1].split(": ", 1)[1].split(" | ")
+    assert mine.startswith("vmhwm_mb ") and theirs.startswith("baseline vmhwm_mb ")
+    assert won in {f"won {n} of 2 on cpu_s" for n in range(3)}
