@@ -1,4 +1,5 @@
-"""JSON conventions shared by every module.
+"""JSON conventions shared by every module, and the CLI's one input reader
+(read_spec) and one output writer (write_canonical).
 
 Complex scalars serialize as two-element arrays [re, im]; matrices and
 tensors as row-major nested arrays of those.  Output payloads hold complex
@@ -11,7 +12,7 @@ a stable sort on decimal exponent and one take per exponent's layout from a
 table of 4-digit ASCII words; near-ties (see _decimal) and |x| outside
 [1e-11, 1e12) take repr's text of the rounded float, one by one.  inf and
 nan raise a ValueError.  An input array reaches json_to_array as nested
-lists of [re, im] pairs or, where the CLI read a large array field
+lists of [re, im] pairs or, where read_spec read a large array field
 (ARRAY_FIELDS) from its own text, as the ndarray of its numbers; either way
 anything but a rectangular array of numeric pairs is rejected (a JSON
 boolean is not numeric).
@@ -19,9 +20,12 @@ boolean is not numeric).
 
 from __future__ import annotations
 
+import gc
 import json
 import operator
+import os
 import re
+import sys
 from functools import reduce
 from itertools import chain
 from typing import Any, Iterator, Optional, Tuple
@@ -46,7 +50,7 @@ def array_to_json(arr: Any) -> Any:
 
 def json_to_array(data: Any) -> np.ndarray:
     """The complex array of a rectangular nested list of [re, im] pairs, or
-    of the array of their numbers that the CLI read from an array field's
+    of the array of their numbers that read_spec read from an array field's
     text, which holds no boolean."""
     try:
         a = np.asarray(data)
@@ -235,12 +239,236 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(canonical_chunks(obj))
 
 
-# -- map and distribution specs -------------------------------------------------
+# -- reading an input and writing an output ------------------------------------
 
 # The spec fields that json_to_array reads, each mapped to whether its value
 # is a list of arrays rather than one array.
 ARRAY_FIELDS = {"choi": False, "X": False, "state": False, "kraus": True, "cumulants": True}
+# In inputs of this size or more the long array fields are read from their
+# own text: importing orjson costs about 15 ms, which a smaller input never repays.
+FAST_READ_BYTES = 1 << 20
+# numpy arrays have at most 64 axes, which also bounds the work per site.
+MAX_FAST_DEPTH = 64
+# An array site, the value of a "choi", "X" or "state" field or an element of
+# a "kraus" or "cumulants" list, whose text is this long or longer is read as
+# flat lists of numbers; a shorter one does not repay the per-site work.
+MIN_SITE_BYTES = 4096
+# The elements of list fields are scanned for sites until this many in the
+# document were shorter: k^2 Kraus operators at k <= 7 and the shorter
+# cumulants (at most 3 for k >= 2) stay within it.
+MAX_SHORT_ELEMENTS = 64
+# A site's numbers are parsed in pieces of about this many bytes, so that no
+# list of more than a piece's numbers is held.
+FLAT_PIECE_BYTES = 1 << 20
+_NUMBER = b"0123456789+-.eE"
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
+
+def read_spec(path: str) -> dict:
+    """The JSON object at path, parsed with the cyclic collector paused and
+    then frozen: its lists are acyclic, and reference counting frees them,
+    so a collection that traversed them would free nothing.  A file that
+    cannot be read, or holds no object, raises a ValueError naming path.
+
+    Python's json parses every input's structure.  In an input of
+    FAST_READ_BYTES or more that holds no backslash, each array field
+    (ARRAY_FIELDS: a "choi", "X" or "state" value, or an element of a
+    "kraus" or "cumulants" list) of MIN_SITE_BYTES or more whose text is a
+    rectangular array of numbers, written compactly or with ", " separators,
+    is cut out and read by orjson as flat lists of numbers into an ndarray,
+    which json_to_array reads as it does nested lists, and json parses the
+    rest (_loads_with_arrays).  Every other input, and every document whose
+    rest json refuses or that leaves any doubt, is read by json whole, so
+    the value read, the message and the exit code never depend on the route.
+    An integer outside [-2**63, 2**64) is read as the nearest double on both
+    routes (_parse_int)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec = _parse(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"cannot read JSON input {path}: {exc}") from exc
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+    if not isinstance(spec, dict):
+        raise ValueError(f"JSON input {path} must be an object")
+    return spec
+
+
+def _parse(path: str):
+    """The document at path: past FAST_READ_BYTES, in a file with no
+    backslash, _loads_with_arrays's value, unless it declines; otherwise
+    json.load's."""
+    if os.stat(path).st_size >= FAST_READ_BYTES:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        spec = None if b"\\" in data else _loads_with_arrays(data)
+        if spec is not None:
+            return spec
+        del data  # json reads the file again; the bytes need not stay alive
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_int=_parse_int)
+
+
+def _loads_with_arrays(data: bytes):
+    """json's value of data, with an ndarray in place of the nested lists of
+    each array site that _site_array reads, or None if there is no such site
+    or any doubt.  Each site becomes a placeholder, "\\u0000<i>", which no
+    string of a document without a backslash can equal, and json parses the
+    rest, its object hook putting each array back where an array field holds
+    its placeholder, at any depth; None if json refuses that text (a message
+    or position would name it, not data) or a placeholder is not put back,
+    as where a duplicated key drops it.  A site and its placeholder are both
+    JSON values, so the text with placeholders is valid JSON exactly when
+    data is."""
+    sites = _array_sites(data)
+    if not sites:
+        return None
+    parts, done = [], 0
+    for i, (start, end, _) in enumerate(sites):
+        parts += (data[done:start], b'"\\u0000%d"' % i)
+        done = end
+    parts.append(data[done:])
+    placed = []
+
+    def array(placeholder: str) -> np.ndarray:
+        placed.append(int(placeholder[1:]))
+        return sites[placed[-1]][2]
+
+    def place(obj: dict) -> dict:
+        for key, value in obj.items():
+            is_list = ARRAY_FIELDS.get(key)
+            if is_list and isinstance(value, list):
+                value[:] = [array(item) if isinstance(item, str) and item[:1] == "\0" else item for item in value]
+            elif is_list is False and isinstance(value, str) and value[:1] == "\0":
+                obj[key] = array(value)
+        return obj
+
+    # decoded as the text-mode read decodes (json.loads(bytes) would detect
+    # UTF-16); an untranslated CR changes no valid document, only positions
+    try:
+        spec = json.loads(b"".join(parts).decode("utf-8"), object_hook=place, parse_int=_parse_int)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return None
+    return spec if len(placed) == len(sites) else None
+
+
+def _array_sites(data: bytes) -> list:
+    """(start, end, array) of each site of MIN_SITE_BYTES or more that
+    _site_array reads.  Such a site lies in a stretch of that many bytes or
+    more between a key's closing quote and the next quote, so the candidate
+    keys come from one numpy scan of the quotes, and a document in which
+    every block of a quarter of that size holds a quote has none.  A site
+    ends at the first run of as many ']' as it opens with."""
+    is_quote = np.frombuffer(data, dtype=np.uint8) == ord('"')
+    block = max(1, MIN_SITE_BYTES // 4)  # a longer gap holds a whole block of this size: none is free of quotes
+    if is_quote[: len(data) - len(data) % block].reshape(-1, block).any(axis=1).all():
+        return []
+    quotes = np.flatnonzero(is_quote)
+    del is_quote  # as large as data: not held while the sites are read
+    gaps = np.diff(quotes, append=len(data))
+    sites, short = [], 0
+    for j in np.flatnonzero(gaps[1::2] > MIN_SITE_BYTES).tolist():  # after a closing quote: no escapes here
+        opening, close = int(quotes[2 * j]), int(quotes[2 * j + 1])
+        stop = close + int(gaps[2 * j + 1])  # the next quote, or the end of data
+        is_list = ARRAY_FIELDS.get(data[opening + 1 : close].decode("latin-1"))
+        if is_list is None or not data.startswith((b":[", b": ["), close + 1):
+            continue
+        start = data.index(b"[", close) + is_list  # the site, or the list's first element
+        while short < MAX_SHORT_ELEMENTS:
+            head = data[start : start + MAX_FAST_DEPTH + 1]
+            depth = len(head) - len(head.lstrip(b"["))
+            if not 0 < depth <= MAX_FAST_DEPTH:
+                break
+            end = data.find(b"]" * depth, start, stop)
+            if end < 0:
+                break
+            end += depth
+            if end - start < MIN_SITE_BYTES:
+                short += 1
+            else:
+                array = _site_array(data, start, end, depth)
+                if array is not None:
+                    sites.append((start, end, array))
+            if not is_list or data[end : end + 1] != b",":
+                break
+            start = end + 1 + (data[end + 1 : end + 2] == b" ")
+    return sites
+
+
+def _site_array(data: bytes, start: int, end: int, depth: int):
+    """The array of the numbers in data[start:end], a site that opens with
+    depth brackets, read as flat lists a piece at a time; None unless the
+    site's text less its numbers is the canonical text of the shape its
+    first path gives, with one separator, "," or ", ", throughout.  That text
+    holds only brackets, commas and spaces, so a site holding anything else,
+    such as true, null, a string, an object or a newline, is declined."""
+    text = bytearray(memoryview(data)[start:end])
+    structure = text.translate(None, _NUMBER)
+    comma = structure.find(b",")
+    sep = b", " if structure[comma + 1 : comma + 2] == b" " else b","
+    shape, inner = [], 0  # inner: the length of an element of the level below
+    for level in range(depth - 1, -1, -1):  # the first array of each level, innermost first
+        size = structure.find(b"]" * (depth - level)) + depth - 2 * level  # 2 + n inner + (n - 1) len(sep)
+        n, rest = divmod(size - 2 + len(sep), inner + len(sep))
+        if rest or n < 1:
+            return None
+        shape.append(n)
+        inner = size
+    canonical = b""
+    for n in shape:
+        canonical = b"[" + sep.join([canonical] * n) + b"]"
+    if canonical != structure:
+        return None
+    import orjson  # here, not at import: 15 ms that a small input never repays
+
+    flat = text.translate(_BLANK_BRACKETS)
+    del text
+    try:  # orjson checks that each slot holds one number, and reshape that none is empty
+        pieces = [np.array(orjson.loads(b"[" + piece + b"]")) for piece in _pieces(flat)]
+        return np.concatenate(pieces).reshape(shape[::-1])  # numpy promotes the pieces' dtypes as it does the numbers'
+    except (ValueError, TypeError, OverflowError):
+        return None
+
+
+def _pieces(flat: bytearray):
+    """Views of flat split at the first comma after every FLAT_PIECE_BYTES:
+    a piece's parse holds a list of its own numbers only."""
+    view, lo = memoryview(flat), 0
+    while lo < len(flat):
+        hi = flat.find(b",", lo + FLAT_PIECE_BYTES) % (len(flat) + 1)  # the end if no comma follows
+        yield view[lo:hi]
+        lo = hi + 1
+
+
+def _parse_int(text: str):
+    """An integer literal, exact in [-2**63, 2**64) and elsewhere the nearest
+    double: orjson reads a site's numbers so, and json must agree."""
+    if len(text) > 20:  # outside that range, and int() refuses 4,300 digits or more
+        return float(text)
+    value = int(text)
+    return value if -(1 << 63) <= value < 1 << 64 else float(text)
+
+
+def write_canonical(payload: dict, out: Optional[str]) -> None:
+    """Write the canonical text of payload to the file out, or to stdout if
+    out is None, chunk by chunk, so the whole text is never held; a payload
+    canonical_chunks refuses, such as one holding inf or NaN, writes no byte.
+    A file that cannot be written raises a ValueError naming out."""
+    chunks = canonical_chunks(payload)
+    if out is None:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {out}: {exc}") from exc
+
+
+# -- map and distribution specs -------------------------------------------------
 
 def int_field(spec: dict, name: str, default: Optional[int] = None) -> int:
     """spec[name] (or default when absent) as a positive integer; anything

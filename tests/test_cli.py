@@ -14,9 +14,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ovfree import cli, serialize
-from ovfree.cli import FAST_READ_BYTES, MAX_SHORT_ELEMENTS, MIN_SITE_BYTES, _emit, _load, main
-from ovfree.serialize import ARRAY_FIELDS, array_to_json, json_to_array
+from ovfree import serialize
+from ovfree.cli import main
+from ovfree.serialize import (
+    ARRAY_FIELDS,
+    FAST_READ_BYTES,
+    MAX_SHORT_ELEMENTS,
+    MIN_SITE_BYTES,
+    array_to_json,
+    json_to_array,
+    read_spec,
+    write_canonical,
+)
 
 from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
 
@@ -192,7 +201,7 @@ def test_verify_realization_pass(tmp_path):
     assert result["max_deviation"] < 1e-8
 
 
-def test_verify_realization_precondition_exit_3(tmp_path):
+def test_verify_realization_precondition_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(12)
     inp = write(
         tmp_path,
@@ -204,6 +213,8 @@ def test_verify_realization_precondition_exit_3(tmp_path):
     result = read(out)
     assert not result["pass"]
     assert result["eta_minus_id"]["witness"] is not None
+    reason = "eta - id is not completely positive; see the counterexample command"
+    assert result["reason"] == reason and capsys.readouterr() == ("", f"ovfree: {reason}\n")
 
 
 def test_verify_realization_order_guard(tmp_path):
@@ -517,8 +528,8 @@ def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
     big_bad.write_text('{"k": ')
     (gc.enable if enabled else gc.disable)()
     try:
-        assert _load(good) == {"k": 1} and gc.isenabled() == enabled
-        assert _load(padded(write(tmp_path, "big.json", {"k": 1}))) == {"k": 1} and gc.isenabled() == enabled
+        assert read_spec(good) == {"k": 1} and gc.isenabled() == enabled
+        assert read_spec(padded(write(tmp_path, "big.json", {"k": 1}))) == {"k": 1} and gc.isenabled() == enabled
         for path in (bad, padded(big_bad)):  # no site in the padded copy: json decides
             assert main(["check-cp", "--in", str(path)]) == 2 and gc.isenabled() == enabled
             assert "cannot read JSON input" in capsys.readouterr().err
@@ -541,7 +552,7 @@ def test_emit_holds_no_copy_of_the_text(tmp_path):
     out = tmp_path / "out.json"
     tracemalloc.start()
     try:
-        _emit(payload, str(out))
+        write_canonical(payload, str(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -563,7 +574,7 @@ def test_main_writes_to_a_redirected_text_stdout(tmp_path):
 def test_emit_refuses_a_placeholder_lookalike_before_writing(tmp_path):
     out = tmp_path / "out.json"
     with pytest.raises(ValueError, match="placeholder"):
-        _emit({"a": np.zeros(1), "b": "\x000"}, str(out))
+        write_canonical({"a": np.zeros(1), "b": "\x000"}, str(out))
     assert not out.exists()
 
 
@@ -758,11 +769,11 @@ def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
     # orjson's flat parse of a site and json's nested parse of the same
     # numbers give the same array, dtype included; a duplicated site, an
     # escape or an empty site sends the padded copy to json whole
-    monkeypatch.setattr(cli, "MIN_SITE_BYTES", 1)
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
     small, big = tmp_path / "small.json", tmp_path / "big.json"
     small.write_text(text)
     big.write_text(text)
-    expected, got = _load(str(small)), _load(padded(big))
+    expected, got = read_spec(str(small)), read_spec(padded(big))
     site = got["choi"]
     if isinstance(site, np.ndarray):
         nested = np.array(expected.pop("choi"))
@@ -878,6 +889,8 @@ def _site_reads(value):
             return ("error", str(exc))
         return (a.dtype.str, a.shape, a.tobytes())
 
+    if isinstance(value, list):  # an array field may sit in an object at any depth of lists
+        return [_site_reads(item) for item in value]
     if not isinstance(value, dict):
         return _bits(value)
     out = []
@@ -886,8 +899,6 @@ def _site_reads(value):
             out.append((key, [read(item) for item in v]))
         elif key in ARRAY_FIELDS and not isinstance(v, (dict, str)):
             out.append((key, read(v)))
-        elif isinstance(v, list):
-            out.append((key, [_site_reads(item) for item in v]))
         else:
             out.append((key, _site_reads(v)))
     return out
@@ -912,8 +923,8 @@ def test_readers_agree_on_array_sites(tmp_path, monkeypatch, document, min_site,
     # code whether an array field is read from its own text, in pieces of
     # its numbers, or as nested lists
     command, text = document
-    monkeypatch.setattr(cli, "MIN_SITE_BYTES", min_site)
-    monkeypatch.setattr(cli, "FLAT_PIECE_BYTES", piece)
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", min_site)
+    monkeypatch.setattr(serialize, "FLAT_PIECE_BYTES", piece)
     small, big = tmp_path / "small.json", tmp_path / "big.json"
     small.write_text(text)
     big.write_text(text)
@@ -921,8 +932,8 @@ def test_readers_agree_on_array_sites(tmp_path, monkeypatch, document, min_site,
     reads = []
     for path in (small, big):
         try:
-            reads.append(_site_reads(_load(str(path))))
-        except cli.InputError as exc:
+            reads.append(_site_reads(read_spec(str(path))))
+        except ValueError as exc:
             reads.append(("error", str(exc).replace(str(path), "<path>")))
     assert reads[0] == reads[1]
     runs = [_run([command, "--in", str(path)]) for path in (small, big)]
@@ -988,22 +999,22 @@ def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
             return super().get(key, default)
 
     looked = []
-    monkeypatch.setattr(cli, "_site_array", refuse)
+    monkeypatch.setattr(serialize, "_site_array", refuse)
     monkeypatch.setattr(serialize, "ARRAY_FIELDS", Fields(serialize.ARRAY_FIELDS))
     tiny = _tiny_sites_document(20_000)
-    assert len(tiny) > FAST_READ_BYTES and cli._array_sites(tiny) == []
+    assert len(tiny) > FAST_READ_BYTES and serialize._array_sites(tiny) == []
     assert looked == []  # no quote-free stretch as long as a site: no key is looked at
     long_site = json.dumps(np.ones((MIN_SITE_BYTES, 1, 2)).tolist()).encode()
     kraus = b'{"k": 1, "kraus": [' + b", ".join([b"[[[1.0, 0.0]]]"] * MAX_SHORT_ELEMENTS + [long_site]) + b"]}"
-    assert cli._array_sites(kraus) == []
+    assert serialize._array_sites(kraus) == []
     with pytest.raises(AssertionError, match="per-site work"):  # one short element fewer, and the long one is read
-        cli._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1))
+        serialize._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1))
     deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
-    assert cli._array_sites(deep) == []
+    assert serialize._array_sites(deep) == []
     # the scan for keys is a small part of a read of many tiny sites, even
     # by orjson, the faster parser
     monkeypatch.undo()
-    scan = min(_timed(cli._array_sites, tiny) for _ in range(5))
+    scan = min(_timed(serialize._array_sites, tiny) for _ in range(5))
     parse = min(_timed(orjson.loads, tiny) for _ in range(5))
     assert scan < 0.25 * parse
 
@@ -1074,10 +1085,10 @@ def test_refused_skeleton_sends_the_whole_file_to_json(tmp_path, monkeypatch, ta
     path = tmp_path / "in.json"
     path.write_bytes(b'{"k": 2,\r\n "choi": ' + site + b",\r\n " + tail + b"}")
     padded(path)
-    found, scan = [], cli._array_sites
-    monkeypatch.setattr(cli, "_array_sites", lambda data: found.append(scan(data)) or found[-1])
+    found, scan = [], serialize._array_sites
+    monkeypatch.setattr(serialize, "_array_sites", lambda data: found.append(scan(data)) or found[-1])
     runs = [_run(["check-cp", "--in", str(path)])]
-    monkeypatch.setattr(cli, "FAST_READ_BYTES", os.path.getsize(path) + 1)  # json.load alone
+    monkeypatch.setattr(serialize, "FAST_READ_BYTES", os.path.getsize(path) + 1)  # json.load alone
     runs.append(_run(["check-cp", "--in", str(path)]))
     assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2].count("\n") == 1
     assert [len(sites) for sites in found] == [1]
@@ -1190,15 +1201,17 @@ def test_numpy_and_the_front_modules_are_frozen_before_the_input_is_read():
     # freeze; a second one keeps every collection from traversing them
     code = (
         "import contextlib, gc, io\n"
-        "from ovfree import cli\n"
-        "load, tracked = cli._load, []\n"
+        "from ovfree import cli, serialize\n"
+        "tracked = []\n"
         "def probe(path):\n"
         "    import numpy\n"
-        "    from ovfree import serialize\n"
         "    ids = {id(o) for o in gc.get_objects()}\n"
         "    tracked.extend(id(o) in ids for o in (numpy.__dict__, serialize.__dict__, serialize.canonical_chunks))\n"
-        "    return load(path)\n"
-        "cli._load = probe\n"
+        "    return serialize.read_spec(path)\n"
+        "class Serialize:  # cli's view of serialize, still lazy, with probe as its reader\n"
+        "    def __getattr__(self, name):\n"
+        "        return probe if name == 'read_spec' else getattr(serialize, name)\n"
+        "cli.serialize = Serialize()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['check-cp', '--in', {str(Path(GOLDEN_CONVOLVE).parent / 'map.json')!r}]) == 0\n"
         "print(tracked)\n"
