@@ -5,8 +5,9 @@ import gc
 import numpy as np
 import pytest
 
-from ovfree import CPMap, Realization
+from ovfree.cpmaps import CPMap
 from ovfree.multimap import MultiMap
+from ovfree.ovdist import Realization
 
 
 @pytest.fixture(autouse=True)

@@ -9,26 +9,27 @@ import time
 
 import numpy as np
 
-from ovfree import (
-    CPMap,
-    bernoulli,
-    build_fock,
+from ovfree.algebra import matrix_units
+from ovfree.converse import (
+    _bernoulli_cumulant_values,
+    build_gns,
     certify_nonpositive,
-    compressed_distribution,
     compression_cumulants,
     counterexample_report,
-    cumulants_from_moments,
-    build_gns,
-    eta_minus_id_cp,
-    eta_power,
     find_witness,
+)
+from ovfree.cpmaps import CPMap, eta_minus_id_cp
+from ovfree.fock import build_fock
+from ovfree.freeprod import compressed_distribution
+from ovfree.ovdist import (
+    bernoulli,
+    cumulants_from_moments,
+    eta_power,
     moments_from_cumulants,
     moments_from_realization,
     positivity_certificate,
     semicircular,
 )
-from ovfree.algebra import matrix_units
-from ovfree.converse import _bernoulli_cumulant_values
 
 from conftest import random_complex, random_cp, random_realization, random_symmetric_cumulants
 

@@ -4,9 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovfree import CPMap, MixedWord, MultiMap, Realization, algebra, build_fock, compressed_distribution, evaluate, psd_check
-from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units
+from ovfree import algebra
+from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units, psd_check
 from ovfree.cli import main
+from ovfree.cpmaps import CPMap
+from ovfree.fock import build_fock
+from ovfree.freeprod import MixedWord, compressed_distribution, evaluate
+from ovfree.multimap import MultiMap
+from ovfree.ovdist import Realization
 from ovfree.serialize import array_to_json
 
 from conftest import random_complex, random_cp, random_hermitian, random_unitary

@@ -60,7 +60,7 @@ def map_spec_scaled_id(k, t):
 
 
 def map_spec_id_plus_transpose():
-    from ovfree import CPMap
+    from ovfree.cpmaps import CPMap
 
     choi = CPMap.identity(2).choi + CPMap.transpose_map(2).choi
     return {"k": 2, "choi": array_to_json(choi)}
@@ -77,7 +77,7 @@ def semicircle_spec(order=4):
 
 
 def bernoulli_spec(order=6):
-    from ovfree import bernoulli, cumulants_from_moments
+    from ovfree.ovdist import bernoulli, cumulants_from_moments
 
     cums = cumulants_from_moments(bernoulli(order))
     return {"k": 1, "order": order, "cumulants": [array_to_json(c.tensor) for c in cums]}
@@ -108,7 +108,7 @@ def test_check_cp_scaled_identity(tmp_path):
 
 
 def test_check_cp_transpose(tmp_path):
-    from ovfree import CPMap
+    from ovfree.cpmaps import CPMap
 
     inp = write(tmp_path, "map.json", {"k": 2, "choi": array_to_json(CPMap.transpose_map(2).choi)})
     out = str(tmp_path / "out.json")
@@ -183,7 +183,7 @@ def test_positivity_command(tmp_path):
 def test_verify_realization_pass(tmp_path):
     rng = np.random.default_rng(11)
     psi = random_cp(rng, 2, rank=1)
-    from ovfree import CPMap
+    from ovfree.cpmaps import CPMap
 
     eta_choi = CPMap.identity(2).choi + psi.choi
     inp = write(
@@ -409,7 +409,8 @@ def _count_transforms(monkeypatch):
 
 
 def test_convolve_cumulant_spec_runs_one_forward_transform(tmp_path, monkeypatch):
-    from ovfree import CPMap, eta_power, moments_from_cumulants
+    from ovfree.cpmaps import CPMap
+    from ovfree.ovdist import eta_power, moments_from_cumulants
     from ovfree.serialize import json_to_array
 
     rng = np.random.default_rng(16)

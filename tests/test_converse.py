@@ -3,23 +3,22 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ovfree import (
-    CPMap,
-    MultiMap,
+from ovfree.converse import (
     NoWitnessError,
     TupleDistribution,
     Witness,
+    _bernoulli_cumulant_values,
     build_gns,
     certify_nonpositive,
     compression_cumulants,
     counterexample_report,
-    eta_minus_id_cp,
-    eta_power,
     find_witness,
     pack_tuple,
     unpack_tuple,
 )
-from ovfree.converse import _bernoulli_cumulant_values
+from ovfree.cpmaps import CPMap, eta_minus_id_cp
+from ovfree.multimap import MultiMap
+from ovfree.ovdist import eta_power
 
 from conftest import random_complex, random_cp, random_eta
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ovfree import CPMap, NotCompletelyPositiveError, eta_minus_id_cp
 from ovfree import algebra
 from ovfree.algebra import matrix_units
-from ovfree.cpmaps import _vec
+from ovfree.cpmaps import CPMap, NotCompletelyPositiveError, _vec, eta_minus_id_cp
 
 from conftest import random_complex, random_cp
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import CPMap, FockOp, NotCompletelyPositiveError, build_fock, word_expectation
 from ovfree.algebra import matrix_units
+from ovfree.cpmaps import CPMap, NotCompletelyPositiveError
+from ovfree.fock import FockOp, build_fock, word_expectation
 
 from conftest import random_complex, random_cp
 

@@ -5,21 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import (
-    CPMap,
-    MixedWord,
-    MultiMap,
-    NotCompletelyPositiveError,
-    build_fock,
-    compressed_distribution,
-    cumulants_from_moments,
-    eta_power,
-    evaluate,
-    moments_from_realization,
-    word_expectation,
-)
 from ovfree.algebra import matrix_units
-from ovfree.freeprod import required_depth
+from ovfree.cpmaps import CPMap, NotCompletelyPositiveError
+from ovfree.fock import build_fock, word_expectation
+from ovfree.freeprod import MixedWord, compressed_distribution, evaluate, required_depth
+from ovfree.multimap import MultiMap
+from ovfree.ovdist import cumulants_from_moments, eta_power, moments_from_realization
 
 from conftest import random_complex, random_cp, random_eta, random_realization
 
@@ -130,7 +121,7 @@ def test_compressed_equals_eta_power_m3(rng):
 def test_compressed_scalar_bernoulli_power(rng):
     # classical scalar case: compressing the +-1 Bernoulli variable realizes
     # its t-th free convolution power for t >= 1
-    from ovfree import Realization
+    from ovfree.ovdist import Realization
 
     r = Realization(k=1, p=2, X=np.diag([1.0, -1.0]).astype(complex), rho=np.eye(2) / 2)
     t = 1.8

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ovfree import CPMap, MultiMap, enumerate_nc
-from ovfree.multimap import join, kappa_map, left_slot, moment_map, plug_all, right_slot
+from ovfree.cpmaps import CPMap
+from ovfree.multimap import MultiMap, join, kappa_map, left_slot, moment_map, plug_all, right_slot
+from ovfree.ncpart import enumerate_nc
 
 from conftest import random_complex, random_cp
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ovfree import enumerate_nc
+from ovfree.ncpart import enumerate_nc
 
 from nc_oracle import catalan, is_noncrossing
 

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ovfree import (
-    CPMap,
-    MultiMap,
+from ovfree import ovdist
+from ovfree.algebra import psd_check
+from ovfree.cpmaps import CPMap
+from ovfree.multimap import MultiMap
+from ovfree.ovdist import (
     Realization,
     bernoulli,
     cumulants_from_moments,
@@ -15,8 +17,6 @@ from ovfree import (
     positivity_certificate,
     semicircular,
 )
-from ovfree import ovdist
-from ovfree.algebra import psd_check
 
 from conftest import random_complex, random_eta, random_hermitian, random_realization, random_symmetric_cumulants
 

@@ -1,6 +1,5 @@
-"""The package front: its lazy submodules and the names it re-exports."""
+"""The package front: its lazy submodules, which are its only public names."""
 
-import importlib
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import pytest
 
 import ovfree
 
-# every name ovfree re-exported when it imported its submodules eagerly
+# every name the package re-exported before each object kept only its module's name
 FORMER_EXPORTS = {
     "algebra": ["DEFAULT_TOL", "PSDReport", "dagger", "matrix_units", "psd_check"],
     "cpmaps": ["CPMap", "NotCompletelyPositiveError", "eta_minus_id_cp"],
@@ -31,16 +30,42 @@ FORMER_EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("module", sorted(FORMER_EXPORTS))
-def test_every_former_re_export_resolves(module):
-    home = importlib.import_module(f"ovfree.{module}")
-    assert getattr(ovfree, module) is home
-    for name in FORMER_EXPORTS[module]:
-        assert getattr(ovfree, name) is getattr(home, name)
-        assert name in dir(ovfree) and name in ovfree.__all__
-    namespace = {}
-    exec("from ovfree import *", namespace)
-    assert namespace[module] is home and all(namespace[name] is getattr(home, name) for name in FORMER_EXPORTS[module])
+def _fresh(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_public_names_are_the_submodules():
+    code = (
+        "import sys, types\n"
+        "import ovfree\n"
+        "print(sorted(set(n for n in dir(ovfree) if not n.startswith('_')) - sys.stdlib_module_names))\n"
+        "print(ovfree.__all__, ovfree.__version__)\n"
+        "namespace = {}\n"
+        "exec('from ovfree import *', namespace)\n"
+        "bound = sorted(namespace.keys() - {'__builtins__'})\n"
+        "print(bound, all(namespace[name] is sys.modules['ovfree.' + name] for name in bound))\n"
+        "print([m for m in sys.modules if m.startswith('ovfree.') and type(sys.modules[m]) is types.ModuleType])\n"
+    )
+    submodules = sorted(FORMER_EXPORTS)
+    assert _fresh(code) == f"{submodules}\n{tuple(submodules)} 0.1.0\n{submodules} True\n[]\n"
+    assert not [name for names in FORMER_EXPORTS.values() for name in names if hasattr(ovfree, name)]
+
+
+def test_assignment_and_deletion_on_an_unrun_module_stick():
+    # each module is still unrun when it is assigned to or deleted from; its
+    # source must run first, not afterwards over the new value
+    code = (
+        "from ovfree import algebra, ncpart, serialize\n"
+        "print(type(algebra).__name__, type(ncpart).__name__, type(serialize).__name__)\n"
+        "algebra.DEFAULT_TOL = 5.0\n"
+        "del ncpart.MAX_GROUND_SET\n"
+        "serialize.read_spec = 'patched'\n"
+        "print(algebra.DEFAULT_TOL, hasattr(ncpart, 'MAX_GROUND_SET'), serialize.read_spec, serialize.FAST_READ_BYTES > 0)\n"
+    )
+    assert _fresh(code) == "_LazyModule _LazyModule _LazyModule\n5.0 False patched True\n"
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -57,13 +82,10 @@ def test_import_runs_no_submodule_until_a_name_is_used():
         "def ran():\n"
         "    return sorted(m[7:] for m in sys.modules if m.startswith('ovfree.') and type(sys.modules[m]) is types.ModuleType)\n"
         "print(len([m for m in sys.modules if m.startswith('ovfree.')]), ran())\n"
-        "from ovfree import CPMap\n"
+        "from ovfree.cpmaps import CPMap\n"
         "print(ran())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "9 []\n['algebra', 'cpmaps']\n"
+    assert _fresh(code) == "9 []\n['algebra', 'cpmaps']\n"
 
 
 def test_threads_share_a_module_on_its_first_use():
@@ -86,8 +108,5 @@ def test_threads_share_a_module_on_its_first_use():
         "    t.join()\n"
         "print(sorted(got), type(ovfree.converse) is types.ModuleType)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for _ in range(3):
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{['counterexample_report'] * 4} True\n"
+        assert _fresh(code) == f"{['counterexample_report'] * 4} True\n"

@@ -8,11 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from test_package import FORMER_EXPORTS
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "ovfree"
 SUBMODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
-HOME = {name: module for module, names in FORMER_EXPORTS.items() for name in names}
 VALUE_TYPES = {"OVDistribution", "Realization", "MultiMap"}
 TRANSFORMS = {"_interval_dp", "moments_from_cumulants", "cumulants_from_moments", "eta_power"}
 
@@ -23,8 +20,7 @@ def _tree(module):
 
 def _imports(module):
     """(home, name) of each import in module's source: home is the dotted
-    module a name is taken from (a re-export of the package is traced to its
-    submodule), name None where a whole module is imported."""
+    module a name is taken from, name None where a whole module is imported."""
     found = set()
     for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
@@ -34,8 +30,6 @@ def _imports(module):
             for alias in node.names:
                 if home == "ovfree" and alias.name in SUBMODULES:
                     found.add((f"ovfree.{alias.name}", None))
-                elif home == "ovfree" and alias.name in HOME:
-                    found.add((f"ovfree.{HOME[alias.name]}", alias.name))
                 else:
                     found.add((home, alias.name))
     return found

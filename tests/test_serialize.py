@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ovfree import CPMap, bernoulli, cumulants_from_moments, serialize
+from ovfree import serialize
+from ovfree.cpmaps import CPMap
+from ovfree.ovdist import bernoulli, cumulants_from_moments
 from ovfree.serialize import (
     _POW10,
     _decimal,
@@ -380,3 +382,41 @@ def test_realization_spec_dimension_mismatch():
     }
     with pytest.raises(ValueError, match="dimension mismatch"):
         dist_from_spec(spec, 6)
+
+
+# numbers at the site reader's edges: signed zeros, the least and nearly the
+# greatest double, and integers beside 2**53 (past which a double skips
+# integers), 2**63 and 2**64 (the ends of int64 and uint64, past which both
+# readers give the nearest double)
+_EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                 *(sign * (2**e + d) for e in (53, 63, 64) for d in (-1, 0, 1) for sign in (1, -1))]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), order=st.integers(1, 4), sep=st.sampled_from([",", ", "]),
+       ints=st.booleans(), edge_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_site_reader_agrees_with_json(tmp_path, monkeypatch, seed, k, order, sep, ints, edge_share):
+    # each cumulant, read from its own text by read_spec and as nested lists
+    # by json, is the same array, before and after json_to_array, bit for bit
+    monkeypatch.setattr(serialize, "FAST_READ_BYTES", 1)
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
+    rng = np.random.default_rng(seed)
+    cumulants = []
+    for n in range(1, order + 1):
+        shape = (k * k,) * (n - 1) + (k, k, 2)
+        values = np.empty(int(np.prod(shape)), dtype=object)
+        for i in range(values.size):
+            if rng.random() < edge_share:
+                values[i] = _EDGE_NUMBERS[rng.integers(len(_EDGE_NUMBERS))]
+            else:
+                values[i] = int(rng.integers(-3, 4)) if ints else float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8))
+        cumulants.append(values.reshape(shape).tolist())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"k": k, "order": order, "cumulants": cumulants}, separators=(sep, sep.replace(",", ":"))))
+    got = serialize.read_spec(str(path))
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh, parse_int=serialize._parse_int)
+    assert all(isinstance(site, np.ndarray) for site in got["cumulants"])  # each was read from its own text
+    for site, nested in zip(got["cumulants"], expected["cumulants"], strict=True):
+        for a, b in ((site, np.array(nested)), (json_to_array(site), json_to_array(nested))):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

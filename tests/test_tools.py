@@ -1,5 +1,6 @@
 """The measuring tools under tools/ run and report what they promise."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,3 +45,15 @@ def test_job_peak_alternates_with_a_baseline():
     mine, theirs, won = lines[-1].split(": ", 1)[1].split(" | ")
     assert mine.startswith("vmhwm_mb ") and theirs.startswith("baseline vmhwm_mb ")
     assert won in {f"won {n} of 2 on cpu_s" for n in range(3)}
+
+
+def test_same_bytes_names_the_first_difference(monkeypatch):
+    # a JSON stdout names the path and both values; anything else, the byte offset
+    monkeypatch.setattr(sys, "path", [*sys.path])  # same_bytes puts bench/ on it
+    spec = importlib.util.spec_from_file_location("same_bytes", ROOT / "tools" / "same_bytes.py")
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
+    ours = b'{"lam": 0.5, "nonpositivity": {"level": 3, "witness_vector": [[1.0, 0.5], [0.0, 2.0]]}}'
+    theirs = b'{"lam": 0.5, "nonpositivity": {"level": 3, "witness_vector": [[1.0, 0.5], [-1.11022302463e-16, 2.0]]}}'
+    assert same_bytes.first_difference(ours, theirs) == "at nonpositivity.witness_vector[1][0]: 0.0 vs -1.11022302463e-16"
+    assert same_bytes.first_difference(b"usage: ovfree check-cp\n", b"usage: ovfree positivity\n") == "at byte 14"

@@ -14,19 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovfree import (
-    MultiMap,
+from ovfree.converse import TupleDistribution
+from ovfree.multimap import MultiMap, kappa_map, moment_map
+from ovfree.ncpart import MAX_GROUND_SET, enumerate_nc
+from ovfree.ovdist import (
+    MAX_TRANSFORM_ORDER,
     OVDistribution,
-    TupleDistribution,
     bernoulli,
     cumulants_from_moments,
-    enumerate_nc,
     moments_from_cumulants,
     semicircular,
 )
-from ovfree.multimap import kappa_map, moment_map
-from ovfree.ncpart import MAX_GROUND_SET
-from ovfree.ovdist import MAX_TRANSFORM_ORDER
 
 from conftest import random_complex, random_symmetric_cumulants
 from nc_oracle import catalan

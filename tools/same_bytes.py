@@ -7,13 +7,17 @@ The jobs are those bench/workloads.make_jobs writes for every workload at
 each seed (1 and 7 by default), written once into a temporary directory and
 read by both checkouts.  Each job is a fresh ``ovfree`` CLI process per
 checkout, with PYTHONPATH set to that checkout's src only and one
-BLAS/OpenMP thread.  The last line counts the jobs and the differences; the
-exit code is 0 when every job agrees and 1 otherwise.
+BLAS/OpenMP thread.  Where stdout differs, the line names the first place:
+the path and both values (this checkout's first) when both sides are JSON
+that differ in a value, else the first differing byte offset.  The last line
+counts the jobs and the differences; the exit code is 0 when every job
+agrees and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +31,7 @@ from workloads import WORKLOADS, Job, make_jobs  # noqa: E402
 CLI = "import sys; from ovfree.cli import main; sys.exit(main())"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 FIELDS = ("stdout", "stderr", "exit code")
+_MISSING = object()
 
 
 def run(checkout: str, job: Job, cwd: str) -> tuple:
@@ -36,6 +41,43 @@ def run(checkout: str, job: Job, cwd: str) -> tuple:
     argv = [sys.executable, "-c", CLI, job.command, "--in", job.infile, *job.args]
     proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
     return proc.stdout, proc.stderr, proc.returncode
+
+
+def _text(value) -> str:
+    return "(missing)" if value is _MISSING else json.dumps(value)
+
+
+def _first_json_difference(ours, theirs, path: str):
+    """(path, ours, theirs) at the first leaf whose JSON text differs, in
+    document order, or None; a key or element only one side has is
+    _MISSING on the other."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        keys = [*ours, *(key for key in theirs if key not in ours)]
+        pairs = ((f"{path}.{key}" if path else key, ours.get(key, _MISSING), theirs.get(key, _MISSING)) for key in keys)
+    elif isinstance(ours, list) and isinstance(theirs, list):
+        pairs = ((f"{path}[{i}]", ours[i] if i < len(ours) else _MISSING, theirs[i] if i < len(theirs) else _MISSING)
+                 for i in range(max(len(ours), len(theirs))))
+    else:
+        return None if _text(ours) == _text(theirs) else (path, ours, theirs)
+    for inner, a, b in pairs:
+        found = _first_json_difference(a, b, inner)
+        if found:
+            return found
+    return None
+
+
+def first_difference(ours: bytes, theirs: bytes) -> str:
+    """Where two outputs first differ: "at <path>: <ours> vs <theirs>" when
+    both parse as JSON and differ in a value, else "at byte <offset>"."""
+    try:
+        found = _first_json_difference(json.loads(ours), json.loads(theirs), "")
+    except ValueError:
+        found = None
+    if found:
+        path, a, b = found
+        return f"at {path or 'the top level'}: {_text(a)} vs {_text(b)}"
+    offset = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    return f"at byte {offset}"
 
 
 def main(argv=None) -> int:
@@ -54,7 +96,8 @@ def main(argv=None) -> int:
                 os.mkdir(jobdir)
                 for job in make_jobs(workload, seed, jobdir):
                     ours, theirs = run(ROOT, job, workdir), run(other, job, workdir)
-                    fields = [name for name, a, b in zip(FIELDS, ours, theirs) if a != b]
+                    fields = [f"{name} {first_difference(a, b)}" if name == "stdout" else name
+                              for name, a, b in zip(FIELDS, ours, theirs) if a != b]
                     count += 1
                     differ += bool(fields)
                     verdict = "differs in " + ", ".join(fields) if fields else "same"
