@@ -12,8 +12,9 @@ must be at least 1, --tol finite and above 0.  counterexample's --level is 4
 by default and at least 3 (levels 1 and 2 never fail); its "nonpositivity" is
 the first failing level up to L, or null.
 
-Exit codes: 0 success, 2 input error (including an --out path that cannot be
-written, and a result that overflows to inf or NaN: nothing is written then),
+Exit codes: 0 success, 2 input error (including an --out path or a stdout,
+such as a pipe whose reader exited, that cannot be written, and a result
+that overflows to inf or NaN: nothing is written then),
 3 precondition violation (the emitted JSON then carries the
 certificate, and stderr gets its reason, "ovfree: <reason>"; a map whose
 eta - id is not completely positive where that is required, or a failed

@@ -115,19 +115,6 @@ class CPMap:
             raise ValueError(f"expected a {self.k}x{self.k} matrix, got {a.shape}")
         return np.einsum("pq,piqj->ij", a, self.choi4)
 
-    def __add__(self, other: "CPMap") -> "CPMap":
-        self._check_same(other)
-        return CPMap(self.k, self.choi + other.choi)
-
-    def __sub__(self, other: "CPMap") -> "CPMap":
-        self._check_same(other)
-        return CPMap(self.k, self.choi - other.choi)
-
-    def __mul__(self, t: float) -> "CPMap":
-        return CPMap(self.k, t * self.choi)
-
-    __rmul__ = __mul__
-
     def compose(self, inner: "CPMap") -> "CPMap":
         """The map a -> self(inner(a))."""
         self._check_same(inner)

@@ -46,61 +46,53 @@ recursion needs, which is 2 for the compression words v* X (v a v*) ... X v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL
+from .algebra import DEFAULT_TOL, check_array_size
 from .cpmaps import CPMap
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-MAX_FLAT_DIM = 60_000  # D * k; the basis words are Python tuples, which the byte rule cannot see
-
 Letter = Union[str, np.ndarray]
 
 
 class FockSpace:
-    """Truncated Fock module data: basis words, grading, the xi vector and
-    the index maps that define v."""
+    """Truncated Fock module: its sizes and the two read-only tables that
+    define v.  The module is immutable: no attribute can be rebound."""
 
     def __init__(self, k: int, kraus: Sequence[np.ndarray], depth: int):
         if depth < 2:
             raise ValueError("depth must be at least 2")
-        self.k = int(k)
-        self.depth = int(depth)
+        k, depth = int(k), int(depth)
         coords = [np.asarray(K, dtype=complex) for K in kraus]
         if any(K.shape != (k, k) for K in coords):
             raise ValueError("xi coordinates must be k x k matrices")
+        r = len(coords)
+        width = r + 1
+        D = sum(width**j for j in range(depth + 1))
+        check_array_size(D * k * k, f"one slab layer of a truncated Fock module of {D} words over M_{k}")
         # letters 0..r-1 carry the xi coordinates, letter r the unit direction
-        self.letter_coords = _frozen(np.array(coords + [np.eye(self.k)], dtype=complex))
-        self.r = len(coords)
-        self.kraus = tuple(self.letter_coords[:self.r])
-        width = self.r + 1
-        self.grading = [width**j for j in range(depth + 1)]
-        self.D = sum(self.grading)
-        if self.D * self.k > MAX_FLAT_DIM:
-            raise ValueError(
-                f"truncated Fock module is too large (D*k = {self.D * self.k}); "
-                "reduce the depth or the Kraus rank of psi"
-            )
-        # words are listed by degree and, within a degree, with the first
-        # letter varying fastest, so that l.w has index width * index(w) + 1 + l
-        self.words: List[Tuple[int, ...]] = []
-        for j in range(depth + 1):
-            self.words.extend(p[::-1] for p in product(range(width), repeat=j))
-        self.word_index = {w: i for i, w in enumerate(self.words)}
-        self.degrees = np.array([len(w) for w in self.words])
-        self.state_index = self.word_index[(self.r,)]
+        letter_coords = _frozen(np.array(coords + [np.eye(k)], dtype=complex))
+        stacked = letter_coords.reshape(width * k, k)
         # v maps the words below the top degree, the first D - width**depth,
         # onto the indices 1..D-1 in order: row w of this table holds l.w
-        low = self.D - self.grading[-1]
-        self.prepend_index = _frozen(np.arange(1, self.D).reshape(low, width))
-        self._stacked = self.letter_coords.reshape(width * self.k, self.k)
-        self._stacked_h = _frozen(self._stacked.conj().T.copy())
-        self._v: Optional["FockOp"] = None
+        low = D - width**depth
+        self.__dict__.update(
+            k=k, depth=depth, r=r, D=D, letter_coords=letter_coords,
+            prepend_index=_frozen(np.arange(1, D).reshape(low, width)),
+            _stacked=stacked, _stacked_h=_frozen(stacked.conj().T.copy()),
+            state_index=1 + r,  # the unit direction's word (r,): width * index(()) + 1 + r
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FockSpace is immutable: cannot assign '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FockSpace is immutable: cannot delete '{name}'")
 
     @property
     def dim(self) -> int:
@@ -133,12 +125,14 @@ class FockSpace:
         if a.shape != (self.k, self.k):
             raise ValueError(f"expected a {self.k}x{self.k} matrix")
         mat = sp.kron(sp.identity(self.D, format="csr"), sp.csr_matrix(a), format="csr")
-        return FockOp(self, mat, 0)
+        return FockOp(self, mat)
 
     def v_op(self) -> "FockOp":
         """v as a sparse FockOp, built from the same tables as push_v."""
-        if self._v is not None:
-            return self._v
+        return self._v
+
+    @cached_property
+    def _v(self) -> "FockOp":
         import scipy.sparse as sp
 
         k = self.k
@@ -150,13 +144,12 @@ class FockSpace:
         rows, cols = np.broadcast_arrays(rows, cols)
         keep = data != 0
         mat = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(self.dim, self.dim))
-        self._v = FockOp(self, mat, +1)
-        return self._v
+        return FockOp(self, mat)
 
     def identity_op(self) -> "FockOp":
         import scipy.sparse as sp
 
-        return FockOp(self, sp.identity(self.dim, format="csr", dtype=complex), 0)
+        return FockOp(self, sp.identity(self.dim, format="csr", dtype=complex))
 
     def cond_exp_block(self, mat: sp.spmatrix) -> np.ndarray:
         s = self.state_index * self.k
@@ -176,15 +169,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockOp:
-    """Right A-linear operator on the truncated Fock module.
-
-    degree_shift is +1 / -1 / 0 for pure raising / lowering / preserving
-    operators and None for mixed products; mat is a private, read-only CSR copy.
-    """
+    """Right A-linear operator on the truncated Fock module; mat is a
+    private, read-only CSR copy."""
 
     space: FockSpace
     mat: sp.csr_matrix
-    degree_shift: Optional[int]
 
     def __post_init__(self):
         object.__setattr__(self, "mat", self.mat.tocsr(copy=True))
@@ -195,31 +184,18 @@ class FockOp:
     def __matmul__(self, other: "FockOp") -> "FockOp":
         if other.space is not self.space:
             raise ValueError("operators live on different Fock modules")
-        shift = None
-        if self.degree_shift is not None and other.degree_shift is not None:
-            shift = self.degree_shift + other.degree_shift
-        return FockOp(self.space, self.mat @ other.mat, shift)
+        return FockOp(self.space, self.mat @ other.mat)
 
     def __add__(self, other: "FockOp") -> "FockOp":
-        shift = self.degree_shift if self.degree_shift == other.degree_shift else None
-        return FockOp(self.space, self.mat + other.mat, shift)
-
-    def __sub__(self, other: "FockOp") -> "FockOp":
-        shift = self.degree_shift if self.degree_shift == other.degree_shift else None
-        return FockOp(self.space, self.mat - other.mat, shift)
+        return FockOp(self.space, self.mat + other.mat)
 
     def __mul__(self, t: complex) -> "FockOp":
-        return FockOp(self.space, t * self.mat, self.degree_shift)
+        return FockOp(self.space, t * self.mat)
 
     __rmul__ = __mul__
 
     def adjoint(self) -> "FockOp":
-        shift = None if self.degree_shift is None else -self.degree_shift
-        return FockOp(self.space, self.mat.conj().T, shift)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        k = self.space.k
-        return np.asarray(self.mat[i * k:(i + 1) * k, j * k:(j + 1) * k].todense())
+        return FockOp(self.space, self.mat.conj().T)
 
 
 def build_fock(psi: CPMap, depth: int, tol: float = DEFAULT_TOL) -> FockSpace:

@@ -105,9 +105,6 @@ class MultiMap:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "MultiMap":
-        return MultiMap(self.k, -self.tensor)
-
     def max_deviation(self, other: "MultiMap") -> float:
         return float(np.max(np.abs(self.tensor - other.tensor)))
 

@@ -456,10 +456,24 @@ def write_canonical(payload: dict, out: Optional[str]) -> None:
     """Write the canonical text of payload to the file out, or to stdout if
     out is None, chunk by chunk, so the whole text is never held; a payload
     canonical_chunks refuses, such as one holding inf or NaN, writes no byte.
-    A file that cannot be written raises a ValueError naming out."""
+    A file that cannot be written raises a ValueError naming out, and so does
+    a closed stdout, after pointing its descriptor at os.devnull so that the
+    interpreter's flush at exit prints nothing."""
     chunks = canonical_chunks(payload)
     if out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError):  # an in-memory stream, such as a test's capture
+                pass
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise ValueError(f"cannot write output to stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

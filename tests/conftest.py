@@ -1,6 +1,8 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and helpers for the test suite."""
 
 import gc
+import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from ovfree.cpmaps import CPMap
 from ovfree.multimap import MultiMap
 from ovfree.ovdist import Realization
+from ovfree.serialize import FAST_READ_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +67,35 @@ def random_symmetric_cumulants(rng, k, order, scale=1.0):
         m = MultiMap(k, t)
         cums.append((m + m.herm_reflect()) * 0.5)
     return cums
+
+
+def fock_words(f):
+    """The basis words of the Fock module f in the order fock documents: by
+    degree and, within a degree, with the first letter varying fastest."""
+    return [p[::-1] for j in range(f.depth + 1) for p in product(range(f.r + 1), repeat=j)]
+
+
+def padded(path):
+    """path, padded with trailing spaces to FAST_READ_BYTES, so that its long
+    array fields are read from their own text."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" " * max(0, FAST_READ_BYTES - os.path.getsize(path)))
+    return str(path)
+
+
+def bits(value):
+    """value with every float as its hex text and every number tagged with
+    its type, so that equal results are equal bit for bit."""
+    if isinstance(value, dict):
+        return [(key, bits(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+EDGE_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30]
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from ovfree.ovdist import (
     semicircular,
 )
 
-from conftest import random_complex, random_cp, random_realization, random_symmetric_cumulants
+from conftest import fock_words, random_complex, random_cp, random_realization, random_symmetric_cumulants
 
 
 def report(num, ok, detail):
@@ -56,7 +56,7 @@ def test_criterion_1_fock_identities():
         vs = v.adjoint()
         worst = max(worst, float(np.max(np.abs(f.cond_exp_block((vs @ v).mat) - eta.apply(np.eye(k))))))
         sub = np.concatenate(
-            [np.arange(i * k, (i + 1) * k) for i, w in enumerate(f.words) if len(w) < f.depth]
+            [np.arange(i * k, (i + 1) * k) for i, w in enumerate(fock_words(f)) if len(w) < f.depth]
         )
         for a in matrix_units(k):
             W = (vs @ f.lambda_op(a) @ v).mat

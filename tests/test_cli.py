@@ -5,8 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +17,13 @@ from ovfree.cli import main
 from ovfree.serialize import (
     ARRAY_FIELDS,
     FAST_READ_BYTES,
-    MAX_SHORT_ELEMENTS,
     MIN_SITE_BYTES,
     array_to_json,
     json_to_array,
     read_spec,
-    write_canonical,
 )
 
-from conftest import random_cp, random_density, random_hermitian, random_symmetric_cumulants
+from conftest import EDGE_INTS, bits, padded, random_cp, random_density, random_hermitian, random_symmetric_cumulants
 
 
 def write(tmp_path, name, payload):
@@ -39,14 +35,6 @@ def write(tmp_path, name, payload):
 def write_text(tmp_path, text):
     path = tmp_path / "in.json"
     path.write_text(text)
-    return str(path)
-
-
-def padded(path):
-    """path, padded with trailing spaces to FAST_READ_BYTES, so that its long
-    array fields are read from their own text."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(" " * max(0, FAST_READ_BYTES - os.path.getsize(path)))
     return str(path)
 
 
@@ -547,21 +535,6 @@ def test_invalid_utf8_names_its_path(tmp_path, capsys):
                                        "byte 0xff in position 7: invalid start byte\n")
 
 
-def test_emit_holds_no_copy_of_the_text(tmp_path):
-    rng = np.random.default_rng(18)
-    payload = {"moments": [rng.standard_normal(320_000) + 1j * rng.standard_normal(320_000)]}
-    out = tmp_path / "out.json"
-    tracemalloc.start()
-    try:
-        write_canonical(payload, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = out.stat().st_size
-    assert size > 10_000_000
-    assert peak < size  # the chunks are written as they are made: about 3 MB of kernel temporaries
-
-
 def test_main_writes_to_a_redirected_text_stdout(tmp_path):
     # an in-process caller may send stdout to a str-only stream
     out = tmp_path / "out.json"
@@ -572,11 +545,23 @@ def test_main_writes_to_a_redirected_text_stdout(tmp_path):
     assert buf.getvalue() == out.read_text(encoding="utf-8")
 
 
-def test_emit_refuses_a_placeholder_lookalike_before_writing(tmp_path):
-    out = tmp_path / "out.json"
-    with pytest.raises(ValueError, match="placeholder"):
-        write_canonical({"a": np.zeros(1), "b": "\x000"}, str(out))
-    assert not out.exists()
+def test_closed_stdout_exit_2_with_one_line(tmp_path):
+    # a reader that closes the pipe after 10 bytes, well before the end of
+    # the 127 kB output: one stderr line and exit 2, no traceback at the
+    # write or at the interpreter's flush at exit
+    cums = [np.zeros((4,) * n + (2, 2, 2)).tolist() for n in range(6)]
+    path = write(tmp_path, "in.json", {"distribution": {"k": 2, "cumulants": cums}, "map": map_spec_scaled_id(2, 1.5)})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "ovfree.cli", "convolve-power", "--in", path], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        err = proc.stderr.read().decode()
+    assert err == "ovfree: cannot write output to stdout: [Errno 32] Broken pipe\n"
+    assert main(["convolve-power", "--in", path, "--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").stat().st_size >= 64 * 1024
 
 
 def test_counterexample_zero_map_exit_3(tmp_path, capsys):
@@ -741,49 +726,6 @@ def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
     assert info.value.code == 2 and f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
-def _bits(value):
-    """value with every float as its hex text and every number tagged with
-    its type, so that equal results are equal bit for bit."""
-    if isinstance(value, dict):
-        return [(key, _bits(v)) for key, v in value.items()]
-    if isinstance(value, list):
-        return [_bits(v) for v in value]
-    if isinstance(value, float):
-        return ("float", value.hex())
-    return (type(value).__name__, value)
-
-
-_RNG = np.random.default_rng(14)  # finite doubles of every exponent, both signs
-_REPR17 = ["%.17g" % x for x in _RNG.integers(0, 0x7FF0000000000000, 256).view(np.float64) * _RNG.choice([-1, 1], 256)]
-_EDGE_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30]
-
-
-@pytest.mark.parametrize("text", [
-    '{"k": 1, "choi": [[-0.0, 5e-324], [2.2250738585072014e-308, 1e-400], [-0, 0]]}',
-    '{"k": 1, "choi": [' + ", ".join(f"[{a}, {b}]" for a, b in zip(_REPR17[::2], _REPR17[1::2])) + "]}",
-    *(f'{{"k": {n}, "choi": [[{n}, {-n}], [1, 0]]}}' for n in _EDGE_INTS),
-    '{"k": 1, "k": 2, "choi": [[1.5, 0]], "v": {"a": [1.5], "a": []}, "choi": [[2, 0.5]]}',
-    '{"name": "caf\\u00e9", "k": 2, "choi": [[1.5, 0]]}',
-    '{"a": [], "b": [[]], "c": {}, "d": [{}], "choi": [[]]}',
-], ids=["subnormal-and-zero", "repr17", *(f"int-{n}" for n in _EDGE_INTS), "duplicate-keys", "escape", "empty"])
-def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
-    # orjson's flat parse of a site and json's nested parse of the same
-    # numbers give the same array, dtype included; a duplicated site, an
-    # escape or an empty site sends the padded copy to json whole
-    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
-    small, big = tmp_path / "small.json", tmp_path / "big.json"
-    small.write_text(text)
-    big.write_text(text)
-    expected, got = read_spec(str(small)), read_spec(padded(big))
-    site = got["choi"]
-    if isinstance(site, np.ndarray):
-        nested = np.array(expected.pop("choi"))
-        assert (site.dtype, site.shape, site.tobytes()) == (nested.dtype, nested.shape, nested.tobytes())
-        del got["choi"]
-    assert isinstance(site, np.ndarray) == (text.count('"choi"') == 1 and "\\" not in text and "[[]]" not in text)
-    assert _bits(got) == _bits(expected)
-
-
 # -- array sites: past the threshold an array field is read from its own text --
 
 _EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
@@ -811,7 +753,7 @@ def _poison(rng, value, kind):
     while isinstance(row[0], list) and isinstance(row[0][0], list):  # down to a list of pairs
         row = row[int(rng.integers(len(row)))]
     i = int(rng.integers(len(row)))
-    leaf = {"int": _EDGE_INTS[int(rng.integers(len(_EDGE_INTS)))], "float": _EDGE_FLOATS[int(rng.integers(4))],
+    leaf = {"int": EDGE_INTS[int(rng.integers(len(EDGE_INTS)))], "float": _EDGE_FLOATS[int(rng.integers(4))],
             "1e999": "@1e999@", "nan": float("nan"), "bool": True, "null": None, "string": "choi", "object": {}}
     if kind in leaf:
         row[i][int(rng.integers(2))] = leaf[kind]
@@ -881,7 +823,7 @@ def _site_documents(draw):
 
 def _site_reads(value):
     """value with each array field's value, or each element of a list field,
-    as json_to_array reads it (its bytes or its message), the rest by _bits."""
+    as json_to_array reads it (its bytes or its message), the rest by bits."""
 
     def read(data):
         try:
@@ -893,7 +835,7 @@ def _site_reads(value):
     if isinstance(value, list):  # an array field may sit in an object at any depth of lists
         return [_site_reads(item) for item in value]
     if not isinstance(value, dict):
-        return _bits(value)
+        return bits(value)
     out = []
     for key, v in value.items():
         if ARRAY_FIELDS.get(key) and isinstance(v, list):
@@ -976,54 +918,6 @@ def test_padded_cumulant_spec_reaches_json_to_array_as_arrays(tmp_path, monkeypa
     else:
         fast = np.ndarray if style in ("spaced", "compact") else list
         assert types == [[list] * 6, [list] * 3 + [fast] * 2 + [list]] and runs[1][0] == 0
-
-
-def _tiny_sites_document(n):
-    """n tiny choi and kraus fields in objects and n strings naming the fields."""
-    tiny = [[[1.0, 0.0]]]
-    return json.dumps({"maps": [{"k": 1, "choi": tiny, "kraus": [tiny]} for _ in range(n)],
-                       "names": ["choi", "kraus", "cumulants"] * n}).encode()
-
-
-def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
-    # a site shorter than MIN_SITE_BYTES or nested deeper than MAX_FAST_DEPTH
-    # is never read as a site, and list fields are scanned only up to the
-    # document's MAX_SHORT_ELEMENTS'th short element
-    import orjson
-
-    def refuse(*args):
-        raise AssertionError("per-site work on a declined site")
-
-    class Fields(dict):  # records each key looked up
-        def get(self, key, default=None):
-            looked.append(key)
-            return super().get(key, default)
-
-    looked = []
-    monkeypatch.setattr(serialize, "_site_array", refuse)
-    monkeypatch.setattr(serialize, "ARRAY_FIELDS", Fields(serialize.ARRAY_FIELDS))
-    tiny = _tiny_sites_document(20_000)
-    assert len(tiny) > FAST_READ_BYTES and serialize._array_sites(tiny) == []
-    assert looked == []  # no quote-free stretch as long as a site: no key is looked at
-    long_site = json.dumps(np.ones((MIN_SITE_BYTES, 1, 2)).tolist()).encode()
-    kraus = b'{"k": 1, "kraus": [' + b", ".join([b"[[[1.0, 0.0]]]"] * MAX_SHORT_ELEMENTS + [long_site]) + b"]}"
-    assert serialize._array_sites(kraus) == []
-    with pytest.raises(AssertionError, match="per-site work"):  # one short element fewer, and the long one is read
-        serialize._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1))
-    deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
-    assert serialize._array_sites(deep) == []
-    # the scan for keys is a small part of a read of many tiny sites, even
-    # by orjson, the faster parser
-    monkeypatch.undo()
-    scan = min(_timed(serialize._array_sites, tiny) for _ in range(5))
-    parse = min(_timed(orjson.loads, tiny) for _ in range(5))
-    assert scan < 0.25 * parse
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
 
 
 def _deep(where):

@@ -1,13 +1,17 @@
-"""The package front: its lazy submodules, which are its only public names."""
+"""The package front: its lazy submodules, which are its only public names,
+and its value types, which are all immutable."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ovfree
+
+from conftest import random_realization
 
 # every name the package re-exported before each object kept only its module's name
 FORMER_EXPORTS = {
@@ -110,3 +114,31 @@ def test_threads_share_a_module_on_its_first_use():
     )
     for _ in range(3):
         assert _fresh(code) == f"{['counterexample_report'] * 4} True\n"
+
+
+def test_every_public_value_type_is_immutable():
+    from ovfree import algebra, converse, cpmaps, fock, freeprod, multimap, ncpart, ovdist
+
+    report = converse.counterexample_report(cpmaps.CPMap.scaled_identity(1, 0.9))
+    f = fock.build_fock(cpmaps.CPMap.identity(2), 2)
+    values = [
+        cpmaps.CPMap.identity(2), multimap.MultiMap(1, np.ones((1, 1))), ovdist.bernoulli(2),
+        random_realization(np.random.default_rng(0)), algebra.psd_check(np.eye(2)), f, f.v_op(),
+        freeprod.MixedWord.from_atoms(["X", ("A", np.eye(2)), "v"]), report.witness, converse.build_gns(report.witness),
+        report.nonpositivity, report, converse.unpack_tuple(ovdist.bernoulli(2), 1, 1), ncpart.enumerate_nc(3)[0],
+    ]
+    assert sorted(type(value).__name__ for value in values) == sorted([
+        "CPMap", "MultiMap", "OVDistribution", "Realization", "PSDReport", "FockSpace", "FockOp", "MixedWord",
+        "Witness", "GNSModel", "NonpositivityCertificate", "CounterexampleReport", "TupleDistribution", "NCPartition",
+    ])
+    accepted = []
+    for value in values:
+        name = next(iter(vars(value)))  # the first attribute the constructor set
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name),
+                       lambda: setattr(value, "added", None)):
+            try:
+                change()
+            except AttributeError:
+                continue
+            accepted.append(type(value).__name__)
+    assert accepted == []

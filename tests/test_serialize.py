@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -11,6 +12,9 @@ from ovfree import serialize
 from ovfree.cpmaps import CPMap
 from ovfree.ovdist import bernoulli, cumulants_from_moments
 from ovfree.serialize import (
+    FAST_READ_BYTES,
+    MAX_SHORT_ELEMENTS,
+    MIN_SITE_BYTES,
     _POW10,
     _decimal,
     _float_text,
@@ -24,9 +28,11 @@ from ovfree.serialize import (
     json_to_array,
     map_from_spec,
     map_to_spec,
+    read_spec,
+    write_canonical,
 )
 
-from conftest import random_complex
+from conftest import EDGE_INTS, bits, padded, random_complex
 
 
 def test_array_round_trip(rng):
@@ -420,3 +426,105 @@ def test_site_reader_agrees_with_json(tmp_path, monkeypatch, seed, k, order, sep
     for site, nested in zip(got["cumulants"], expected["cumulants"], strict=True):
         for a, b in ((site, np.array(nested)), (json_to_array(site), json_to_array(nested))):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# -- reading and writing files --------------------------------------------------
+
+_RNG = np.random.default_rng(14)  # finite doubles of every exponent, both signs
+_REPR17 = ["%.17g" % x for x in _RNG.integers(0, 0x7FF0000000000000, 256).view(np.float64) * _RNG.choice([-1, 1], 256)]
+
+
+@pytest.mark.parametrize("text", [
+    '{"k": 1, "choi": [[-0.0, 5e-324], [2.2250738585072014e-308, 1e-400], [-0, 0]]}',
+    '{"k": 1, "choi": [' + ", ".join(f"[{a}, {b}]" for a, b in zip(_REPR17[::2], _REPR17[1::2])) + "]}",
+    *(f'{{"k": {n}, "choi": [[{n}, {-n}], [1, 0]]}}' for n in EDGE_INTS),
+    '{"k": 1, "k": 2, "choi": [[1.5, 0]], "v": {"a": [1.5], "a": []}, "choi": [[2, 0.5]]}',
+    '{"name": "caf\\u00e9", "k": 2, "choi": [[1.5, 0]]}',
+    '{"a": [], "b": [[]], "c": {}, "d": [{}], "choi": [[]]}',
+], ids=["subnormal-and-zero", "repr17", *(f"int-{n}" for n in EDGE_INTS), "duplicate-keys", "escape", "empty"])
+def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
+    # orjson's flat parse of a site and json's nested parse of the same
+    # numbers give the same array, dtype included; a duplicated site, an
+    # escape or an empty site sends the padded copy to json whole
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    small.write_text(text)
+    big.write_text(text)
+    expected, got = read_spec(str(small)), read_spec(padded(big))
+    site = got["choi"]
+    if isinstance(site, np.ndarray):
+        nested = np.array(expected.pop("choi"))
+        assert (site.dtype, site.shape, site.tobytes()) == (nested.dtype, nested.shape, nested.tobytes())
+        del got["choi"]
+    assert isinstance(site, np.ndarray) == (text.count('"choi"') == 1 and "\\" not in text and "[[]]" not in text)
+    assert bits(got) == bits(expected)
+
+
+def _tiny_sites_document(n):
+    """n tiny choi and kraus fields in objects and n strings naming the fields."""
+    tiny = [[[1.0, 0.0]]]
+    return json.dumps({"maps": [{"k": 1, "choi": tiny, "kraus": [tiny]} for _ in range(n)],
+                       "names": ["choi", "kraus", "cumulants"] * n}).encode()
+
+
+def test_tiny_and_deep_sites_are_declined_before_per_site_work(monkeypatch):
+    # a site shorter than MIN_SITE_BYTES or nested deeper than MAX_FAST_DEPTH
+    # is never read as a site, and list fields are scanned only up to the
+    # document's MAX_SHORT_ELEMENTS'th short element
+    import orjson
+
+    def refuse(*args):
+        raise AssertionError("per-site work on a declined site")
+
+    class Fields(dict):  # records each key looked up
+        def get(self, key, default=None):
+            looked.append(key)
+            return super().get(key, default)
+
+    looked = []
+    monkeypatch.setattr(serialize, "_site_array", refuse)
+    monkeypatch.setattr(serialize, "ARRAY_FIELDS", Fields(serialize.ARRAY_FIELDS))
+    tiny = _tiny_sites_document(20_000)
+    assert len(tiny) > FAST_READ_BYTES and serialize._array_sites(tiny) == []
+    assert looked == []  # no quote-free stretch as long as a site: no key is looked at
+    long_site = json.dumps(np.ones((MIN_SITE_BYTES, 1, 2)).tolist()).encode()
+    kraus = b'{"k": 1, "kraus": [' + b", ".join([b"[[[1.0, 0.0]]]"] * MAX_SHORT_ELEMENTS + [long_site]) + b"]}"
+    assert serialize._array_sites(kraus) == []
+    with pytest.raises(AssertionError, match="per-site work"):  # one short element fewer, and the long one is read
+        serialize._array_sites(kraus.replace(b"[[[1.0, 0.0]]], ", b"", 1))
+    deep = b'{"k": 2, "choi": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    assert serialize._array_sites(deep) == []
+    # the scan for keys is a small part of a read of many tiny sites, even
+    # by orjson, the faster parser
+    monkeypatch.undo()
+    scan = min(_timed(serialize._array_sites, tiny) for _ in range(5))
+    parse = min(_timed(orjson.loads, tiny) for _ in range(5))
+    assert scan < 0.25 * parse
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def test_emit_holds_no_copy_of_the_text(tmp_path):
+    rng = np.random.default_rng(18)
+    payload = {"moments": [rng.standard_normal(320_000) + 1j * rng.standard_normal(320_000)]}
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        write_canonical(payload, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 10_000_000
+    assert peak < size  # the chunks are written as they are made: about 3 MB of kernel temporaries
+
+
+def test_emit_refuses_a_placeholder_lookalike_before_writing(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="placeholder"):
+        write_canonical({"a": np.zeros(1), "b": "\x000"}, str(out))
+    assert not out.exists()
