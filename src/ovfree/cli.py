@@ -36,12 +36,10 @@ cli alone, without numpy; check-cp cli, serialize, cpmaps and algebra;
 positivity and convolve-power also ovdist and multimap; counterexample also
 converse; verify-realization also fock and freeprod.
 
-The process freezes (gc.freeze) every object alive when main starts; once
-the arguments are checked, numpy's and those of serialize, cpmaps and
-algebra; and the parsed input, which it reads with the cyclic collector
-paused: no collection, during the command or at exit, traverses them again.
-Reference counting still frees the input once a command drops it.  A module
-loaded after the last freeze stays tracked.
+The cyclic collector is off while a command runs, and the process freezes
+(gc.freeze) every object alive at the end of main, so no collection, during
+the command or at exit, traverses numpy, the ovfree modules or the parsed
+input.  Reference counting still frees the input once a command drops it.
 """
 
 from __future__ import annotations
@@ -215,14 +213,13 @@ def main(argv=None) -> int:
     """Run one command; returns its exit code.
 
     The arguments are checked before numpy or any ovfree module but cli is
-    run, so --help and argument errors never load them.  Every object alive
-    when main is called, the interpreter's, cli's and an in-process caller's
-    own, is frozen (gc.freeze), then numpy's and those of the modules every
-    command runs once they are loaded, and then the parsed input: no
-    collection during the command or at exit traverses them again, and they
-    are never collected.
+    run, so --help and argument errors never load them.  The cyclic
+    collector is off while main runs; on the way out, --help and usage errors
+    included, main freezes (gc.freeze) every object alive, an in-process
+    caller's too, never to be traversed again, and restores the collector.
     """
-    gc.freeze()  # here, not only in serialize.read_spec: --help and usage errors never load
+    enabled = gc.isenabled()
+    gc.disable()  # on again, if it was, once everything alive is frozen below
     parser = argparse.ArgumentParser(
         prog="ovfree", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
@@ -241,8 +238,8 @@ def main(argv=None) -> int:
             kind, default = FLAGS[flag]
             p.add_argument(f"--{flag}", type=kind, default=default)
         p.set_defaults(handler=fn, **({"level": COUNTEREXAMPLE_LEVEL} if name == "counterexample" else {}))
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "order", None) is not None and args.order < 1:
             raise ValueError(f"--order must be at least 1, got {args.order}")
         if getattr(args, "level", 1) < 1:
@@ -256,8 +253,6 @@ def main(argv=None) -> int:
 
         if "tol" in args and tol is None:
             args.tol = algebra.DEFAULT_TOL
-        serialize.write_canonical  # runs serialize, and so cpmaps and algebra: every command runs the three
-        gc.freeze()  # their objects and numpy's, as the first freeze did when cli imported them
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # write_canonical refuses what overflowed
                 return args.handler(args)
@@ -266,6 +261,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ovfree: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ the same algebra, into a single letter.  Words consisting entirely of
 centered letters have expectation zero -- that is the freeness axiom and the
 only input about the free product this module uses.  Every step shortens the
 word or centers one more letter, so the recursion is a finite binary tree.
+A centered letter leaves the prefix only by a later fusion, one per letter
+left, so a letter is centered only while len(prefix) + 2 <= the letters
+left, the current one counted: no branch ends in a nonempty prefix.
 
 Coefficient arguments of a moment map enter the word as extra tensor axes
 ("slots"): an A-atom may carry leading k^2 axes over the matrix-unit basis,
@@ -23,9 +26,14 @@ entries: a B letter is (n, kp, kp), a slab (D, k, n, k) and an expectation
 (n, k, k), whatever the order.  A push, and a product of two B tensors, puts
 the slots of the right (later) operand in front, as the outer product of the
 two slot axes.  The slots are reversed only where slotted atoms enter
-evaluate and where its result leaves.  compressed_distribution is evaluate
-on the compression word v* X (v a_1 v*) X ... (v a_{n-1} v*) X v whose a_t
-are slotted A-atoms.
+evaluate and where its result leaves.
+
+compressed_distribution runs one recursion for the compression words
+v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, a_t slotted A-atoms, of every
+order n <= N: the order-n word is the order-N word's first 2n letters and
+its last, v.  Where the order-N recursion reaches letter 2n < 2N with at
+most one centered letter, fusing v in ends the order-n word as its own
+recursion would, in the same order, so every moment is bit-identical.
 
 A C-letter T is held as its bra slab T* Omega, where Omega = 0 (+) 1 is the
 state vector; the recursion reads nothing else from it.  E(T) = <T* Omega,
@@ -241,24 +249,32 @@ def _merge(left: Optional[_Letter], e: np.ndarray, right: _Letter, env: _Env) ->
     return _Letter("C", slab)
 
 
-def _rec(stack: Tuple[_Letter, ...], m: _Letter, t: int,
-         word: Tuple[_Letter, ...], env: _Env, total: np.ndarray) -> None:
+def _rec(stack: Tuple[_Letter, ...], m: _Letter, t: int, word: Tuple[_Letter, ...], env: _Env, totals: dict) -> None:
+    """Add E(word) to totals[len(word)], E(word[:t] + word[-1:]) to totals[t] for every other key t."""
     if m.is_zero:
         return
     e = _expect(m, env)
     if t == len(word):
-        # word is (centered stack) + m; freeness kills it unless the stack is empty
-        if not stack:
-            if e.shape != total.shape:
-                raise AssertionError("terminal word lost coefficient slots")
-            total += e
+        # word is (centered stack) + m, and the bound below leaves the stack empty
+        _add(totals[t], e)
         return
+    if t in totals and len(stack) <= 1:  # the word's first t letters and its last one end here
+        last = _merge(stack[-1] if stack else None, e, word[-1], env)
+        if not last.is_zero:
+            _add(totals[t], _expect(last, env))
     nxt = word[t]
     merged = _merge(stack[-1] if stack else None, e, nxt, env)
-    _rec(stack[:-1], merged, t + 1, word, env, total)
-    centered = _center(m, e, env)
-    if not centered.is_zero:
-        _rec(stack + (centered,), nxt, t + 1, word, env, total)
+    _rec(stack[:-1], merged, t + 1, word, env, totals)
+    if len(stack) + 2 <= len(word) - t:  # a centered letter leaves the stack only by a later merge
+        centered = _center(m, e, env)
+        if not centered.is_zero:
+            _rec(stack + (centered,), nxt, t + 1, word, env, totals)
+
+
+def _add(total: np.ndarray, e: np.ndarray) -> None:
+    if e.shape != total.shape:
+        raise AssertionError("terminal word lost coefficient slots")
+    total += e
 
 
 def _check_letters(r: Realization, f: FockSpace, n_slots: int) -> None:
@@ -267,11 +283,21 @@ def _check_letters(r: Realization, f: FockSpace, n_slots: int) -> None:
                      f"a letter with {n_slots} coefficient slots on a Fock module of {f.D} words and M_{r.d}")
 
 
-def _expect_word(letters: Tuple[_Letter, ...], env: _Env, n_slots: int) -> np.ndarray:
-    """E of a nonempty alternating word with n_slots slots, in word order."""
-    total = np.zeros(((env.k * env.k) ** n_slots, env.k, env.k), dtype=complex)
-    _rec((), letters[0], 1, letters, env, total)
-    return _flip_slots(total, n_slots)
+def _letters(word: MixedWord, env: _Env) -> Tuple[_Letter, ...]:
+    """A word's alternating letters, or the one "A" letter of a word of A-atoms."""
+    k = env.k
+    letters: List[_Letter] = []
+    for tag, atoms in word.normal_form():
+        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1], atom[1].ndim - 2).reshape(-1, k, k)
+                   for atom in atoms]
+        if tag == "A":
+            return (_Letter("A", reduce(_b_mul, factors, np.eye(k, dtype=complex)[None])),)
+        if tag == "B":
+            mats = [env.r.X[None] if isinstance(fac, str) else env.embed(fac) for fac in factors]
+            letters.append(_Letter("B", reduce(_b_mul, mats)))
+        else:
+            letters.append(env.c_letter(factors))
+    return tuple(letters)
 
 
 # -- public operations ---------------------------------------------------------
@@ -300,18 +326,12 @@ def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
         raise ValueError(f"A-coefficients must be {k}x{k}, after slot axes of length {k * k}")
     n_slots = sum(a.ndim - 2 for a in coefficients)
     _check_letters(r, f, n_slots)
-    letters: List[_Letter] = []
-    for tag, atoms in word.normal_form():
-        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1], atom[1].ndim - 2).reshape(-1, k, k)
-                   for atom in atoms]
-        if tag == "A":
-            return _flip_slots(reduce(_b_mul, factors, np.eye(k, dtype=complex)[None]), n_slots)
-        if tag == "B":
-            mats = [r.X[None] if isinstance(fac, str) else env.embed(fac) for fac in factors]
-            letters.append(_Letter("B", reduce(_b_mul, mats)))
-        else:
-            letters.append(env.c_letter(factors))
-    return _expect_word(tuple(letters), env, n_slots)
+    letters = _letters(word, env)
+    if letters[0].tag == "A":
+        return _flip_slots(letters[0].tensor, n_slots)
+    total = np.zeros(((k * k) ** n_slots, k, k), dtype=complex)
+    _rec((), letters[0], 1, letters, env, {len(letters): total})
+    return _flip_slots(total, n_slots)
 
 
 def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-9) -> OVDistribution:
@@ -320,7 +340,8 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-
     The n-th moment map is evaluate on the compression word
     v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, each a_t the matrix units as
     one slotted A-atom, on the Fock module of psi = eta - id at the depth
-    required_depth gives for that word, which is 2 at every order.  Requires
+    required_depth gives for that word, which is 2 at every order; one
+    recursion on the order-N word computes every order.  Requires
     eta - id completely positive (otherwise the Fock model for psi does not
     exist, and build_fock raises NotCompletelyPositiveError with the witness).
     """
@@ -330,8 +351,14 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-
         raise ValueError("map and realization have different base algebras")
     psi = eta.minus_id()
     units = ("A", matrix_units(r.k))
-    words = [MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"]) for n in range(1, N + 1)]
-    f = build_fock(psi, required_depth(words[-1].atoms), tol)
-    _check_letters(r, f, N - 1)  # the order-N word's letters are the largest; refuse them before order 1
-    moments = tuple(MultiMap(r.k, evaluate(word, r, f)) for word in words)
-    return OVDistribution(k=r.k, order=N, moments=moments, label="compressed")
+    word = MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (N - 1) + ["X", "v"])
+    f = build_fock(psi, required_depth(word.atoms), tol)
+    _check_letters(r, f, N - 1)
+    env, k = _Env(r, f), r.k
+    # order n < N ends at letter 2n, order N at 2N + 1 only: also at 2N counts it twice
+    ends = [2 * n for n in range(1, N)] + [2 * N + 1]
+    totals = {end: np.zeros(((k * k) ** n, k, k), dtype=complex) for n, end in enumerate(ends)}
+    letters = _letters(word, env)
+    _rec((), letters[0], 1, letters, env, totals)
+    moments = tuple(MultiMap(k, _flip_slots(totals[end], n)) for n, end in enumerate(ends))
+    return OVDistribution(k=k, order=N, moments=moments, label="compressed")

@@ -20,7 +20,6 @@ boolean is not numeric).
 
 from __future__ import annotations
 
-import gc
 import json
 import operator
 import os
@@ -265,10 +264,10 @@ _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
 def read_spec(path: str) -> dict:
-    """The JSON object at path, parsed with the cyclic collector paused and
-    then frozen: its lists are acyclic, and reference counting frees them,
-    so a collection that traversed them would free nothing.  A file that
-    cannot be read, or holds no object, raises a ValueError naming path.
+    """The JSON object at path; a file that cannot be read, or holds no
+    object, raises a ValueError naming path.  Its lists are acyclic, so a
+    collection frees none of them: cli.main reads with the cyclic collector
+    off, and a library caller reading a large input may pause it too.
 
     Python's json parses every input's structure.  In an input of
     FAST_READ_BYTES or more that holds no backslash, each array field
@@ -282,16 +281,10 @@ def read_spec(path: str) -> dict:
     the value read, the message and the exit code never depend on the route.
     An integer outside [-2**63, 2**64) is read as the nearest double on both
     routes (_parse_int)."""
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         spec = _parse(path)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read JSON input {path}: {exc}") from exc
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
     if not isinstance(spec, dict):
         raise ValueError(f"JSON input {path} must be an object")
     return spec

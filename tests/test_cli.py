@@ -457,6 +457,34 @@ def test_bad_max_order_env_exit_2(capsys, monkeypatch, value):
     assert_one_line_exit_2(capsys, argv, f"OVFREE_MAX_ORDER must be a positive integer, got '{value}'")
 
 
+def test_verify_realization_refuses_a_cumulant_spec(tmp_path, capsys):
+    spec = {"distribution": semicircle_spec(), "map": map_spec_scaled_id(1, 2.0)}
+    argv = ["verify-realization", "--in", write(tmp_path, "in.json", spec)]
+    assert_one_line_exit_2(capsys, argv, "needs a realization-based distribution")
+
+
+def test_not_completely_positive_inside_a_command_exits_3(capsys, monkeypatch):
+    # a NotCompletelyPositiveError that reaches main exits 3 with its reason
+    # on stderr and its certificate in the output; here build_fock raises it
+    # for a psi that is not CP, which verify-realization's own check rules out
+    from ovfree import freeprod
+    from ovfree.cpmaps import CPMap, NotCompletelyPositiveError
+    from ovfree.fock import build_fock
+
+    bad_psi = CPMap.scaled_identity(2, 0.5).minus_id()
+    with pytest.raises(NotCompletelyPositiveError) as info:
+        build_fock(bad_psi, 2, 1e-9)
+    monkeypatch.setattr(freeprod, "build_fock", lambda psi, depth, tol: build_fock(bad_psi, depth, tol))
+    assert main(["verify-realization", "--in", GOLDEN_REALIZATION]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"ovfree: {info.value}\n"
+    payload = json.loads(captured.out)
+    assert set(payload) == {"reason", "certificate"} and payload["reason"] == str(info.value)
+    certificate = payload["certificate"]
+    assert certificate["is_psd"] is False and certificate["min_eigenvalue"] == info.value.report.min_eigenvalue
+    assert np.allclose(json_to_array(certificate["witness"]), info.value.report.witness, atol=1e-11)
+
+
 def run_fresh(code):
     """Run code in a fresh interpreter that imports ovfree from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -511,14 +539,17 @@ def test_cli_process_freezes_and_keeps_the_collector_enabled():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_restores_the_collector_state(tmp_path, capsys, enabled):
+    # read_spec leaves the collector alone; main restores it on an input error
     good, bad = write(tmp_path, "in.json", {"k": 1}), tmp_path / "bad.json"
     bad.write_text('{"k": ')
     big_bad = tmp_path / "big_bad.json"
     big_bad.write_text('{"k": ')
     (gc.enable if enabled else gc.disable)()
     try:
+        frozen = gc.get_freeze_count()
         assert read_spec(good) == {"k": 1} and gc.isenabled() == enabled
         assert read_spec(padded(write(tmp_path, "big.json", {"k": 1}))) == {"k": 1} and gc.isenabled() == enabled
+        assert gc.get_freeze_count() == frozen
         for path in (bad, padded(big_bad)):  # no site in the padded copy: json decides
             assert main(["check-cp", "--in", str(path)]) == 2 and gc.isenabled() == enabled
             assert "cannot read JSON input" in capsys.readouterr().err
@@ -1091,24 +1122,42 @@ def test_help_and_argument_errors_exit_before_numpy_is_imported(argv, code, line
         assert out == "" and err.endswith("\n") and err.splitlines()[-1].startswith(line)
 
 
-def test_numpy_and_the_front_modules_are_frozen_before_the_input_is_read():
-    # numpy and the modules every command runs are loaded after main's first
-    # freeze; a second one keeps every collection from traversing them
+def _collector_cases(tmp_path):
+    noncp = dict(read(GOLDEN_REALIZATION), map=map_spec_scaled_id(2, 0.5))  # eta - id = -id/2
+    return {
+        "command": (["verify-realization", "--in", GOLDEN_REALIZATION], 0),
+        "input-error": (["check-cp", "--in", str(tmp_path / "missing.json")], 2),
+        "precondition": (["verify-realization", "--in", write(tmp_path, "noncp.json", noncp)], 3),
+        "usage-error": (["check-cp"], "SystemExit(2)"),
+        "help": (["--help"], "SystemExit(0)"),
+    }
+
+
+@pytest.mark.parametrize("case", ["command", "input-error", "precondition", "usage-error", "help"])
+def test_main_runs_no_collection_and_restores_the_collector(tmp_path, case):
+    # no collection runs from main's entry to its return, so none traverses
+    # numpy, the ovfree modules or the parsed input; main then leaves every
+    # object frozen and the collector as it found it, enabled or not
+    argv, want = _collector_cases(tmp_path)[case]
     code = (
-        "import contextlib, gc, io\n"
-        "from ovfree import cli, serialize\n"
-        "tracked = []\n"
-        "def probe(path):\n"
-        "    import numpy\n"
-        "    ids = {id(o) for o in gc.get_objects()}\n"
-        "    tracked.extend(id(o) in ids for o in (numpy.__dict__, serialize.__dict__, serialize.canonical_chunks))\n"
-        "    return serialize.read_spec(path)\n"
-        "class Serialize:  # cli's view of serialize, still lazy, with probe as its reader\n"
-        "    def __getattr__(self, name):\n"
-        "        return probe if name == 'read_spec' else getattr(serialize, name)\n"
-        "cli.serialize = Serialize()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['check-cp', '--in', {str(Path(GOLDEN_CONVOLVE).parent / 'map.json')!r}]) == 0\n"
-        "print(tracked)\n"
+        "import contextlib, gc, io, json\n"
+        "from ovfree.cli import main\n"
+        "inside, starts = [False], []\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        inside[0] = True\n"
+        "        try:\n"
+        "            return main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            return f'SystemExit({exc.code})'\n"
+        "        finally:\n"
+        "            inside[0] = False\n"
+        "gc.callbacks.append(lambda phase, info: starts.append(phase) if phase == 'start' and inside[0] else None)\n"
+        "gc.collect()  # the few objects made before main's entry can then trigger none\n"
+        f"first = run({argv!r})\n"
+        "state = [len(starts), gc.isenabled(), gc.get_freeze_count() > 0]\n"
+        "gc.disable()\n"
+        f"second = run({argv!r})\n"
+        "print(json.dumps([first, *state, second, gc.isenabled()]))\n"
     )
-    assert run_fresh(code) == "[False, False, False]\n"
+    assert json.loads(run_fresh(code)) == [want, 0, True, True, want, False]

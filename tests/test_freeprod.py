@@ -201,6 +201,26 @@ def test_evaluate_rejects_shallow_module(rng):
     assert np.max(np.abs(evaluate(word, r, build_fock(psi, 3)) - deep)) < 1e-12 * np.max(np.abs(deep))
 
 
+
+@pytest.mark.parametrize("k, rank", [(1, 1), (1, 2), (1, None), (2, 1), (2, 2), (2, None), (3, 1), (3, 2), (3, None)])
+def test_one_recursion_is_evaluate_at_every_order_bit_for_bit(k, rank):
+    # compressed_distribution evaluates every order in one recursion on the
+    # order-N word; each moment must be evaluate's on its own order's word,
+    # to the bit.  rank None is eta = id: psi = 0, the Fock module holds only
+    # the unit letter, and a double count of the last order still shows
+    rng = np.random.default_rng(10 * k + (rank or 0))
+    r = random_realization(rng, k=k, p=2)
+    eta = CPMap.identity(k) if rank is None else CPMap(k, random_cp(rng, k, rank=rank).choi + CPMap.identity(k).choi)
+    N = 6 if k <= 2 else 5
+    dist = compressed_distribution(r, eta, N, tol=1e-9)
+    units = ("A", matrix_units(k))
+    for n in range(1, N + 1):
+        word = MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"])
+        want = evaluate(word, r, build_fock(eta.minus_id(), required_depth(word.atoms), 1e-9))
+        got = dist.moment(n).tensor
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"order {n}"
+
 @settings(max_examples=20, deadline=None)
 @given(k=st.sampled_from([1, 2, 3]), rank=st.sampled_from([1, 2]), N=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
