@@ -13,12 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 MAX_ARRAY_BYTES = 800_000_000  # 50M complex128 entries
+
+
+def negligible(x, against, tol: float = DEFAULT_TOL) -> bool:
+    """The one tolerance rule, behind every zero test of a verdict: x is zero
+    against a number or array of largest absolute entry s when x's largest
+    absolute entry is at most tol * max(1, s).  A NaN x never is."""
+    return bool(np.max(np.abs(x), initial=0.0) <= tol * max(1.0, np.max(np.abs(against), initial=0.0)))
 
 
 def check_array_size(entries: int, what: str) -> None:
@@ -45,11 +52,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(np.asarray(a), -1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
 @lru_cache(maxsize=None)
 def matrix_units(k: int) -> np.ndarray:
     """Array of shape (k*k, k, k); entry p*k + q is the matrix unit e_pq.
@@ -70,11 +72,9 @@ def unit_adjoint_index(c: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class PSDReport:
-    """Smallest-eigenvalue certificate for a Hermitian matrix.
-
-    witness is a unit-norm eigenvector attached exactly when min_eigenvalue
-    lies below -tol; then <witness, M witness> = min_eigenvalue up to tol.
-    """
+    """Smallest-eigenvalue certificate for a Hermitian matrix M, PSD up to tol
+    exactly when no witness is attached (psd_check's rule); a witness is a unit
+    vector with <witness, M witness> = min_eigenvalue < 0, up to rounding."""
 
     min_eigenvalue: float
     witness: Optional[np.ndarray]
@@ -86,27 +86,33 @@ class PSDReport:
 
     @property
     def is_psd(self) -> bool:
-        return self.min_eigenvalue >= -self.tol
+        return self.witness is None
 
 
 def psd_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> PSDReport:
     """Dense eigenvalue-based PSD certificate.
 
-    The input must be finite and Hermitian within 10*tol; it is symmetrized
-    before the eigensolve so the reported spectrum is that of (m + m^dagger)/2.
+    The input must be finite and Hermitian, its asymmetry negligible against
+    it; it is symmetrized before the eigensolve, so the reported spectrum is
+    that of (m + m^dagger)/2.  It is PSD unless its smallest eigenvalue is
+    negative and not negligible against it: below -tol * max(1, max |m_ij|).
     """
+    return hermitian_spectrum(m, tol)[0]
+
+
+def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[PSDReport, np.ndarray, np.ndarray]:
+    """psd_check's report with the eigenvalues (ascending) and eigenvectors
+    (columns) it was read from."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("psd_check expects a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("psd_check expects finite entries")
-    asym = float(np.max(np.abs(m - dagger(m))))
-    if asym > 10.0 * tol:
-        raise ValueError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {10.0 * tol:.3e}"
-        )
+    asym = m - dagger(m)
+    if not negligible(asym, m, tol):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(np.abs(asym)):.3e} is not negligible at tol {tol:.1e}")
     herm = m / 2.0 + dagger(m) / 2.0  # halved first: a finite m cannot overflow
     vals, vecs = np.linalg.eigh(herm)
     lam = float(vals[0])
-    witness = vecs[:, 0] if lam < -tol else None
-    return PSDReport(min_eigenvalue=lam, witness=witness, tol=float(tol))
+    witness = None if lam >= 0 or negligible(lam, m, tol) else vecs[:, 0]
+    return PSDReport(min_eigenvalue=lam, witness=witness, tol=float(tol)), vals, vecs

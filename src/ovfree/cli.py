@@ -10,7 +10,14 @@ Input and output are JSON; output is canonical (sorted keys, 12 significant
 digits) so identical inputs give byte-identical files.  --order and --level
 must be at least 1, --tol finite and above 0.  counterexample's --level is 4
 by default and at least 3 (levels 1 and 2 never fail); its "nonpositivity" is
-the first failing level up to L, or null.
+the first failing level up to L, or null.  Where no eigenvalue clears the
+tolerance rule below, its certificate is the exact vector of
+converse.certify_nonpositive.
+
+One tolerance rule decides every verdict: x is zero against a matrix of
+largest absolute entry s when |x| <= tol * max(1, s).  A matrix is PSD unless
+its smallest eigenvalue is negative and not zero against it; verify-realization
+passes when each order's deviation is zero against that order's moments.
 
 Exit codes: 0 success, 2 input error (including an --out path or a stdout,
 such as a pipe whose reader exited, that cannot be written, and a result
@@ -140,11 +147,11 @@ def _cmd_verify_realization(args) -> int:
     dist = ovdist.moments_from_realization(r, order)
     compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol)
     powered = ovdist.eta_power(dist, eta)
-    deviation = compressed.max_deviation(powered)
+    by_order = zip(compressed.moments, powered.moments)
     payload = {
         "order": order,
-        "max_deviation": deviation,
-        "pass": bool(deviation < 1e-8),
+        "max_deviation": compressed.max_deviation(powered),
+        "pass": all(algebra.negligible(c.max_deviation(p), p.tensor, args.tol) for c, p in by_order),
         "eta_minus_id": serialize.psd_report_to_json(cp_report),
     }
     serialize.write_canonical(payload, args.out)

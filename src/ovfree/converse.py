@@ -21,6 +21,7 @@ which eta-convolution powers correspond to (id_m (x) eta)-powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -28,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, psd_check, read_only
+from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, negligible, psd_check, read_only
 from .cpmaps import CPMap, eta_minus_id_cp
 from .multimap import MultiMap
 from .ovdist import (
@@ -177,18 +178,15 @@ class Witness:
         return float(np.real(np.trace(self.phi @ x)))
 
     def validate(self) -> None:
-        a, tol = self.a, DEFAULT_TOL
-        if np.max(np.abs(a @ a - a)) > tol or np.max(np.abs(a - dagger(a))) > tol:
+        a = self.a
+        if not (negligible(a @ a - a, a) and negligible(a - dagger(a), a)):
             raise ValueError("witness a is not a projection")
-        if psd_check(self.phi, tol).min_eigenvalue < -tol or abs(np.trace(self.phi) - 1) > tol:
+        if not (psd_check(self.phi).is_psd and negligible(np.trace(self.phi) - 1.0, 1.0)):
             raise ValueError("witness phi is not a state")
         if not self.phi_of(a) > 0:
             raise ValueError("witness has phi(a) <= 0")
         if not self.phi_of(self.eta_m_a - a) < -2 * self.kappa:
             raise ValueError("witness margin violated")
-
-
-_POS_EPS = 1e-8
 
 
 def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
@@ -201,7 +199,11 @@ def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
     weights until phi(a) > 0, phi(eta_m(a) - a) < -kappa and the compression
     constant phi(eta_m(a)) is nondegenerate.
     """
-    report = eta.minus_id().is_cp(tol)
+    return _search_witness(eta, eta_minus_id_cp(eta, tol))
+
+
+def _search_witness(eta: CPMap, report: PSDReport) -> Witness:
+    """find_witness from the certificate of eta - id it starts from."""
     if report.is_psd:
         raise NoWitnessError("no witness exists: eta - id is completely positive", report)
     k = eta.k
@@ -224,7 +226,8 @@ def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
                     fa = float(np.real(np.trace(sigma @ a)))
                     fd = float(np.real(np.trace(sigma @ diff)))
                     fe = float(np.real(np.trace(sigma @ eta_m_a)))
-                    if fa > _POS_EPS and fd < -kappa and sign * fe > _POS_EPS:
+                    # a margin of the construction, not a zero test: the witness must not move with tol
+                    if fa > 1e-8 and fd < -kappa and sign * fe > 1e-8:
                         wit = Witness(m=m, a=a, phi=sigma, kappa=kappa / 2, eta_m_a=eta_m_a)
                         wit.validate()
                         return wit
@@ -293,7 +296,7 @@ def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:
             for b in basis:
                 vec = vec - np.trace(dagger(b) @ vec) * b
         norm = float(np.sqrt(np.real(np.trace(dagger(vec) @ vec))))
-        if norm > 1e-10:
+        if norm > 1e-10:  # numerical rank of unit-scale seeds (|sqrt(phi)| = 1), which sizes the basis, not a verdict
             basis.append(vec / norm)
     arr = np.stack(basis)
     N = arr.shape[0] if n_basis is None else int(n_basis)
@@ -315,8 +318,8 @@ def compression_cumulants(
 
     computed here from the model matrices.  The constancy of the resulting
     ratio and the bound lambda < (phi(a) - kappa) / (phi(a) - delta) < 1 are
-    verified numerically; delta = |vartheta(aPa)/vartheta(P) - phi(a)| is 0
-    for the full-basis model and must stay below kappa otherwise.
+    verified up to algebra.negligible; delta = |vartheta(aPa)/vartheta(P) -
+    phi(a)| is 0 for the full-basis model and must stay below kappa otherwise.
     """
     phi_eta = w.phi_of(w.eta_m_a)
     phi_a = w.phi_of(w.a)
@@ -334,11 +337,10 @@ def compression_cumulants(
     for n, om in enumerate(scalar_cumulants, start=1):
         hat = theta_P * phi_eta * theta_aPa ** (n - 1) * om
         tilde.append(hat / theta_aPa**n)
-    for n, om in enumerate(scalar_cumulants, start=1):
-        if abs(om) > 1e-12 and abs(tilde[n - 1] / om - lam) > 1e-10:
+        if not negligible(tilde[-1] - lam * om, om):
             raise ValueError("compressed cumulants are not a constant multiple of the seed")
     bound = (phi_a - w.kappa) / (phi_a - delta)
-    if not (lam < bound + 1e-12 and bound < 1.0):
+    if bound >= 1.0 or (lam > bound and not negligible(lam - bound, bound)):
         raise ValueError(f"compression constant {lam} violates the bound {bound}")
     return tilde, lam
 
@@ -369,11 +371,15 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
     """Scale the symmetric Bernoulli cumulants by lam and hunt for a negative
     moment-matrix eigenvalue at levels up to level.
 
-    Any lam < 1 other than 0 admits a certificate (for lam < 0 already the
-    second moment is negative); lam = 0 is rejected since the scaled seed
-    degenerates to the point mass at zero, which is positive.
+    Any lam < 1 other than 0 admits a certificate: for lam < 0 the second
+    moment m2 = lam is negative (level 2), and for 0 < lam < 1 the level-3
+    Hankel matrix has v^T H v = lam (lam - 1) < 0 at v = (-lam, 0, 1).  Where
+    no eigenvalue clears the tolerance rule, as for lam within about tol of
+    1, that vector is the certificate, decided in exact arithmetic on lam.
+    lam = 0 is rejected since the scaled seed degenerates to the point mass
+    at zero, which is positive.
     """
-    if abs(lam) <= 1e-12:
+    if lam == 0:
         raise ValueError(
             "lambda = 0 is degenerate: every scaled cumulant vanishes and the "
             "resulting point mass at zero is positive"
@@ -390,7 +396,27 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
         report = positivity_certificate(dist, lv, tol)
         if not report.is_psd:
             return NonpositivityCertificate(lam=lam, level=lv, report=report)
-    return NonpositivityCertificate(lam=lam, level=level, report=report)
+    return _exact_certificate(lam, level, tol) or NonpositivityCertificate(lam=lam, level=level, report=report)
+
+
+def _exact_certificate(lam: float, level: int, tol: float) -> Optional[NonpositivityCertificate]:
+    """The certificate vector v of certify_nonpositive, None if level is too
+    low.  v^T H v is computed in fractions on the exact moments m1 = m3 = 0,
+    m2 = lam and m4 = 2 lam^2 - lam of the scaled seed, and the report's
+    min_eigenvalue is v's Rayleigh quotient, rounded: an upper bound on the
+    smallest eigenvalue, negative by the sign of lam and of lam - 1."""
+    q = Fraction(lam)
+    if q < 0 and level >= 2:
+        v, hankel = (0, 1), ((1, 0), (0, q))
+    elif 0 < q < 1 and level >= 3:
+        v, hankel = (-q, 0, 1), ((1, 0, q), (0, q, 0), (q, 0, 2 * q * q - q))
+    else:
+        return None
+    norm2 = sum(x * x for x in v)
+    value = sum(x * h * y for x, row in zip(v, hankel) for h, y in zip(row, v)) / norm2
+    witness = np.array(v, dtype=float) / np.sqrt(float(norm2))
+    report = PSDReport(min_eigenvalue=float(value), witness=witness, tol=float(tol))
+    return NonpositivityCertificate(lam=lam, level=len(v), report=report)
 
 
 @dataclass(frozen=True)
@@ -411,7 +437,7 @@ def counterexample_report(eta: CPMap, level: int = 4, tol: float = DEFAULT_TOL) 
     rep = eta_minus_id_cp(eta, tol)
     if rep.is_psd:
         return CounterexampleReport(rep, True, None, None, None)
-    w = find_witness(eta, tol)
+    w = _search_witness(eta, rep)
     g = build_gns(w)
     base = _bernoulli_cumulant_values(2 * level - 2)
     _, lam = compression_cumulants(base, w, g)

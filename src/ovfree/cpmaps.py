@@ -16,7 +16,7 @@ from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, matrix_units, psd_check, read_only
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, hermitian_spectrum, matrix_units, negligible, psd_check, read_only
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -137,23 +137,21 @@ class CPMap:
     def kraus(self, tol: float = DEFAULT_TOL) -> List[np.ndarray]:
         """Minimal Kraus family via Choi eigendecomposition.
 
-        Eigenvalues below tol * max(max_eigenvalue, 1) are discarded, so the
+        Eigenvalues negligible against the Choi matrix are discarded, so the
         number of returned operators equals the Choi rank at tol.  Each K is
         normalized to make its largest-modulus entry real positive, which
-        fixes the eigenvector phase ambiguity deterministically.
+        fixes the eigenvector phase ambiguity deterministically.  The same
+        eigensolve decides complete positivity.
         """
-        report = self.is_cp(tol)
+        report, vals, vecs = hermitian_spectrum(self.choi, tol)
         if not report.is_psd:
             raise NotCompletelyPositiveError(
                 f"map is not completely positive (min Choi eigenvalue {report.min_eigenvalue:.3e})",
                 report,
             )
-        herm = (self.choi + dagger(self.choi)) / 2.0
-        vals, vecs = np.linalg.eigh(herm)
-        cutoff = tol * max(float(vals[-1]), 1.0)
         ops: List[np.ndarray] = []
         for i in range(len(vals) - 1, -1, -1):
-            if vals[i] <= cutoff:
+            if negligible(vals[i], self.choi, tol):
                 break
             v = np.sqrt(vals[i]) * vecs[:, i]
             K = np.conjugate(v.reshape(self.k, self.k))

@@ -64,7 +64,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import check_array_size, dagger, matrix_units, read_only
+from .algebra import DEFAULT_TOL, check_array_size, dagger, matrix_units, read_only
 from .cpmaps import CPMap
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
@@ -334,7 +334,7 @@ def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
     return _flip_slots(total, n_slots)
 
 
-def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = 1e-9) -> OVDistribution:
+def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = DEFAULT_TOL) -> OVDistribution:
     """Moment maps of v* X v, assembled purely from the freeness recursion.
 
     The n-th moment map is evaluate on the compression word

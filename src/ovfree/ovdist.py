@@ -20,11 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, is_hermitian, matrix_units, psd_check, read_only, unit_adjoint_index
+from .algebra import DEFAULT_TOL, PSDReport, check_array_size, dagger, matrix_units, negligible, psd_check, read_only, unit_adjoint_index
 from .cpmaps import CPMap
 from .multimap import MultiMap
-
-HERMITIAN_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,12 +46,11 @@ class Realization:
         d = self.k * self.p
         if X.shape != (d, d):
             raise ValueError(f"X must be {d}x{d} for k={self.k}, p={self.p}")
-        if not is_hermitian(X, 1e-10):
+        if not negligible(X - dagger(X), X):
             raise ValueError("realization is invalid: X is not self-adjoint")
-        if not is_hermitian(rho, 1e-10):
+        if not negligible(rho - dagger(rho), rho):
             raise ValueError("realization is invalid: state is not a density matrix (not Hermitian)")
-        vals = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-        if vals[0] < -1e-10 or abs(np.sum(vals) - 1.0) > 1e-10:
+        if not (psd_check(rho).is_psd and negligible(np.trace(rho) - 1.0, 1.0)):
             raise ValueError("realization is invalid: state is not a density matrix")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "rho", rho)
@@ -73,20 +70,20 @@ class Realization:
 
     def validate(self) -> None:
         """Re-check the conditional expectation identities, naming failures."""
-        k, d, tol = self.k, self.d, 1e-10
-        if np.max(np.abs(self.cond_exp(np.eye(d)) - np.eye(k))) > tol:
+        k, d = self.k, self.d
+        if not negligible(self.cond_exp(np.eye(d)) - np.eye(k), 1.0):
             raise ValueError("condexp violates E(1) = 1")
         units = matrix_units(k)
         y, ey = self.X, self.cond_exp(self.X)  # a generic element to test the bimodule property against
         a = self.embed(units)  # (k^2, d, d): every a (x) 1_p at once
         for c in range(k * k):  # E(e_c x b) for every unit b in one call
-            if np.max(np.abs(self.cond_exp(a[c] @ y @ a) - units[c] @ ey @ units)) > tol:
+            if not negligible(self.cond_exp(a[c] @ y @ a) - units[c] @ ey @ units, y):
                 raise ValueError("condexp violates E(a x b) = a E(x) b on matrix units")
         # positivity of E as a map M_d -> M_k via its Choi block matrix, whose
         # block (u, v) for u = (i, s), v = (j, t) is E(e_uv) = rho[t, s] e_ij
         eye = np.eye(k)
         choi = np.einsum("ts,ia,jb->isajtb", self.rho, eye, eye).reshape(d * k, d * k)
-        if psd_check(choi, tol).min_eigenvalue < -tol:
+        if not psd_check(choi, DEFAULT_TOL).is_psd:
             raise ValueError("condexp is not positive")
 
 
@@ -96,7 +93,7 @@ def require_hermitian(m: MultiMap, what: str) -> None:
     scale = float(np.max(np.abs(m.tensor)))
     if not np.isfinite(scale):
         raise ValueError(f"{what} holds a non-finite number: the input's values are too large to compute with")
-    if m.herm_defect() > HERMITIAN_SYMMETRY_TOL * max(1.0, scale):
+    if not negligible(m.herm_defect(), scale):
         raise ValueError(f"{what} violates Hermitian symmetry")
 
 
@@ -307,8 +304,9 @@ def positivity_certificate(dist: OVDistribution, level: int, tol: float = DEFAUL
     Rows and columns are indexed by words of X-degree < level with matrix-unit
     coefficients; the (w, w') entry is the moment of w^* w'.  A negative
     witness conclusively refutes positivity of the distribution; a PSD result
-    certifies positivity up to this level only.  The entries are moments of
-    order at most 2 * level - 2, so that is the order the certificate needs.
+    certifies positivity up to this level only, by psd_check's scale-relative
+    rule.  The entries are moments of order at most 2 * level - 2, so that is
+    the order the certificate needs.
     The grid is filled with axes (W, k, W, k) and reshaped to the block matrix.
     """
     if level < 1:

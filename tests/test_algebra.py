@@ -63,6 +63,17 @@ def test_psd_of_gram_amatrix(rng):
     m = random_complex(rng, (3, 2, 3, 2)).reshape(6, 6)
     rep = psd_check(m.conj().T @ m)
     assert rep.min_eigenvalue >= -1e-10
+    # at every scale a rank-deficient Gram matrix is PSD, and less 1e-6 of its
+    # norm on its null vector v it is not (the rule scales with the matrix)
+    g = random_complex(rng, (5, 6))
+    v = np.linalg.svd(g)[2][-1].conj()
+    for scale in 10.0 ** np.arange(-3, 13):
+        gram = scale * (g.conj().T @ g)
+        assert psd_check(gram).is_psd, scale
+        bump = 1e-6 * max(1.0, np.linalg.norm(gram, 2)) * np.outer(v, v.conj())
+        assert not psd_check(gram - bump).is_psd, scale
+    rep = psd_check(np.full((4, 4), 1e10))  # rank one: eigenvalues 0, 0, 0 and 4e10, the zeros computed as -5.5e-6
+    assert rep.is_psd and rep.witness is None
 
 
 def test_psd_rejects_non_finite():

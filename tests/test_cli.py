@@ -23,7 +23,17 @@ from ovfree.serialize import (
     read_spec,
 )
 
-from conftest import EDGE_INTS, bits, padded, random_cp, random_density, random_hermitian, random_symmetric_cumulants
+from conftest import (
+    EDGE_INTS,
+    bits,
+    padded,
+    random_cp,
+    random_density,
+    random_eta,
+    random_hermitian,
+    random_realization,
+    random_symmetric_cumulants,
+)
 
 
 def write(tmp_path, name, payload):
@@ -1050,6 +1060,23 @@ def test_check_cp_near_the_double_limit(tmp_path, capsys):
     # a finite Choi matrix near the largest double is certified as it is
     assert main(["check-cp", "--in", write(tmp_path, "in.json", {"k": 1, "choi": [[[1e308, 0.0]]]})]) == 0
     assert json.loads(capsys.readouterr().out)["eta"] == {"is_psd": True, "min_eigenvalue": 1e308, "tol": 1e-9, "witness": None}
+    # a rank-one Choi matrix of entries 1e10: its eigenvalue -5.5e-6 is rounding at that scale
+    assert main(["check-cp", "--in", write(tmp_path, "big.json", {"k": 2, "choi": array_to_json(np.full((4, 4), 1e10))})]) == 0
+    eta = json.loads(capsys.readouterr().out)["eta"]
+    assert eta["is_psd"] and eta["witness"] is None and eta["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("argv, scale, field", [
+    (["positivity", "--level", "4"], 7.0, "positive_up_to_level"),  # min eigenvalue -1.25e-8 of a 44 x 44 matrix of norm 3.5e7
+    (["verify-realization", "--order", "6"], 12.0, "pass"),  # the routes differ by 2.7e-7 on order-6 moments of about 1e9
+], ids=["positivity", "verify-realization"])
+def test_verdicts_on_a_realization_hold_at_its_scale(tmp_path, capsys, argv, scale, field):
+    rng = np.random.default_rng(11)
+    r = random_realization(rng, k=2, p=2, scale=scale)
+    dist = {"k": 2, "order": 6, "realization": {"d": 4, "p": 2, "X": array_to_json(r.X), "state": array_to_json(r.rho)}}
+    spec = {"distribution": dist, "map": {"k": 2, "choi": array_to_json(random_eta(rng, 2).choi)}}
+    assert main([argv[0], "--in", write(tmp_path, "in.json", spec), *argv[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)[field] is True
 
 
 # the ovfree modules a fresh CLI process runs for each command; the rest stay

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -297,6 +298,34 @@ def test_certificates_build_orders_up_to_2l_minus_2(built_orders):
         assert max(built_orders) == 2 * level - 2
         built_orders.clear()
     assert certify_nonpositive(0.9, 1).level == 1 and max(built_orders) == 1
+
+
+@pytest.mark.parametrize("lam, level", [(1 - 1e-12, 3), (-1e-12, 2)])
+def test_certify_falls_back_to_the_exact_vector(lam, level):
+    # no eigenvalue clears the tolerance rule here, so the certificate is the
+    # vector (-lam, 0, 1), or (0, 1) for lam < 0, with v^T H v decided in fractions
+    cert = certify_nonpositive(lam, 4)
+    assert cert.found and cert.level == level
+    v = [Fraction(x) for x in cert.report.witness.real]
+    q = Fraction(lam)
+    hankel = [[1, 0, q], [0, q, 0], [q, 0, 2 * q * q - q]][:level]
+    assert sum(v[i] * hankel[i][j] * v[j] for i in range(level) for j in range(level)) < 0
+    assert cert.report.min_eigenvalue < 0 and not cert.report.witness.imag.any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.2, 0.4])
+def test_dichotomy_at_its_threshold(k, beta):
+    # eta(x) = alpha x + beta tr(x)/k I: the Choi matrix of eta - id has the
+    # eigenvalue (alpha - 1) k + beta/k, so eta - id is CP iff alpha >= 1 - beta/k^2;
+    # no alpha at or above that is called not CP, and each not-CP verdict has a certificate
+    threshold = 1 - beta / k**2
+    for offset in [sign * 10.0**-e for e in range(1, 13) for sign in (1, -1)]:
+        alpha = threshold + offset
+        eta = CPMap.from_action(k, lambda x: alpha * x + beta * np.trace(x) / k * np.eye(k))
+        report = counterexample_report(eta, level=4)
+        assert report.preserved or offset < 0, offset
+        assert report.preserved or report.nonpositivity.found, offset
 
 
 def test_certify_zero_rejected():
