@@ -73,8 +73,10 @@ def unit_adjoint_index(c: int, k: int) -> int:
 @dataclass(frozen=True)
 class PSDReport:
     """Smallest-eigenvalue certificate for a Hermitian matrix M, PSD up to tol
-    exactly when no witness is attached (psd_check's rule); a witness is a unit
-    vector with <witness, M witness> = min_eigenvalue < 0, up to rounding."""
+    exactly when no witness is attached (psd_check's rule).  A witness is a
+    unit vector with <witness, M witness> = min_eigenvalue < 0, up to
+    rounding; min_eigenvalue is then M's smallest eigenvalue, or, where the
+    verdict was read at the rows' own scale, an upper bound on it."""
 
     min_eigenvalue: float
     witness: Optional[np.ndarray]
@@ -92,27 +94,41 @@ class PSDReport:
 def psd_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> PSDReport:
     """Dense eigenvalue-based PSD certificate.
 
-    The input must be finite and Hermitian, its asymmetry negligible against
-    it; it is symmetrized before the eigensolve, so the reported spectrum is
-    that of (m + m^dagger)/2.  It is PSD unless its smallest eigenvalue is
-    negative and not negligible against it: below -tol * max(1, max |m_ij|).
+    The input must be finite and Hermitian: its asymmetry must be negligible
+    against it at 10 * tol, the gate's margin for input rounded elsewhere.
+    It is symmetrized before the eigensolve, so the reported spectrum is that
+    of H = (m + m^dagger)/2.  A smallest eigenvalue of H not negligible
+    against m decides alone.  Otherwise H is PSD unless, with D =
+    diag(max(1, |h_ii|)), the smallest eigenvalue of D^-1/2 H D^-1/2 (whose
+    entries are at most 1 in size where H is PSD) is below -tol.  The
+    congruence keeps the signs of the eigenvalues and brings every row to its
+    own scale, so a graded matrix, as a moment matrix is, cannot hide a
+    negative block under the rounding of its largest entries.
     """
     return hermitian_spectrum(m, tol)[0]
 
 
 def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[PSDReport, np.ndarray, np.ndarray]:
     """psd_check's report with the eigenvalues (ascending) and eigenvectors
-    (columns) it was read from."""
+    (columns) of H it was read from."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("psd_check expects a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("psd_check expects finite entries")
-    asym = m - dagger(m)
-    if not negligible(asym, m, tol):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(np.abs(asym)):.3e} is not negligible at tol {tol:.1e}")
+    scale, asym = np.max(np.abs(m), initial=0.0), m - dagger(m)
+    if not negligible(asym, scale, 10.0 * tol):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(np.abs(asym)):.3e} is not negligible at tol {10.0 * tol:.1e}")
     herm = m / 2.0 + dagger(m) / 2.0  # halved first: a finite m cannot overflow
     vals, vecs = np.linalg.eigh(herm)
-    lam = float(vals[0])
-    witness = None if lam >= 0 or negligible(lam, m, tol) else vecs[:, 0]
+    lam, witness = float(vals[0]), (None if vals[0] > 0 else vecs[:, 0])
+    if negligible(lam, scale, tol):  # within the largest entries' rounding: read the sign at each row's own scale
+        r = 1.0 / np.sqrt(np.maximum(1.0, np.abs(np.diag(herm))))
+        svals, svecs = np.linalg.eigh(herm * np.outer(r, r))
+        witness = r * svecs[:, 0]  # <witness, H witness> = svals[0]
+        if svals[0] >= 0 or negligible(svals[0], 1.0, tol):
+            witness = None
+        else:
+            lam = float(svals[0]) / float(np.vdot(witness, witness).real)
+            witness = witness / np.linalg.norm(witness)
     return PSDReport(min_eigenvalue=lam, witness=witness, tol=float(tol)), vals, vecs

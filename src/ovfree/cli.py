@@ -15,9 +15,12 @@ tolerance rule below, its certificate is the exact vector of
 converse.certify_nonpositive.
 
 One tolerance rule decides every verdict: x is zero against a matrix of
-largest absolute entry s when |x| <= tol * max(1, s).  A matrix is PSD unless
-its smallest eigenvalue is negative and not zero against it; verify-realization
-passes when each order's deviation is zero against that order's moments.
+largest absolute entry s when |x| <= tol * max(1, s).  A matrix H is PSD
+unless its smallest eigenvalue is negative and not zero against it, read at
+each row's own scale: that of D^-1/2 H D^-1/2, D = diag(max(1, |h_ii|)), so
+that a graded moment matrix hides no negative block under its largest entries.
+verify-realization passes when each order's deviation is zero against that
+order's moments.
 
 Exit codes: 0 success, 2 input error (including an --out path or a stdout,
 such as a pipe whose reader exited, that cannot be written, and a result
@@ -147,11 +150,13 @@ def _cmd_verify_realization(args) -> int:
     dist = ovdist.moments_from_realization(r, order)
     compressed = freeprod.compressed_distribution(r, eta, order, tol=args.tol)
     powered = ovdist.eta_power(dist, eta)
-    by_order = zip(compressed.moments, powered.moments)
+    import numpy as np
+
+    devs = [c.max_deviation(p) for c, p in zip(compressed.moments, powered.moments)]
     payload = {
         "order": order,
-        "max_deviation": compressed.max_deviation(powered),
-        "pass": all(algebra.negligible(c.max_deviation(p), p.tensor, args.tol) for c, p in by_order),
+        "max_deviation": float(np.max(devs)),  # a NaN wins
+        "pass": all(algebra.negligible(d, p.tensor, args.tol) for d, p in zip(devs, powered.moments)),
         "eta_minus_id": serialize.psd_report_to_json(cp_report),
     }
     serialize.write_canonical(payload, args.out)

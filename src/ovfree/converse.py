@@ -21,7 +21,6 @@ which eta-convolution powers correspond to (id_m (x) eta)-powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -375,9 +374,8 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
     moment m2 = lam is negative (level 2), and for 0 < lam < 1 the level-3
     Hankel matrix has v^T H v = lam (lam - 1) < 0 at v = (-lam, 0, 1).  Where
     no eigenvalue clears the tolerance rule, as for lam within about tol of
-    1, that vector is the certificate, decided in exact arithmetic on lam.
-    lam = 0 is rejected since the scaled seed degenerates to the point mass
-    at zero, which is positive.
+    1, that vector is the certificate.  lam = 0 is rejected since the scaled
+    seed degenerates to the point mass at zero, which is positive.
     """
     if lam == 0:
         raise ValueError(
@@ -401,21 +399,18 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
 
 def _exact_certificate(lam: float, level: int, tol: float) -> Optional[NonpositivityCertificate]:
     """The certificate vector v of certify_nonpositive, None if level is too
-    low.  v^T H v is computed in fractions on the exact moments m1 = m3 = 0,
-    m2 = lam and m4 = 2 lam^2 - lam of the scaled seed, and the report's
-    min_eigenvalue is v's Rayleigh quotient, rounded: an upper bound on the
-    smallest eigenvalue, negative by the sign of lam and of lam - 1."""
-    q = Fraction(lam)
-    if q < 0 and level >= 2:
-        v, hankel = (0, 1), ((1, 0), (0, q))
-    elif 0 < q < 1 and level >= 3:
-        v, hankel = (-q, 0, 1), ((1, 0, q), (0, q, 0), (q, 0, 2 * q * q - q))
+    low.  The report's min_eigenvalue is v's Rayleigh quotient on the exact
+    Hankel matrix (m1 = m3 = 0, m2 = lam, m4 = 2 lam^2 - lam): lam at v =
+    (0, 1), and lam (lam - 1) / (1 + lam^2) at v = (-lam, 0, 1).  It bounds
+    the smallest eigenvalue from above and is negative in floating point too:
+    lam - 1 is exact for lam >= 1/2 and at most -1/2 below."""
+    if lam < 0 and level >= 2:
+        v, value = np.array([0.0, 1.0]), lam
+    elif 0 < lam < 1 and level >= 3:
+        v, value = np.array([-lam, 0.0, 1.0]), lam * (lam - 1) / (1 + lam * lam)
     else:
         return None
-    norm2 = sum(x * x for x in v)
-    value = sum(x * h * y for x, row in zip(v, hankel) for h, y in zip(row, v)) / norm2
-    witness = np.array(v, dtype=float) / np.sqrt(float(norm2))
-    report = PSDReport(min_eigenvalue=float(value), witness=witness, tol=float(tol))
+    report = PSDReport(min_eigenvalue=float(value), witness=v / np.linalg.norm(v), tol=float(tol))
     return NonpositivityCertificate(lam=lam, level=len(v), report=report)
 
 

@@ -93,7 +93,7 @@ def require_hermitian(m: MultiMap, what: str) -> None:
     scale = float(np.max(np.abs(m.tensor)))
     if not np.isfinite(scale):
         raise ValueError(f"{what} holds a non-finite number: the input's values are too large to compute with")
-    if not negligible(m.herm_defect(), scale):
+    if not negligible(m.herm_defect(), scale, 10 * DEFAULT_TOL):  # psd_check's gate margin, for input rounded elsewhere
         raise ValueError(f"{what} violates Hermitian symmetry")
 
 

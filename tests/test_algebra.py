@@ -47,6 +47,32 @@ def test_psd_rejects_non_hermitian(rng):
     m = random_complex(rng, (3, 3))
     with pytest.raises(ValueError):
         psd_check(m)
+    # the gate takes asymmetry up to 10 * tol * max(1, max |m_ij|): input
+    # rounded elsewhere passes, at scale 1 exactly as under the old 10 * tol
+    for scale in (1.0, 1e6):
+        for factor, accepted in ((0.9, True), (1.1, False)):
+            m = scale * np.eye(2, dtype=complex)
+            m[0, 1] = factor * 1e-8 * scale
+            if accepted:
+                assert psd_check(m).is_psd
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    psd_check(m)
+
+
+def test_psd_reads_a_graded_matrix_at_its_rows_scale(rng):
+    # a moment matrix is graded; a negative eigenvalue of its unit-scale block
+    # stays a witness next to an entry of 1e12, whose rounding it is below
+    block = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-6]])  # eigenvalue -5e-7
+    m = np.zeros((3, 3))
+    m[:2, :2], m[2, 2] = block, 1e12
+    rep = psd_check(m)
+    assert not psd_check(block).is_psd and not rep.is_psd
+    assert rep.min_eigenvalue < -1e-7 and abs(rep.witness.conj() @ m @ rep.witness - rep.min_eigenvalue) < 1e-12
+    # and a graded rank-deficient Gram matrix, rows from 1 to 1e12, is PSD
+    g = random_complex(rng, (4, 6))
+    d = np.sqrt(10.0 ** np.arange(0, 13, 2.4))
+    assert psd_check(d[:, None] * (g.conj().T @ g) * d[None, :]).is_psd
 
 
 def test_psd_unitary_invariance(rng):

@@ -1079,6 +1079,18 @@ def test_verdicts_on_a_realization_hold_at_its_scale(tmp_path, capsys, argv, sca
     assert json.loads(capsys.readouterr().out)[field] is True
 
 
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_a_negative_variance_is_not_positive_next_to_a_large_moment(tmp_path, capsys, level):
+    # kappa2 = -1 makes m2 = -1; kappa6 = 1e12 puts m6 = 1e12 into the level-4
+    # Hankel matrix, and its rounding must not hide the level-2 witness
+    spec = semicircle_spec(6)
+    spec["cumulants"][1] = array_to_json(-np.ones((1, 1, 1)))
+    spec["cumulants"][5] = array_to_json(np.full((1,) * 5 + (1, 1), 1e12))
+    assert main(["positivity", "--in", write(tmp_path, "in.json", spec), "--level", str(level)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["positive_up_to_level"] is False and out["certificate"]["min_eigenvalue"] <= -0.5
+
+
 # the ovfree modules a fresh CLI process runs for each command; the rest stay
 # lazy in sys.modules (and no command runs ncpart)
 FRONT = {"cli", "serialize", "cpmaps", "algebra"}

@@ -329,6 +329,21 @@ def test_hermitian_symmetry_preserved(rng):
         assert m.max_deviation(m.herm_reflect()) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_require_hermitian_boundary(scale):
+    # Hermitian defect up to 10 * DEFAULT_TOL * max(1, scale) passes: 1e-8 at scale 1
+    for factor, accepted in ((0.9, True), (1.1, False)):
+        t = scale * np.eye(2, dtype=complex)
+        t[0, 1] = factor * 1e-8 * scale
+        m = MultiMap(2, t)
+        assert m.herm_defect() == factor * 1e-8 * scale
+        if accepted:
+            ovdist.require_hermitian(m, "m")
+        else:
+            with pytest.raises(ValueError, match="m violates Hermitian symmetry"):
+                ovdist.require_hermitian(m, "m")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_require_hermitian_refuses_non_finite(bad):
     # a NaN defect would pass a "defect > tol" test
