@@ -116,7 +116,7 @@ def _cmd_positivity(args) -> int:
     spec = serialize.read_spec(args.infile)
     dist_spec = _parts(spec, "distribution")[0] if "distribution" in spec else spec
     order = _order(dist_spec, args, ORDER_CAP)
-    read = max(1, min(order, 2 * args.level - 2))  # the level-L matrix reads orders up to 2L - 2
+    read = min(order, ovdist.level_order(args.level))
     if "realization" in dist_spec:
         dist = serialize.dist_from_spec(dist_spec, read)
     else:  # every cumulant up to the order is still read and checked

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, negligible, psd_check, read_only
+from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, negligible, read_only
 from .cpmaps import CPMap, eta_minus_id_cp
 from .multimap import MultiMap
 from .ovdist import (
@@ -36,6 +36,7 @@ from .ovdist import (
     _interval_dp,
     bernoulli,
     cumulants_from_moments,
+    level_order,
     moments_from_cumulants,
     positivity_certificate,
 )
@@ -157,10 +158,11 @@ def unpack_tuple(dist: OVDistribution, m: int, k: int) -> TupleDistribution:
 
 @dataclass(frozen=True)
 class Witness:
-    """Projection a in M_m(A) and state phi with phi(eta_m(a)) < phi(a) - kappa.
+    """Projection a in M_m(A) and state phi with phi(eta_m(a)) < phi(a) - 2 kappa.
 
     phi is stored as a density matrix; eta_m_a caches id_m (x) eta applied to
     a, which the compression formulas reuse.  The arrays are read-only copies.
+    _search_witness, the one builder, decides each of these properties.
     """
 
     m: int
@@ -175,17 +177,6 @@ class Witness:
 
     def phi_of(self, x: np.ndarray) -> float:
         return float(np.real(np.trace(self.phi @ x)))
-
-    def validate(self) -> None:
-        a = self.a
-        if not (negligible(a @ a - a, a) and negligible(a - dagger(a), a)):
-            raise ValueError("witness a is not a projection")
-        if not (psd_check(self.phi).is_psd and negligible(np.trace(self.phi) - 1.0, 1.0)):
-            raise ValueError("witness phi is not a state")
-        if not self.phi_of(a) > 0:
-            raise ValueError("witness has phi(a) <= 0")
-        if not self.phi_of(self.eta_m_a - a) < -2 * self.kappa:
-            raise ValueError("witness margin violated")
 
 
 def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
@@ -227,9 +218,7 @@ def _search_witness(eta: CPMap, report: PSDReport) -> Witness:
                     fe = float(np.real(np.trace(sigma @ eta_m_a)))
                     # a margin of the construction, not a zero test: the witness must not move with tol
                     if fa > 1e-8 and fd < -kappa and sign * fe > 1e-8:
-                        wit = Witness(m=m, a=a, phi=sigma, kappa=kappa / 2, eta_m_a=eta_m_a)
-                        wit.validate()
-                        return wit
+                        return Witness(m=m, a=a, phi=sigma, kappa=kappa / 2, eta_m_a=eta_m_a)
     raise NoWitnessError(
         "witness search failed: phi(eta_m(a)) is degenerate for every candidate "
         "state (the compression constant would vanish and the scaled seed "
@@ -382,7 +371,7 @@ def certify_nonpositive(lam: float, level: int, tol: float = DEFAULT_TOL) -> Non
             "lambda = 0 is degenerate: every scaled cumulant vanishes and the "
             "resulting point mass at zero is positive"
         )
-    order = max(2 * level - 2, 1)  # level L reads orders up to 2L - 2
+    order = level_order(level)
     base = _bernoulli_cumulant_values(order)
     scaled = [
         MultiMap(1, np.full((1,) * (n - 1) + (1, 1), lam * base[n - 1], dtype=complex))
@@ -434,7 +423,7 @@ def counterexample_report(eta: CPMap, level: int = 4, tol: float = DEFAULT_TOL) 
         return CounterexampleReport(rep, True, None, None, None)
     w = _search_witness(eta, rep)
     g = build_gns(w)
-    base = _bernoulli_cumulant_values(2 * level - 2)
+    base = _bernoulli_cumulant_values(level_order(level))
     _, lam = compression_cumulants(base, w, g)
     cert = certify_nonpositive(lam, level, tol)
     return CounterexampleReport(rep, False, w, lam, cert)

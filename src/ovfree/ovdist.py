@@ -31,8 +31,8 @@ class Realization:
 
     The algebra embeds as a -> a (x) 1_p and the conditional expectation is
     id (x) phi for the state phi = tr(rho .) on the M_p tensor factor.  This
-    shape guarantees the bimodule property E(a x b) = a E(x) b and positivity
-    of E by construction; validate() re-checks both numerically.
+    shape makes E bimodular, and unital and positive exactly when rho is a
+    p x p density matrix; a length-p rho is taken as its vector state.
     """
 
     k: int
@@ -43,11 +43,15 @@ class Realization:
     def __post_init__(self):
         # private read-only copies: a caller mutating its arrays cannot void the checks below
         X, rho = read_only(self.X), read_only(self.rho)
-        d = self.k * self.p
+        d, p = self.k * self.p, self.p
         if X.shape != (d, d):
-            raise ValueError(f"X must be {d}x{d} for k={self.k}, p={self.p}")
+            raise ValueError(f"X must be {d}x{d} for k={self.k}, p={p}")
         if not negligible(X - dagger(X), X):
             raise ValueError("realization is invalid: X is not self-adjoint")
+        if rho.shape == (p,):
+            rho = read_only(np.outer(rho, rho.conj()))
+        if rho.shape != (p, p):
+            raise ValueError(f"state must be {p}x{p} or a length-{p} vector for p={p}, got shape {rho.shape}")
         if not negligible(rho - dagger(rho), rho):
             raise ValueError("realization is invalid: state is not a density matrix (not Hermitian)")
         if not (psd_check(rho).is_psd and negligible(np.trace(rho) - 1.0, 1.0)):
@@ -67,24 +71,6 @@ class Realization:
         x = np.asarray(x, dtype=complex)
         x4 = x.reshape(x.shape[:-2] + (self.k, self.p, self.k, self.p))
         return np.einsum("ts,...isjt->...ij", self.rho, x4)
-
-    def validate(self) -> None:
-        """Re-check the conditional expectation identities, naming failures."""
-        k, d = self.k, self.d
-        if not negligible(self.cond_exp(np.eye(d)) - np.eye(k), 1.0):
-            raise ValueError("condexp violates E(1) = 1")
-        units = matrix_units(k)
-        y, ey = self.X, self.cond_exp(self.X)  # a generic element to test the bimodule property against
-        a = self.embed(units)  # (k^2, d, d): every a (x) 1_p at once
-        for c in range(k * k):  # E(e_c x b) for every unit b in one call
-            if not negligible(self.cond_exp(a[c] @ y @ a) - units[c] @ ey @ units, y):
-                raise ValueError("condexp violates E(a x b) = a E(x) b on matrix units")
-        # positivity of E as a map M_d -> M_k via its Choi block matrix, whose
-        # block (u, v) for u = (i, s), v = (j, t) is E(e_uv) = rho[t, s] e_ij
-        eye = np.eye(k)
-        choi = np.einsum("ts,ia,jb->isajtb", self.rho, eye, eye).reshape(d * k, d * k)
-        if not psd_check(choi, DEFAULT_TOL).is_psd:
-            raise ValueError("condexp is not positive")
 
 
 def require_hermitian(m: MultiMap, what: str) -> None:
@@ -135,7 +121,6 @@ def moments_from_realization(r: Realization, N: int, label: str = "realized") ->
         raise ValueError(f"order must be at least 1, got {N}")
     k = r.k
     check_array_size((k * k) ** (N - 1) * r.d**2, f"an order-{N} moment product on M_{r.d}")
-    r.validate()
     # W[c] = embed(e_c) @ X; cur accumulates X a_{c_1} X ... X with slot axes
     W = np.stack([r.embed(u) @ r.X for u in matrix_units(k)])
     cur = r.X.copy()
@@ -298,6 +283,11 @@ def _degree_words(k: int, level: int) -> List[Tuple[int, Tuple[int, ...]]]:
     return words
 
 
+def level_order(level: int) -> int:
+    """The highest moment order the level-L moment matrix reads: 2L - 2, at least 1."""
+    return max(1, 2 * level - 2)
+
+
 def positivity_certificate(dist: OVDistribution, level: int, tol: float = DEFAULT_TOL) -> PSDReport:
     """PSD certificate for the level-d block moment matrix.
 
@@ -305,14 +295,14 @@ def positivity_certificate(dist: OVDistribution, level: int, tol: float = DEFAUL
     coefficients; the (w, w') entry is the moment of w^* w'.  A negative
     witness conclusively refutes positivity of the distribution; a PSD result
     certifies positivity up to this level only, by psd_check's scale-relative
-    rule.  The entries are moments of order at most 2 * level - 2, so that is
-    the order the certificate needs.
+    rule.  The entries are moments of order at most level_order(level), so
+    that is the order the certificate needs.
     The grid is filled with axes (W, k, W, k) and reshaped to the block matrix.
     """
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
-    if 2 * level - 2 > dist.order:
-        raise ValueError(f"insufficient order: level {level} needs order >= {2 * level - 2}")
+    if level_order(level) > dist.order:
+        raise ValueError(f"insufficient order: level {level} needs order >= {level_order(level)}")
     k = dist.k
     words = _degree_words(k, level)
     W = len(words)

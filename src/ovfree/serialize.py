@@ -513,8 +513,8 @@ def map_to_spec(m: CPMap) -> dict:
 
 def realization_from_spec(k: int, real: dict) -> ovdist.Realization:
     """{"d", "X", "embedding": "tensor-block", "p", "state"}; the state is a
-    density matrix or a unit vector (taken as the corresponding vector
-    state)."""
+    p x p density matrix or a length-p unit vector (taken as the
+    corresponding vector state), which ovdist.Realization checks."""
     if not isinstance(real, dict):
         raise ValueError("realization spec must be an object")
     for field in ("p", "X", "state"):
@@ -528,8 +528,6 @@ def realization_from_spec(k: int, real: dict) -> ovdist.Realization:
         raise ValueError(f"realization dimension mismatch: d={d} but k*p={k * p}")
     X = _finite(json_to_array(real["X"]), "X")
     state = _finite(json_to_array(real["state"]), "state")
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
     return ovdist.Realization(k=k, p=p, X=X, rho=state)
 
 
@@ -549,7 +547,12 @@ def spec_k(spec: dict) -> int:
 def _spec_cumulants(spec: dict, k: int, order: int) -> Tuple[multimap.MultiMap, ...]:
     """The first order cumulant maps a cumulant spec lists; every listed
     tensor is parsed, and none is transformed."""
-    cums = [multimap.MultiMap(k, _finite(json_to_array(t), "cumulants").reshape((k * k,) * i + (k, k))) for i, t in enumerate(spec["cumulants"])]
+    cums = []
+    for i, t in enumerate(spec["cumulants"]):
+        tensor = _finite(json_to_array(t), "cumulants")
+        if tensor.size != k ** (2 * i + 2):
+            raise ValueError(f"cumulant {i + 1} needs {k ** (2 * i + 2)} entries for k={k}, got {tensor.size}")
+        cums.append(multimap.MultiMap(k, tensor.reshape((k * k,) * i + (k, k))))
     if order > len(cums):
         raise ValueError(f"order {order} requested but only {len(cums)} cumulants supplied")
     return tuple(cums[:order])

@@ -320,6 +320,34 @@ def test_realization_missing_field_exit_2(tmp_path, capsys, command, field):
     assert err.count("\n") == 1 and f"'{field}'" in err and "Traceback" not in err
 
 
+def _realization_input(tmp_path, k, state):
+    rng = np.random.default_rng(15)
+    dist = {"k": k, "order": 4, "realization": {"p": 2, "X": array_to_json(random_hermitian(rng, 2 * k)), "state": array_to_json(state)}}
+    return write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(k, 1.5)})
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("command", ["positivity", "convolve-power", "verify-realization"])
+def test_state_negligibly_off_psd_is_accepted_at_every_k(tmp_path, capsys, command, k):
+    # the eigenvalue -6e-10 is negligible at tol 1e-9; the state is decided once, at its own scale
+    assert main([command, "--in", _realization_input(tmp_path, k, np.diag([1 + 6e-10, -6e-10]))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("state", [np.ones(3) / np.sqrt(3), np.ones((1, 1)), np.full((2, 3), 0.5)], ids=["vector-3", "1x1", "2x3"])
+@pytest.mark.parametrize("command", ["positivity", "convolve-power", "verify-realization"])
+def test_state_of_the_wrong_size_exit_2(tmp_path, capsys, command, state):
+    needle = f"state must be 2x2 or a length-2 vector for p=2, got shape {state.shape}"
+    assert_one_line_exit_2(capsys, [command, "--in", _realization_input(tmp_path, 2, state)], needle)
+
+
+@pytest.mark.parametrize("argv", [["positivity", "--level", "1"], ["convolve-power"]])
+def test_cumulant_of_the_wrong_size_exit_2(tmp_path, capsys, argv):
+    dist = {"k": 2, "cumulants": [array_to_json(np.eye(3))]}
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(2, 1.5)})
+    assert_one_line_exit_2(capsys, argv[:1] + ["--in", inp] + argv[1:], "cumulant 1 needs 4 entries for k=2, got 9")
+
+
 def test_realization_not_an_object_exit_2(tmp_path, capsys):
     spec = {"k": 1, "order": 2, "realization": []}
     inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})

@@ -125,7 +125,6 @@ def test_tuple_eta_power_matches_amplified_power(rng):
 def test_find_witness_id_plus_transpose():
     w = find_witness(id_plus_transpose())
     assert w.m == 2
-    w.validate()
     assert w.phi_of(w.eta_m_a - w.a) < 0
     assert w.phi_of(w.a) > 0
     assert w.phi_of(w.eta_m_a) > 0
