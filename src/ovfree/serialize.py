@@ -256,9 +256,12 @@ MIN_SITE_BYTES = 4096
 # document were shorter: k^2 Kraus operators at k <= 7 and the shorter
 # cumulants (at most 3 for k >= 2) stay within it.
 MAX_SHORT_ELEMENTS = 64
-# A site's numbers are parsed in pieces of about this many bytes, so that no
-# list of more than a piece's numbers is held.
-FLAT_PIECE_BYTES = 1 << 20
+# A site's text is copied and its numbers parsed in pieces of about this many
+# bytes, so that no copy of the site and no list of more than a piece's
+# numbers is held.
+FLAT_PIECE_BYTES = 1 << 16
+# The quotes of a document are found this many bytes at a time.
+_SCAN_BYTES = 1 << 20
 _NUMBER = b"0123456789+-.eE"
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
@@ -269,16 +272,19 @@ def read_spec(path: str) -> dict:
     collection frees none of them: cli.main reads with the cyclic collector
     off, and a library caller reading a large input may pause it too.
 
-    Python's json parses every input's structure.  In an input of
-    FAST_READ_BYTES or more that holds no backslash, each array field
-    (ARRAY_FIELDS: a "choi", "X" or "state" value, or an element of a
-    "kraus" or "cumulants" list) of MIN_SITE_BYTES or more whose text is a
-    rectangular array of numbers, written compactly or with ", " separators,
-    is cut out and read by orjson as flat lists of numbers into an ndarray,
-    which json_to_array reads as it does nested lists, and json parses the
-    rest (_loads_with_arrays).  Every other input, and every document whose
-    rest json refuses or that leaves any doubt, is read by json whole, so
-    the value read, the message and the exit code never depend on the route.
+    Python's json parses every input's structure.  An input of
+    FAST_READ_BYTES or more is mapped, not read into memory (_parse).  If it
+    holds no backslash, each array field (ARRAY_FIELDS: a "choi", "X" or
+    "state" value, or an element of a "kraus" or "cumulants" list) of
+    MIN_SITE_BYTES or more whose text is a rectangular array of numbers,
+    written compactly or with ", " separators, is read from the map a piece
+    at a time, by orjson as flat lists of numbers, into an ndarray
+    (_site_array), which json_to_array reads as it does nested lists, and
+    json parses the rest, joined from slices of the map
+    (_loads_with_arrays).  Every other input, a file that cannot be mapped,
+    and every document whose rest json refuses or that leaves any doubt, is
+    read by json whole, so the value read, the message and the exit code
+    never depend on the route.
     An integer outside [-2**63, 2**64) is read as the nearest double on both
     routes (_parse_int)."""
     try:
@@ -291,23 +297,31 @@ def read_spec(path: str) -> dict:
 
 
 def _parse(path: str):
-    """The document at path: past FAST_READ_BYTES, in a file with no
-    backslash, _loads_with_arrays's value, unless it declines; otherwise
-    json.load's."""
+    """The document at path: past FAST_READ_BYTES, in a file that maps and
+    holds no backslash, _loads_with_arrays's value over the map, unless it
+    declines; otherwise json.load's.  The map is closed before this returns:
+    no array or view of it outlives the read."""
     if os.stat(path).st_size >= FAST_READ_BYTES:
+        import mmap  # here, not at import: a small input never maps
+
         with open(path, "rb") as fh:
-            data = fh.read()
-        spec = None if b"\\" in data else _loads_with_arrays(data)
-        if spec is not None:
-            return spec
-        del data  # json reads the file again; the bytes need not stay alive
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # a file that cannot be mapped, or was emptied since its stat
+                data = None
+        if data is not None:
+            with data:
+                spec = None if data.find(b"\\") >= 0 else _loads_with_arrays(data)
+            if spec is not None:
+                return spec
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_int=_parse_int)
 
 
-def _loads_with_arrays(data: bytes):
-    """json's value of data, with an ndarray in place of the nested lists of
-    each array site that _site_array reads, or None if there is no such site
+def _loads_with_arrays(data):
+    """json's value of data, a document's bytes or its map, with an ndarray
+    in place of the nested lists of each array site that _site_array reads,
+    and the rest parsed from slices of data, or None if there is no such site
     or any doubt.  Each site becomes a placeholder, "\\u0000<i>", which no
     string of a document without a backslash can equal, and json parses the
     rest, its object hook putting each array back where an array field holds
@@ -348,41 +362,37 @@ def _loads_with_arrays(data: bytes):
     return spec if len(placed) == len(sites) else None
 
 
-def _array_sites(data: bytes) -> list:
+def _array_sites(data) -> list:
     """(start, end, array) of each site of MIN_SITE_BYTES or more that
-    _site_array reads.  Such a site lies in a stretch of that many bytes or
-    more between a key's closing quote and the next quote, so the candidate
-    keys come from one numpy scan of the quotes, and a document in which
-    every block of a quarter of that size holds a quote has none.  A site
-    ends at the first run of as many ']' as it opens with."""
-    is_quote = np.frombuffer(data, dtype=np.uint8) == ord('"')
-    block = max(1, MIN_SITE_BYTES // 4)  # a longer gap holds a whole block of this size: none is free of quotes
-    if is_quote[: len(data) - len(data) % block].reshape(-1, block).any(axis=1).all():
-        return []
-    quotes = np.flatnonzero(is_quote)
-    del is_quote  # as large as data: not held while the sites are read
+    _site_array reads in data, a document's bytes or its map.  Such a site
+    lies in a stretch of that many bytes or more between a key's closing
+    quote and the next quote, so the candidate keys come from the offsets of
+    the quotes (_quote_offsets).  A site ends at the first run of as many ']'
+    as it opens with: a short site's is looked for here, within
+    MIN_SITE_BYTES, and a longer one's by _site_array as it reads it."""
+    quotes = _quote_offsets(data)
     gaps = np.diff(quotes, append=len(data))
     sites, short = [], 0
     for j in np.flatnonzero(gaps[1::2] > MIN_SITE_BYTES).tolist():  # after a closing quote: no escapes here
         opening, close = int(quotes[2 * j]), int(quotes[2 * j + 1])
         stop = close + int(gaps[2 * j + 1])  # the next quote, or the end of data
         is_list = ARRAY_FIELDS.get(data[opening + 1 : close].decode("latin-1"))
-        if is_list is None or not data.startswith((b":[", b": ["), close + 1):
+        if is_list is None or not data[close + 1 : close + 4].startswith((b":[", b": [")):
             continue
-        start = data.index(b"[", close) + is_list  # the site, or the list's first element
+        start = data.find(b"[", close) + is_list  # the site, or the list's first element
         while short < MAX_SHORT_ELEMENTS:
             head = data[start : start + MAX_FAST_DEPTH + 1]
             depth = len(head) - len(head.lstrip(b"["))
             if not 0 < depth <= MAX_FAST_DEPTH:
                 break
-            end = data.find(b"]" * depth, start, stop)
-            if end < 0:
-                break
-            end += depth
-            if end - start < MIN_SITE_BYTES:
+            end = data.find(b"]" * depth, start, min(stop, start + MIN_SITE_BYTES - 1))  # a short site's run
+            if end >= 0:
                 short += 1
+                end += depth
             else:
-                array = _site_array(data, start, end, depth)
+                end, array = _site_array(data, start, stop, depth)
+                if end < 0:
+                    break
                 if array is not None:
                     sites.append((start, end, array))
             if not is_list or data[end : end + 1] != b",":
@@ -391,49 +401,107 @@ def _array_sites(data: bytes) -> list:
     return sites
 
 
-def _site_array(data: bytes, start: int, end: int, depth: int):
-    """The array of the numbers in data[start:end], a site that opens with
-    depth brackets, read as flat lists a piece at a time; None unless the
-    site's text less its numbers is the canonical text of the shape its
-    first path gives, with one separator, "," or ", ", throughout.  That text
-    holds only brackets, commas and spaces, so a site holding anything else,
-    such as true, null, a string, an object or a newline, is declined."""
-    text = bytearray(memoryview(data)[start:end])
-    structure = text.translate(None, _NUMBER)
+def _quote_offsets(data) -> np.ndarray:
+    """The offsets of the quotes in data, compared _SCAN_BYTES at a time into
+    one reused buffer, so that no array as long as data is held."""
+    is_quote = np.empty(min(len(data), _SCAN_BYTES), dtype=bool)
+    found = []
+    for lo in range(0, len(data), _SCAN_BYTES):
+        step = is_quote[: len(data) - lo]
+        np.equal(np.frombuffer(data, np.uint8, len(step), lo), ord('"'), out=step)
+        found.append(np.flatnonzero(step) + lo)
+    return np.concatenate(found)
+
+
+def _site_array(data, start: int, stop: int, depth: int):
+    """(end, array) of the site that opens at start with depth brackets and
+    ends at the first run of as many ']' before stop (end -1 if none does);
+    array is None unless the site's text less its numbers is the canonical
+    text of the shape its first path gives (_site_shape), so a piece holding
+    anything but brackets, commas and spaces declines it before orjson sees it.
+
+    A piece is cut at the first comma more than FLAT_PIECE_BYTES past its
+    first byte, and each piece after the first opens with the comma that
+    closed the one before.  Its text is copied once out of data; less its
+    numbers, it is its part of the structure, and only a part holding the
+    run can hide it, as deleting numbers only joins runs.  With its brackets
+    blanked and its ends set to '[' and ']', the text is a JSON list of the
+    piece's numbers for orjson; numpy promotes the pieces' dtypes as it does
+    the numbers'."""
+    import orjson  # here, not at import: 15 ms that a small input never repays
+
+    close = b"]" * depth
+    end, structure, pieces = -1, bytearray(), []
+    with memoryview(data) as view:
+        lo = start
+        while end < 0:
+            cut = data.find(b",", lo + 1 + FLAT_PIECE_BYTES, stop)
+            if cut >= 0:
+                hi = cut + 1
+            else:  # the last piece ends at the run, and without a run there is no site
+                hi = data.find(close, lo, stop)
+                if hi < 0:
+                    return -1, None
+                hi += depth
+            text = bytearray(view[lo:hi])
+            part = text.translate(None, _NUMBER)
+            if close in part:
+                run = text.find(close)
+                if run < 0:  # a run that deleting numbers made: not canonical
+                    break
+                end = lo + run + depth
+                del text[run + depth :]
+                part = text.translate(None, _NUMBER)
+            if part.translate(None, b"[], "):
+                break
+            structure += part[1:] if lo > start else part  # the shared comma once
+            text = text.translate(_BLANK_BRACKETS)
+            text[0], text[-1] = ord("["), ord("]")
+            try:  # orjson checks that each slot holds one number
+                numbers = orjson.loads(text)
+                # beside a float, numpy reads every number as a float64: so it needs no dtype discovery
+                pieces.append(np.array(numbers, np.float64 if numbers and type(numbers[0]) is float else None))
+            except (ValueError, TypeError, OverflowError):
+                break
+            lo = cut
+        else:  # every piece was read
+            del text  # not held while the pieces are joined
+            shape = _site_shape(structure, depth)
+            del structure
+            if shape is None:
+                return end, None
+            try:  # reshape checks that no slot is empty
+                return end, np.concatenate(pieces).reshape(shape)
+            except ValueError:
+                return end, None
+    if end < 0:  # declined before the run: no earlier piece holds it
+        run = data.find(close, lo, stop)
+        end = run + depth if run >= 0 else -1
+    return end, None
+
+
+def _site_shape(structure: bytearray, depth: int):
+    """The shape whose canonical text, with one separator, "," or ", ",
+    throughout, is structure, read from its first path; None if there is
+    none.  The first array of each level, at the level's own offset, is
+    canonical if it is bracketed, its first element is canonical and then a
+    separator follows, and its inside repeats with the period of an element
+    and a separator, which one startswith checks in place."""
     comma = structure.find(b",")
     sep = b", " if structure[comma + 1 : comma + 2] == b" " else b","
     shape, inner = [], 0  # inner: the length of an element of the level below
-    for level in range(depth - 1, -1, -1):  # the first array of each level, innermost first
-        size = structure.find(b"]" * (depth - level)) + depth - 2 * level  # 2 + n inner + (n - 1) len(sep)
-        n, rest = divmod(size - 2 + len(sep), inner + len(sep))
-        if rest or n < 1:
-            return None
-        shape.append(n)
-        inner = size
-    canonical = b""
-    for n in shape:
-        canonical = b"[" + sep.join([canonical] * n) + b"]"
-    if canonical != structure:
-        return None
-    import orjson  # here, not at import: 15 ms that a small input never repays
-
-    flat = text.translate(_BLANK_BRACKETS)
-    del text
-    try:  # orjson checks that each slot holds one number, and reshape that none is empty
-        pieces = [np.array(orjson.loads(b"[" + piece + b"]")) for piece in _pieces(flat)]
-        return np.concatenate(pieces).reshape(shape[::-1])  # numpy promotes the pieces' dtypes as it does the numbers'
-    except (ValueError, TypeError, OverflowError):
-        return None
-
-
-def _pieces(flat: bytearray):
-    """Views of flat split at the first comma after every FLAT_PIECE_BYTES:
-    a piece's parse holds a list of its own numbers only."""
-    view, lo = memoryview(flat), 0
-    while lo < len(flat):
-        hi = flat.find(b",", lo + FLAT_PIECE_BYTES) % (len(flat) + 1)  # the end if no comma follows
-        yield view[lo:hi]
-        lo = hi + 1
+    with memoryview(structure) as view:
+        for level in range(depth - 1, -1, -1):  # the first array of each level, innermost first
+            size = structure.find(b"]" * (depth - level)) + depth - 2 * level  # 2 + n inner + (n - 1) len(sep)
+            n, rest = divmod(size - 2 + len(sep), inner + len(sep))
+            body, close = level + 1, level + size - 1  # its first element, and its closing bracket
+            if (rest or n < 1 or structure[level:body] != b"[" or structure[close : close + 1] != b"]"
+                    or not (n == 1 or structure.startswith(sep, body + inner))
+                    or not structure.startswith(view[body + inner + len(sep) : close], body)):
+                return None
+            shape.append(n)
+            inner = size
+    return shape[::-1] if inner == len(structure) else None
 
 
 def _parse_int(text: str):
@@ -546,13 +614,17 @@ def spec_k(spec: dict) -> int:
 
 def _spec_cumulants(spec: dict, k: int, order: int) -> Tuple[multimap.MultiMap, ...]:
     """The first order cumulant maps a cumulant spec lists; every listed
-    tensor is parsed, and none is transformed."""
+    tensor is parsed, and none is transformed.  Cumulant i + 1 must have
+    the shape (k*k,) * i + (k, k), its entry count checked first."""
     cums = []
     for i, t in enumerate(spec["cumulants"]):
         tensor = _finite(json_to_array(t), "cumulants")
+        shape = (k * k,) * i + (k, k)
         if tensor.size != k ** (2 * i + 2):
             raise ValueError(f"cumulant {i + 1} needs {k ** (2 * i + 2)} entries for k={k}, got {tensor.size}")
-        cums.append(multimap.MultiMap(k, tensor.reshape((k * k,) * i + (k, k))))
+        if tensor.shape != shape:
+            raise ValueError(f"cumulant {i + 1} must have shape {shape} for k={k}, got shape {tensor.shape}")
+        cums.append(multimap.MultiMap(k, tensor))
     if order > len(cums):
         raise ValueError(f"order {order} requested but only {len(cums)} cumulants supplied")
     return tuple(cums[:order])

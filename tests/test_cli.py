@@ -348,6 +348,21 @@ def test_cumulant_of_the_wrong_size_exit_2(tmp_path, capsys, argv):
     assert_one_line_exit_2(capsys, argv[:1] + ["--in", inp] + argv[1:], "cumulant 1 needs 4 entries for k=2, got 9")
 
 
+@pytest.mark.parametrize("wrong, needle", [
+    (0, "cumulant 1 must have shape (2, 2) for k=2, got shape (4,)"),
+    (1, "cumulant 2 must have shape (4, 2, 2) for k=2, got shape (4, 4)"),
+], ids=["flat-first", "matrix-second"])
+@pytest.mark.parametrize("argv", [["positivity", "--level", "2"], ["convolve-power"]])
+def test_cumulant_of_the_wrong_shape_exit_2(tmp_path, capsys, argv, wrong, needle):
+    # the right number of entries in the wrong shape is not reshaped: a flat
+    # first cumulant, or a 4 x 4 matrix as the arity-1 map
+    cums = [np.eye(2) / 2, np.zeros((4, 2, 2))]
+    cums[wrong] = cums[wrong].reshape(-1) if wrong == 0 else cums[wrong].reshape(4, 4)
+    dist = {"k": 2, "cumulants": [array_to_json(c) for c in cums]}
+    inp = write(tmp_path, "in.json", {"distribution": dist, "map": map_spec_scaled_id(2, 1.5)})
+    assert_one_line_exit_2(capsys, argv[:1] + ["--in", inp] + argv[1:], needle)
+
+
 def test_realization_not_an_object_exit_2(tmp_path, capsys):
     spec = {"k": 1, "order": 2, "realization": []}
     inp = write(tmp_path, "in.json", {"distribution": spec, "map": map_spec_scaled_id(1, 1.0)})
@@ -1056,6 +1071,51 @@ def test_refused_skeleton_sends_the_whole_file_to_json(tmp_path, monkeypatch, ta
     runs.append(_run(["check-cp", "--in", str(path)]))
     assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2].count("\n") == 1
     assert [len(sites) for sites in found] == [1]
+
+
+@pytest.mark.parametrize("error", [OSError, ValueError])
+def test_a_file_that_cannot_be_mapped_is_read_by_json(tmp_path, monkeypatch, error):
+    # a failed map declines to json.load: each cumulant reaches json_to_array
+    # as json's nested lists and reads the same, and the CLI's output, message
+    # and exit code are those of the mapped read
+    import mmap
+
+    path = write(tmp_path, "in.json", _cumulant_spec())
+    padded(path)
+    with open(path, encoding="utf-8") as fh:
+        expected = [json_to_array(c) for c in json.load(fh)["distribution"]["cumulants"]]
+    mapped = read_spec(path)["distribution"]["cumulants"]
+    mapped_run = _run(["convolve-power", "--in", path])
+    tried = []
+
+    def refuse(*args, **kwargs):
+        tried.append(args)
+        raise error("cannot map")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    got = read_spec(path)["distribution"]["cumulants"]
+    assert len(tried) == 1 and all(isinstance(c, list) for c in got)
+    assert any(isinstance(c, np.ndarray) for c in mapped)  # the mapped read took the fast route
+    for a, b in zip([json_to_array(c) for c in got], expected, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert _run(["convolve-power", "--in", path]) == mapped_run and mapped_run[0] == 0
+
+
+def test_read_spec_leaves_no_map_open(tmp_path, monkeypatch):
+    # the input is mapped while its sites are read and unmapped once read_spec
+    # returns: no array or view of the map outlives the read
+    path = os.path.realpath(write(tmp_path, "in.json", _cumulant_spec()))
+    padded(path)
+
+    def mapped():
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            return any(line.rstrip("\n").endswith(" " + path) for line in fh)
+
+    seen, loads = [], serialize._loads_with_arrays
+    monkeypatch.setattr(serialize, "_loads_with_arrays", lambda data: seen.append(mapped()) or loads(data))
+    spec = read_spec(path)
+    assert seen == [True] and not mapped()
+    assert any(isinstance(c, np.ndarray) for c in spec["distribution"]["cumulants"])
 
 
 OVERFLOW_INPUTS = {

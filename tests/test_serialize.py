@@ -460,6 +460,61 @@ def test_readers_agree_bit_for_bit(tmp_path, monkeypatch, text):
     assert bits(got) == bits(expected)
 
 
+_SEAM_SITES = [
+    b"[[1.5, 2], [3, 4], [5, 6.25]]",  # canonical with ", ": a cut may fall just before any space
+    b"[[1.5,2],[3,4],[5,6.25]]",
+    b"[[1.5, 2], [3, 4, 5], [6.25]]",  # six numbers grouped 2, 3, 1: the count of a 3 x 2 array
+    b"[[1.5,2,3],[4],[5,6.25]]",
+    b"[[1.5, 2],[3, 4], [5, 6.25]]",  # one "," among ", "
+    b"[[1.5 ,2 ,3], [4 ,5 ,6.25]]",  # " ," repeats as ", " would, and json reads it
+    b"[[-1.5e-3, 2], [3E2, 4], [5, -6.25]]",
+]
+
+
+@pytest.mark.parametrize("site", _SEAM_SITES, ids=["spaced", "compact", "regrouped", "regrouped-compact", "mixed", "space-first", "exponents"])
+def test_piece_seams_read_as_json(tmp_path, monkeypatch, site):
+    # with a piece boundary at every comma of the site in turn, the site is
+    # read exactly as json reads it, or declined, and it is read only if its
+    # text less its numbers is canonical; as a list's first element, its last
+    # piece runs on into the next element until it is cut at the site's end
+    monkeypatch.setattr(serialize, "FAST_READ_BYTES", 1)
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"k": 1, "choi": ' + site + b', "kraus": [' + site + b", " + site + b"]}")
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    canonical = site.translate(None, serialize._NUMBER) in (b"[[, ], [, ], [, ]]", b"[[,],[,],[,]]")
+    for piece in range(len(site)):
+        monkeypatch.setattr(serialize, "FLAT_PIECE_BYTES", piece)
+        spec = read_spec(str(path))
+        for got, nested in zip([spec["choi"], *spec["kraus"]], [expected["choi"], *expected["kraus"]], strict=True):
+            assert isinstance(got, np.ndarray) == canonical
+            if canonical:
+                a = np.array(nested)
+                assert (got.dtype, got.shape, got.tobytes()) == (a.dtype, a.shape, a.tobytes())
+            else:
+                assert bits(got) == bits(nested)
+
+
+def test_site_reader_holds_no_copy_of_the_text(tmp_path):
+    # reading one long site holds its numbers twice at most, as the pieces'
+    # arrays and the joined array, and never the file's bytes or a copy of
+    # the site's text, which is over twice as long as its array
+    rng = np.random.default_rng(29)
+    array = rng.standard_normal((450, 450, 2))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"k": 1, "choi": array.tolist()}))
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        choi = read_spec(str(path))["choi"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(choi, np.ndarray) and choi.tobytes() == array.tobytes()
+    assert peak < 2 * array.nbytes + 4 * serialize.FLAT_PIECE_BYTES
+
+
 def _tiny_sites_document(n):
     """n tiny choi and kraus fields in objects and n strings naming the fields."""
     tiny = [[[1.0, 0.0]]]

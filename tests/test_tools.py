@@ -10,8 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_job_peak_reports_each_run_and_the_medians():
-    # one check-cp job, twice: a line per run with the wrapper's own VmHWM
-    # and CPU time, then their medians
+    # one check-cp job, twice: a line per run with the wrapper's own VmHWM,
+    # CPU time, system time and minor page faults, then their medians
     argv = [sys.executable, str(ROOT / "tools" / "job_peak.py"), "--runs", "2",
             "check-cp", "--in", str(ROOT / "tests" / "golden" / "map.json")]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": ""})
@@ -19,8 +19,9 @@ def test_job_peak_reports_each_run_and_the_medians():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["check-cp run 1", "check-cp run 2", "check-cp median of 2"]
     fields = lines[0].split()
-    assert fields[3:5] == ["exit", "0"] and fields[5] == "vmhwm_mb" and fields[7] == "cpu_s"
-    assert 1 < float(fields[6]) < 4096 and float(fields[8]) >= 0
+    assert fields[3:5] == ["exit", "0"] and fields[5:13:2] == ["vmhwm_mb", "cpu_s", "stime_s", "minflt"]
+    assert 1 < float(fields[6]) < 4096 and float(fields[8]) >= float(fields[10]) >= 0 and int(fields[12]) > 0
+    assert lines[2].split(": ", 1)[1].split()[::2] == ["vmhwm_mb", "cpu_s", "stime_s", "minflt", "wall_s"]
 
 
 def test_job_peak_times_help_after_a_double_dash():
@@ -41,7 +42,7 @@ def test_job_peak_alternates_with_a_baseline():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "check-cp run 1", "check-cp baseline run 1", "check-cp baseline run 2", "check-cp run 2", "check-cp median of 2"]
-    assert all(line.split()[-8:-6] == ["exit", "0"] for line in lines[:4])
+    assert all(line.split()[-12:-10] == ["exit", "0"] for line in lines[:4])
     mine, theirs, won = lines[-1].split(": ", 1)[1].split(" | ")
     assert mine.startswith("vmhwm_mb ") and theirs.startswith("baseline vmhwm_mb ")
     assert won in {f"won {n} of 2 on cpu_s" for n in range(3)}

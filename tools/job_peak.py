@@ -1,5 +1,5 @@
 """Run ovfree CLI jobs, each in a wrapper process, and print that process's
-own peak RSS and CPU time.
+own peak RSS, CPU time, system time and minor page faults.
 
     python3 tools/job_peak.py [--checkout DIR] [--baseline DIR] [--runs N] [--] <ovfree CLI arguments...>
     python3 tools/job_peak.py [--checkout DIR] [--baseline DIR] [--runs N] --workload NAME [--seed S]
@@ -12,8 +12,9 @@ run is a fresh Python process with PYTHONPATH set to the checkout's src only
 (this one by default) and one BLAS/OpenMP thread.  It calls ovfree.cli.main
 with stdout sent to /dev/null and, once main returns or exits (argparse's
 --help and usage errors raise SystemExit, whose code is reported), reads its
-own VmHWM from /proc/self/status and its user plus system CPU time from
-getrusage, which counts microseconds where os.times() counts 10 ms ticks.
+own VmHWM from /proc/self/status and, from getrusage, its user plus system
+CPU time, its system time alone and its minor page faults (getrusage counts
+microseconds where os.times() counts 10 ms ticks).
 These are the job's own figures: a benchmark that reads a child's ru_maxrss
 also counts the high-water RSS the child inherited from its parent at exec.  Each run prints one line; with more than one run, a
 last line per job gives the medians.
@@ -36,6 +37,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FIGURES = {"vmhwm_mb": ".1f", "cpu_s": ".3f", "stime_s": ".3f", "minflt": ".0f", "wall_s": ".3f"}  # each with its format
 WRAPPER = """\
 import json, os, resource, sys, time
 wall = time.perf_counter()
@@ -49,18 +51,25 @@ wall = time.perf_counter() - wall
 with open("/proc/self/status") as fh:
     hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 usage = resource.getrusage(resource.RUSAGE_SELF)
-stdout.write(json.dumps({"exit": code, "vmhwm_mb": hwm / 1024, "cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall}))
+stdout.write(json.dumps({"exit": code, "vmhwm_mb": hwm / 1024, "cpu_s": usage.ru_utime + usage.ru_stime,
+                         "stime_s": usage.ru_stime, "minflt": usage.ru_minflt, "wall_s": wall}))
 """
 
 
 def measure(checkout: str, argv: list) -> dict:
-    """The wrapper's exit code, VmHWM in MB, CPU seconds and wall seconds for one run of argv."""
+    """The wrapper's exit code, VmHWM in MB, CPU and system CPU seconds, minor page faults and wall seconds for
+    one run of argv."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     env.update(dict.fromkeys(THREAD_VARS, "1"))
     proc = subprocess.run([sys.executable, "-c", WRAPPER, *argv], env=env, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout:
         raise SystemExit(f"wrapper failed ({proc.returncode}): {proc.stderr.strip()}")
     return json.loads(proc.stdout)
+
+
+def _figures(row: dict) -> str:
+    """The figures of a run, or their medians, as "name value" pairs."""
+    return " ".join(f"{key} {row[key]:{form}}" for key, form in FIGURES.items())
 
 
 def report(label: str, checkouts: list, argv: list, runs: int) -> None:
@@ -72,14 +81,12 @@ def report(label: str, checkouts: list, argv: list, runs: int) -> None:
         for j in sorted(range(len(checkouts)), reverse=i % 2 == 1):
             row = measure(checkouts[j], argv)
             rows[j].append(row)
-            print(f"{names[j]} run {i + 1}: exit {row['exit']} vmhwm_mb {row['vmhwm_mb']:.1f} "
-                  f"cpu_s {row['cpu_s']:.3f} wall_s {row['wall_s']:.3f}", flush=True)
+            print(f"{names[j]} run {i + 1}: exit {row['exit']} {_figures(row)}", flush=True)
     if runs == 1 and len(checkouts) == 1:
         return
     medians = []
     for name, own in zip(["", "baseline "], rows):
-        median = {key: statistics.median(row[key] for row in own) for key in ("vmhwm_mb", "cpu_s", "wall_s")}
-        medians.append(f"{name}vmhwm_mb {median['vmhwm_mb']:.1f} cpu_s {median['cpu_s']:.3f} wall_s {median['wall_s']:.3f}")
+        medians.append(name + _figures({key: statistics.median(row[key] for row in own) for key in FIGURES}))
     if len(checkouts) > 1:
         won = sum(mine["cpu_s"] < theirs["cpu_s"] for mine, theirs in zip(*rows))
         medians.append(f"won {won} of {runs} on cpu_s")
