@@ -39,12 +39,16 @@ def check_array_size(entries: int, what: str) -> None:
         )
 
 
+def freeze(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
 def read_only(a) -> np.ndarray:
     """A private read-only complex copy of a, as every value object stores
     its arrays: a caller mutating its own array cannot change the value."""
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
+    return freeze(np.array(a, dtype=complex))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -59,9 +63,7 @@ def matrix_units(k: int) -> np.ndarray:
     This row-major ordering is the coordinate convention used everywhere:
     an element a of M_k has coordinate vector a.reshape(k*k).
     """
-    units = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
-    units.setflags(write=False)
-    return units
+    return freeze(np.eye(k * k, dtype=complex).reshape(k * k, k, k))
 
 
 def unit_adjoint_index(c: int, k: int) -> int:

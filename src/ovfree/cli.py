@@ -108,7 +108,7 @@ def _cmd_convolve_power(args) -> int:
     # forward transform gives its moments
     twisted = [c.compose(eta) for c in cums]
     powered = ovdist.moments_from_cumulants(twisted, label=f"eta_power({label})")
-    serialize.write_canonical(serialize.dist_to_spec(powered, cumulants=twisted), args.out)
+    serialize.write_canonical(serialize.dist_to_spec(powered, twisted), args.out)
     return EXIT_OK
 
 

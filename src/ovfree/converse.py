@@ -187,7 +187,9 @@ def find_witness(eta: CPMap, tol: float = DEFAULT_TOL) -> Witness:
     The base state is the negative Choi eigenvector; it is convexly mixed
     with the entangled state or the maximally mixed state over a grid of
     weights until phi(a) > 0, phi(eta_m(a) - a) < -kappa and the compression
-    constant phi(eta_m(a)) is nondegenerate.
+    constant phi(eta_m(a)) clears 1e-8 times the largest entry of eta_m(a),
+    a margin read at eta_m(a)'s own scale and independent of tol, so that
+    eta = t id has a witness for every t > 0 and the zero map has none.
     """
     return _search_witness(eta, eta_minus_id_cp(eta, tol))
 
@@ -207,6 +209,7 @@ def _search_witness(eta: CPMap, report: PSDReport) -> Witness:
     phi0 = np.outer(w, w.conj())
     beta = -float(np.real(np.trace(phi0 @ diff)))
     partners = [a, np.eye(n, dtype=complex) / n]
+    margin = 1e-8 * float(np.max(np.abs(eta_m_a)))
     t_grid = [0.0] + [j / 64.0 for j in range(1, 64)]
     for kappa in (beta / 4, beta / 8, beta / 16, beta / 32, beta / 64):
         for sign in (1.0, -1.0):  # prefer a positive compression constant
@@ -216,8 +219,8 @@ def _search_witness(eta: CPMap, report: PSDReport) -> Witness:
                     fa = float(np.real(np.trace(sigma @ a)))
                     fd = float(np.real(np.trace(sigma @ diff)))
                     fe = float(np.real(np.trace(sigma @ eta_m_a)))
-                    # a margin of the construction, not a zero test: the witness must not move with tol
-                    if fa > 1e-8 and fd < -kappa and sign * fe > 1e-8:
+                    # margins of the construction, not zero tests: the witness must not move with tol
+                    if fa > 1e-8 and fd < -kappa and sign * fe > margin:
                         return Witness(m=m, a=a, phi=sigma, kappa=kappa / 2, eta_m_a=eta_m_a)
     raise NoWitnessError(
         "witness search failed: phi(eta_m(a)) is degenerate for every candidate "
@@ -236,12 +239,11 @@ class GNSModel:
     Hilbert-Schmidt inner product via x -> x sqrt(phi).
 
     basis[0] is the cyclic vector; P is the rank-one projection onto it, in
-    basis coordinates.  vartheta_op averages <M xi_j, xi_j> over the first
-    N basis vectors; with the full basis (N = H_dim) it is tr/N on B(H).
+    basis coordinates.  vartheta_op is the normalized trace tr/H_dim on B(H),
+    the average of <M xi_j, xi_j> over the whole basis.
     """
 
     basis: np.ndarray  # (H_dim, n, n), orthonormal, basis[0] = cyclic vector; a read-only copy
-    N: int
 
     def __post_init__(self):
         object.__setattr__(self, "basis", read_only(self.basis))
@@ -261,17 +263,16 @@ class GNSModel:
         return np.einsum("iba,bc,jca->ij", self.basis.conj(), z, self.basis)
 
     def vartheta_op(self, M: np.ndarray) -> float:
-        return float(np.real(np.trace(M[: self.N, : self.N]))) / self.N
+        return float(np.real(np.trace(M))) / self.H_dim
 
 
-def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:
+def build_gns(w: Witness) -> GNSModel:
     """Finite-dimensional GNS construction for the witness state.
 
     The inner product <x, y> = phi(x^* y) degenerates on the left kernel of
     sqrt(phi); Gram-Schmidt over {sqrt(phi), a sqrt(phi), e_uv sqrt(phi)}
-    quotients it out.  Seeding a sqrt(phi) second makes the default ordering
-    capture a xi within the first two vectors, so the full-basis model has
-    vartheta(a P a) / vartheta(P) = phi(a) exactly.
+    quotients it out, and the basis spans the whole GNS space, so the model
+    has vartheta(a P a) / vartheta(P) = phi(a) up to rounding.
     """
     rho = (w.phi + dagger(w.phi)) / 2
     vals, vecs = np.linalg.eigh(rho)
@@ -286,11 +287,7 @@ def build_gns(w: Witness, n_basis: Optional[int] = None) -> GNSModel:
         norm = float(np.sqrt(np.real(np.trace(dagger(vec) @ vec))))
         if norm > 1e-10:  # numerical rank of unit-scale seeds (|sqrt(phi)| = 1), which sizes the basis, not a verdict
             basis.append(vec / norm)
-    arr = np.stack(basis)
-    N = arr.shape[0] if n_basis is None else int(n_basis)
-    if not 1 <= N <= arr.shape[0]:
-        raise ValueError(f"n_basis must be in [1, {arr.shape[0]}]")
-    return GNSModel(basis=arr, N=N)
+    return GNSModel(basis=np.stack(basis))
 
 
 def compression_cumulants(
@@ -307,7 +304,8 @@ def compression_cumulants(
     computed here from the model matrices.  The constancy of the resulting
     ratio and the bound lambda < (phi(a) - kappa) / (phi(a) - delta) < 1 are
     verified up to algebra.negligible; delta = |vartheta(aPa)/vartheta(P) -
-    phi(a)| is 0 for the full-basis model and must stay below kappa otherwise.
+    phi(a)| is 0 for build_gns's model up to rounding, and a model whose
+    delta reaches kappa is refused.
     """
     phi_eta = w.phi_of(w.eta_m_a)
     phi_a = w.phi_of(w.a)
@@ -318,7 +316,7 @@ def compression_cumulants(
     delta = abs(ratio - phi_a)
     if delta >= w.kappa:
         raise ValueError(
-            f"vartheta basis too small: delta {delta:.3e} >= kappa {w.kappa:.3e}"
+            f"GNS model does not reproduce phi(a): delta {delta:.3e} >= kappa {w.kappa:.3e}"
         )
     lam = phi_eta / ratio
     tilde: List[float] = []

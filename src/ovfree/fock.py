@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, check_array_size
+from .algebra import DEFAULT_TOL, check_array_size, freeze
 from .cpmaps import CPMap
 
 if TYPE_CHECKING:
@@ -76,15 +76,15 @@ class FockSpace:
         D = sum(width**j for j in range(depth + 1))
         check_array_size(D * k * k, f"one slab layer of a truncated Fock module of {D} words over M_{k}")
         # letters 0..r-1 carry the xi coordinates, letter r the unit direction
-        letter_coords = _frozen(np.array(coords + [np.eye(k)], dtype=complex))
+        letter_coords = freeze(np.array(coords + [np.eye(k)], dtype=complex))
         stacked = letter_coords.reshape(width * k, k)
         # v maps the words below the top degree, the first D - width**depth,
         # onto the indices 1..D-1 in order: row w of this table holds l.w
         low = D - width**depth
         self.__dict__.update(
             k=k, depth=depth, r=r, D=D, letter_coords=letter_coords,
-            prepend_index=_frozen(np.arange(1, D).reshape(low, width)),
-            _stacked=stacked, _stacked_h=_frozen(stacked.conj().T.copy()),
+            prepend_index=freeze(np.arange(1, D).reshape(low, width)),
+            _stacked=stacked, _stacked_h=freeze(stacked.conj().T.copy()),
             state_index=1 + r,  # the unit direction's word (r,): width * index(()) + 1 + r
         )
 
@@ -162,11 +162,6 @@ class FockSpace:
         return slab
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class FockOp:
     """Right A-linear operator on the truncated Fock module; mat is a
@@ -179,7 +174,7 @@ class FockOp:
         object.__setattr__(self, "mat", self.mat.tocsr(copy=True))
         self.mat.sum_duplicates()  # sorts the indices now, which scipy would otherwise do in place later
         for a in (self.mat.data, self.mat.indices, self.mat.indptr):
-            _frozen(a)
+            freeze(a)
 
     def __matmul__(self, other: "FockOp") -> "FockOp":
         if other.space is not self.space:

@@ -171,15 +171,6 @@ class _Env:
         self.f = f
         self.k = r.k
 
-    def embed(self, tensor: np.ndarray) -> np.ndarray:
-        # a (x) 1_p for each a of an (n, k, k) stack
-        n, k, p = len(tensor), self.k, self.r.p
-        return np.einsum("nij,st->nisjt", tensor, np.eye(p)).reshape(n, k * p, k * p)
-
-    def cond_exp_b(self, tensor: np.ndarray) -> np.ndarray:
-        k, p = self.k, self.r.p
-        return np.einsum("ts,nisjt->nij", self.r.rho, tensor.reshape(-1, k, p, k, p))
-
     def push(self, op, slab: np.ndarray) -> np.ndarray:
         """Apply a Fock push (FockSpace.push_v or push_vstar), or left
         multiplication by an A-valued (n, k, k) stack, to a (D, k, m, k)
@@ -206,7 +197,7 @@ def _expect(letter: _Letter, env: _Env) -> np.ndarray:
     """Marginal expectation, an (n, k, k) stack over the letter's slot axis."""
     if letter._e is None:
         if letter.tag == "B":
-            letter._e = env.cond_exp_b(letter.tensor)
+            letter._e = env.r.cond_exp(letter.tensor)
         else:
             # <T* Omega, Omega>: the adjoint of the Omega coordinate
             letter._e = np.moveaxis(letter.tensor[env.f.state_index], 0, -1).conj()
@@ -215,7 +206,7 @@ def _expect(letter: _Letter, env: _Env) -> np.ndarray:
 
 def _center(letter: _Letter, e: np.ndarray, env: _Env) -> _Letter:
     if letter.tag == "B":
-        return _Letter("B", letter.tensor - env.embed(e))
+        return _Letter("B", letter.tensor - env.r.embed(e))
     # (T - E(T))* Omega = T* Omega - E(T)* Omega
     slab = letter.tensor.copy()
     slab[env.f.state_index] = 0
@@ -240,7 +231,7 @@ def _flip_slots(t: np.ndarray, n_slots: int) -> np.ndarray:
 def _merge(left: Optional[_Letter], e: np.ndarray, right: _Letter, env: _Env) -> _Letter:
     """left * scalar * right fused into one letter (left may be absent)."""
     if right.tag == "B":
-        t = _b_mul(env.embed(e), right.tensor)
+        t = _b_mul(env.r.embed(e), right.tensor)
         return _Letter("B", t if left is None else _b_mul(left.tensor, t))
     # (L e R)* Omega = R* e* (L* Omega)
     slab = env.push(dagger(e), env.f.unit_slab() if left is None else left.tensor)
@@ -293,7 +284,7 @@ def _letters(word: MixedWord, env: _Env) -> Tuple[_Letter, ...]:
         if tag == "A":
             return (_Letter("A", reduce(_b_mul, factors, np.eye(k, dtype=complex)[None])),)
         if tag == "B":
-            mats = [env.r.X[None] if isinstance(fac, str) else env.embed(fac) for fac in factors]
+            mats = [env.r.X[None] if isinstance(fac, str) else env.r.embed(fac) for fac in factors]
             letters.append(_Letter("B", reduce(_b_mul, mats)))
         else:
             letters.append(env.c_letter(factors))

@@ -63,11 +63,10 @@ class MultiMap:
         return out
 
     def compose(self, eta) -> "MultiMap":
-        """Post-compose the output with a linear map on M_k (Choi form), bit for bit as einsum("...pq,piqj->...ij")."""
+        """Post-compose the output with a linear map eta on M_k (a CPMap)."""
         if eta.k != self.k:
             raise ValueError("dimension mismatch in composition")
-        k, choi = self.k, np.ascontiguousarray(eta.choi4.transpose(1, 3, 0, 2))  # same products, same (p, q) order, faster
-        return MultiMap(k, np.einsum("npq,ijpq->nij", self.tensor.reshape(-1, k, k), choi).reshape(self.tensor.shape))
+        return MultiMap(self.k, eta.apply(self.tensor))
 
     def _split_reflected(self) -> Tuple[np.ndarray, np.ndarray]:
         """Views of the tensor and of its herm_reflect before conjugation,

@@ -64,7 +64,9 @@ class Realization:
         return self.k * self.p
 
     def embed(self, a: np.ndarray) -> np.ndarray:
-        return np.kron(np.asarray(a, dtype=complex), np.eye(self.p))
+        """a (x) 1_p for a in M_k, or for each k x k matrix along leading batch axes."""
+        a = np.asarray(a, dtype=complex)
+        return np.einsum("...ij,st->...isjt", a, np.eye(self.p)).reshape(a.shape[:-2] + (self.d, self.d))
 
     def cond_exp(self, x: np.ndarray) -> np.ndarray:
         """E(x) for x in M_d, or for each d x d matrix along leading batch axes."""
@@ -115,14 +117,14 @@ class OVDistribution:
         return float(np.max([self.moments[i].max_deviation(other.moments[i]) for i in range(n)]))  # a NaN wins
 
 
-def moments_from_realization(r: Realization, N: int, label: str = "realized") -> OVDistribution:
+def moments_from_realization(r: Realization, N: int) -> OVDistribution:
     """Exact moment maps E(X a_1 X ... X) of a concrete realization."""
     if N < 1:
         raise ValueError(f"order must be at least 1, got {N}")
     k = r.k
     check_array_size((k * k) ** (N - 1) * r.d**2, f"an order-{N} moment product on M_{r.d}")
     # W[c] = embed(e_c) @ X; cur accumulates X a_{c_1} X ... X with slot axes
-    W = np.stack([r.embed(u) @ r.X for u in matrix_units(k)])
+    W = r.embed(matrix_units(k)) @ r.X
     cur = r.X.copy()
     moments: List[np.ndarray] = []
     for n in range(1, N + 1):
@@ -130,7 +132,7 @@ def moments_from_realization(r: Realization, N: int, label: str = "realized") ->
             cur = np.moveaxis(np.tensordot(cur, W, axes=([cur.ndim - 1], [1])), -2, -3)
         moments.append(r.cond_exp(cur))
     del cur  # the largest array, freed before MultiMap copies each moment
-    return OVDistribution(k=k, order=N, moments=tuple(MultiMap(k, m) for m in moments), label=label)
+    return OVDistribution(k=k, order=N, moments=tuple(MultiMap(k, m) for m in moments), label="realized")
 
 
 # -- the moment <-> cumulant transform ------------------------------------------

@@ -27,7 +27,7 @@ import re
 import sys
 from functools import reduce
 from itertools import chain
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,10 +75,11 @@ def _finite(a: np.ndarray, field: str) -> np.ndarray:
     return a
 
 
-def _round_sig(x: float, digits: int = 12) -> float:
+def _round_sig(x: float) -> float:
+    """x rounded to 12 significant digits, a zero of either sign as 0.0."""
     if x == 0.0:
         return 0.0
-    rounded = float(f"{x:.{digits}g}")
+    rounded = float(f"{x:.12g}")
     return 0.0 if rounded == 0.0 else rounded
 
 
@@ -655,18 +656,16 @@ def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[multimap.MultiMap
     return cums, "cumulant-generated"
 
 
-def dist_to_spec(d: ovdist.OVDistribution, cumulants=None) -> dict:
-    """A distribution's output payload; its tensors stay arrays until
-    canonical_dumps."""
-    out = {
+def dist_to_spec(d: ovdist.OVDistribution, cumulants: Sequence[multimap.MultiMap]) -> dict:
+    """A distribution's output payload with its cumulants; its tensors stay
+    arrays until canonical_dumps."""
+    return {
         "k": d.k,
         "order": d.order,
         "label": d.label,
         "moments": [m.tensor for m in d.moments],
+        "cumulants": [c.tensor for c in cumulants],
     }
-    if cumulants is not None:
-        out["cumulants"] = [c.tensor for c in cumulants]
-    return out
 
 
 def psd_report_to_json(rep: PSDReport) -> dict:

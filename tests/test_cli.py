@@ -661,6 +661,20 @@ def test_counterexample_zero_map_exit_3(tmp_path, capsys):
     assert not result["certificate"]["is_psd"] and abs(result["certificate"]["min_eigenvalue"] + 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("t, map_spec", [
+    pytest.param(1e-8, {"k": 1, "choi": [[[1e-8, 0]]]}, id="k1-choi"),
+    pytest.param(1e-18, {"k": 2, "kraus": [array_to_json(1e-9 * np.eye(2))]}, id="k2-kraus"),
+])
+def test_counterexample_for_a_tiny_multiple_of_the_identity(tmp_path, t, map_spec):
+    # eta = t id with t > 0 has lambda = t and a level-3 certificate: the
+    # witness margin on phi(eta_m(a)) is read at eta_m(a)'s scale
+    out = str(tmp_path / "out.json")
+    assert main(["counterexample", "--in", write(tmp_path, "in.json", {"map": map_spec}), "--out", out]) == 0
+    result = read(out)
+    assert abs(result["lambda"] - t) <= 1e-10 * t
+    assert result["nonpositivity"]["level"] == 3 and result["nonpositivity"]["min_eigenvalue"] < 0
+
+
 @pytest.mark.parametrize("command", ["convolve-power", "positivity"])
 def test_orderless_cumulant_spec_is_capped(tmp_path, capsys, monkeypatch, command):
     # with neither --order nor an "order" field the order is the number of

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ovfree.converse import (
+    GNSModel,
     NoWitnessError,
     TupleDistribution,
     Witness,
@@ -184,13 +185,6 @@ def test_gns_scalar_case_is_one_dimensional():
     assert np.allclose(g.rep(np.eye(1)), [[1.0]])
 
 
-def test_gns_theta_P_is_one_over_N():
-    w = trace_state_witness()
-    for n_basis in (1, 2, 3, 4):
-        g = build_gns(w, n_basis=n_basis)
-        assert abs(g.vartheta_op(g.P) - 1.0 / n_basis) < 1e-14
-
-
 def test_gns_cyclic_vector_reproduces_state(rng):
     w = find_witness(id_plus_transpose())
     g = build_gns(w)
@@ -238,16 +232,11 @@ def test_compression_pipeline_id_plus_transpose():
     assert lam < 1 - w.kappa / w.phi_of(w.a)
 
 
-def test_compression_sub_basis_delta_guard():
+def test_compression_refuses_a_model_that_misses_phi_a():
     w = trace_state_witness()
-    g1 = build_gns(w, n_basis=1)  # misses a*xi: delta = phi(a)(1 - phi(a)) = 1/4
-    with pytest.raises(ValueError, match="delta"):
+    g1 = GNSModel(basis=build_gns(w).basis[:1])  # misses a*xi: delta = phi(a)(1 - phi(a)) = 1/4
+    with pytest.raises(ValueError, match="does not reproduce phi"):
         compression_cumulants(_bernoulli_cumulant_values(4), w, g1)
-    # with the first two vectors the cyclic and a-compressed directions are
-    # covered, so delta = 0 and the chain goes through
-    g2 = build_gns(w, n_basis=2)
-    _, lam = compression_cumulants(_bernoulli_cumulant_values(4), w, g2)
-    assert abs(lam - 0.8) < 1e-10
 
 
 # -- Bernoulli certificates ----------------------------------------------------------

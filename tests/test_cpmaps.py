@@ -33,6 +33,19 @@ def test_choi_of_transpose_is_swap():
     assert np.allclose(np.linalg.eigvalsh(m.choi), [-1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("k, batch", [(1, (5,)), (2, (4, 3)), (3, (9,)), (2, ())])
+def test_apply_maps_a_stack_as_each_matrix(rng, k, batch):
+    # bit for bit the per-matrix einsum("pq,piqj->ij", a, choi4)
+    eta = CPMap(k, random_complex(rng, (k * k, k * k)))
+    a = random_complex(rng, batch + (k, k))
+    got = eta.apply(a)
+    assert got.shape == a.shape
+    for i in np.ndindex(*batch):
+        assert np.array_equal(got[i], np.einsum("pq,piqj->ij", a[i], eta.choi4))
+    with pytest.raises(ValueError, match=f"expected {k}x{k} matrices"):
+        eta.apply(np.zeros((k + 1, k + 1)))
+
+
 def test_is_cp_identity():
     assert CPMap.identity(3).is_cp().is_psd
 

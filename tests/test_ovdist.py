@@ -126,6 +126,21 @@ def test_realization_second_moment_direct(rng):
     assert np.max(np.abs(d.moment(2).apply([a]) - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("k, p, batch", [(1, 3, (4,)), (2, 2, (4, 3)), (3, 2, (9,)), (2, 3, ())])
+def test_realization_maps_a_stack_as_each_matrix(rng, k, p, batch):
+    # embed and cond_exp on a stack equal a (x) 1_p and E of each matrix, bit for bit
+    r = random_realization(rng, k=k, p=p)
+    a, x = random_complex(rng, batch + (k, k)), random_complex(rng, batch + (r.d, r.d))
+    embedded, expected = r.embed(a), r.cond_exp(x)
+    assert embedded.shape == batch + (r.d, r.d) and expected.shape == batch + (k, k)
+    for i in np.ndindex(*batch):
+        assert np.array_equal(embedded[i], np.kron(a[i], np.eye(p)))
+        assert np.array_equal(expected[i], np.einsum("ts,isjt->ij", r.rho, x[i].reshape(k, p, k, p)))
+    assert np.allclose(expected[(0,) * len(batch)],
+                       [[np.trace(r.rho @ x[(0,) * len(batch)][i * p:(i + 1) * p, j * p:(j + 1) * p]) for j in range(k)]
+                        for i in range(k)])
+
+
 def test_realization_rejects_bad_inputs(rng):
     with pytest.raises(ValueError, match="self-adjoint"):
         Realization(k=1, p=2, X=random_complex(rng, (2, 2)), rho=np.eye(2) / 2)

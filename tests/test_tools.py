@@ -2,9 +2,12 @@
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,13 +51,34 @@ def test_job_peak_alternates_with_a_baseline():
     assert won in {f"won {n} of 2 on cpu_s" for n in range(3)}
 
 
-def test_same_bytes_names_the_first_difference(monkeypatch):
-    # a JSON stdout names the path and both values; anything else, the byte offset
+def _same_bytes(monkeypatch):
     monkeypatch.setattr(sys, "path", [*sys.path])  # same_bytes puts bench/ on it
     spec = importlib.util.spec_from_file_location("same_bytes", ROOT / "tools" / "same_bytes.py")
     same_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_bytes)
+    return same_bytes
+
+
+def test_same_bytes_names_the_first_difference(monkeypatch):
+    # a JSON stdout names the path and both values; anything else, the byte offset
+    same_bytes = _same_bytes(monkeypatch)
     ours = b'{"lam": 0.5, "nonpositivity": {"level": 3, "witness_vector": [[1.0, 0.5], [0.0, 2.0]]}}'
     theirs = b'{"lam": 0.5, "nonpositivity": {"level": 3, "witness_vector": [[1.0, 0.5], [-1.11022302463e-16, 2.0]]}}'
     assert same_bytes.first_difference(ours, theirs) == "at nonpositivity.witness_vector[1][0]: 0.0 vs -1.11022302463e-16"
     assert same_bytes.first_difference(b"usage: ovfree check-cp\n", b"usage: ovfree positivity\n") == "at byte 14"
+
+
+def test_same_bytes_exports_a_git_revision(monkeypatch, tmp_path):
+    # HEAD's files as git holds them, without running a job; a bad revision is a ValueError
+    git = shutil.which("git")
+    listed = git and subprocess.run([git, "-C", str(ROOT), "ls-tree", "-r", "--name-only", "HEAD"],
+                                    capture_output=True, text=True)
+    if not listed or listed.returncode:
+        pytest.skip("not a git checkout")
+    same_bytes = _same_bytes(monkeypatch)
+    dest = Path(same_bytes.export("HEAD", str(tmp_path / "head")))
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()) == sorted(listed.stdout.splitlines())
+    shown = subprocess.run([git, "-C", str(ROOT), "show", "HEAD:tools/same_bytes.py"], capture_output=True, check=True)
+    assert (dest / "tools" / "same_bytes.py").read_bytes() == shown.stdout
+    with pytest.raises(ValueError, match="git archive no-such-revision"):
+        same_bytes.export("no-such-revision", str(tmp_path / "none"))

@@ -1,7 +1,13 @@
 """Run every benchmark job on this checkout and on another one, and report
 each job whose stdout, stderr or exit code differ between the two.
 
-    python3 tools/same_bytes.py <other checkout> [seed ...]
+    python3 tools/same_bytes.py <other checkout or git revision> [seed ...]
+
+The other side is a checkout's directory, or a git revision of this
+repository (``HEAD``, a commit, a branch), which is exported with
+``git archive`` into the temporary directory.  Against the last commit:
+
+    python3 tools/same_bytes.py HEAD 1 7
 
 The jobs are those bench/workloads.make_jobs writes for every workload at
 each seed (1 and 7 by default), written once into a temporary directory and
@@ -17,10 +23,12 @@ agrees and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,6 +49,20 @@ def run(checkout: str, job: Job, cwd: str) -> tuple:
     argv = [sys.executable, "-c", CLI, job.command, "--in", job.infile, *job.args]
     proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
     return proc.stdout, proc.stderr, proc.returncode
+
+
+def export(revision: str, dest: str) -> str:
+    """dest, holding the files of revision of this repository as git archive
+    writes them; ValueError if git cannot read the revision."""
+    try:
+        proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", revision], capture_output=True)
+    except OSError as exc:
+        raise ValueError(f"cannot run git: {exc}") from None
+    if proc.returncode:
+        raise ValueError(f"git archive {revision}: {proc.stderr.decode(errors='replace').strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def _text(value) -> str:
@@ -82,14 +104,19 @@ def first_difference(ours: bytes, theirs: bytes) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("other", help="the checkout to compare with, such as one of the parent commit")
+    parser.add_argument("other", help="the checkout or git revision to compare with, such as the parent commit")
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 7])
     args = parser.parse_args(argv)
-    other = os.path.abspath(args.other)
-    if not os.path.isdir(os.path.join(other, "src", "ovfree")):
-        parser.error(f"{other} has no src/ovfree")
     count = differ = 0
     with tempfile.TemporaryDirectory() as workdir:
+        other = os.path.abspath(args.other)
+        if not os.path.isdir(other):
+            try:
+                other = export(args.other, os.path.join(workdir, "other"))
+            except ValueError as exc:
+                parser.error(f"{args.other} is neither a directory nor a revision: {exc}")
+        if not os.path.isdir(os.path.join(other, "src", "ovfree")):
+            parser.error(f"{other} has no src/ovfree")
         for seed in args.seeds:
             for workload in WORKLOADS:
                 jobdir = os.path.join(workdir, f"{workload}-s{seed}")
