@@ -20,6 +20,7 @@ boolean is not numeric).
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import os
@@ -245,7 +246,10 @@ def canonical_dumps(obj: Any) -> str:
 # is a list of arrays rather than one array.
 ARRAY_FIELDS = {"choi": False, "X": False, "state": False, "kraus": True, "cumulants": True}
 # In inputs of this size or more the long array fields are read from their
-# own text: importing orjson costs about 15 ms, which a smaller input never repays.
+# own text.  Importing orjson after numpy takes about 7 ms, and in fresh
+# processes read_spec took 0.7, 2.1, 9.1 and 11.1 ms through json against
+# 4.3, 4.6, 8.7 and 9.5 ms on the site route at 14, 62, 250 and 335 KB, so
+# the routes cross near 250 KB; 1 MiB keeps every smaller input on json.
 FAST_READ_BYTES = 1 << 20
 # numpy arrays have at most 64 axes, which also bounds the work per site.
 MAX_FAST_DEPTH = 64
@@ -273,19 +277,19 @@ def read_spec(path: str) -> dict:
     collection frees none of them: cli.main reads with the cyclic collector
     off, and a library caller reading a large input may pause it too.
 
-    Python's json parses every input's structure.  An input of
-    FAST_READ_BYTES or more is mapped, not read into memory (_parse).  If it
-    holds no backslash, each array field (ARRAY_FIELDS: a "choi", "X" or
-    "state" value, or an element of a "kraus" or "cumulants" list) of
-    MIN_SITE_BYTES or more whose text is a rectangular array of numbers,
-    written compactly or with ", " separators, is read from the map a piece
-    at a time, by orjson as flat lists of numbers, into an ndarray
-    (_site_array), which json_to_array reads as it does nested lists, and
-    json parses the rest, joined from slices of the map
-    (_loads_with_arrays).  Every other input, a file that cannot be mapped,
-    and every document whose rest json refuses or that leaves any doubt, is
-    read by json whole, so the value read, the message and the exit code
-    never depend on the route.
+    Python's json parses every input's structure.  The file is read once,
+    into bytes (_parse).  If they are FAST_READ_BYTES or more and hold no
+    backslash, each array field (ARRAY_FIELDS: a "choi", "X" or "state"
+    value, or an element of a "kraus" or "cumulants" list) of MIN_SITE_BYTES
+    or more whose text is a rectangular array of numbers, written compactly
+    or with ", " separators, is read from the bytes a piece at a time, by
+    orjson as flat lists of numbers, into an ndarray (_site_array), which
+    json_to_array reads as it does nested lists, and json parses the rest,
+    joined from slices of the bytes (_loads_with_arrays).  Every other
+    input, and every document whose rest json refuses or that leaves any
+    doubt, is read by json whole from the same bytes, so the value read, the
+    message and the exit code never depend on the route, and a file that
+    shrinks while it is read is a short document.
     An integer outside [-2**63, 2**64) is read as the nearest double on both
     routes (_parse_int)."""
     try:
@@ -298,29 +302,21 @@ def read_spec(path: str) -> dict:
 
 
 def _parse(path: str):
-    """The document at path: past FAST_READ_BYTES, in a file that maps and
-    holds no backslash, _loads_with_arrays's value over the map, unless it
-    declines; otherwise json.load's.  The map is closed before this returns:
-    no array or view of it outlives the read."""
-    if os.stat(path).st_size >= FAST_READ_BYTES:
-        import mmap  # here, not at import: a small input never maps
-
-        with open(path, "rb") as fh:
-            try:
-                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError):  # a file that cannot be mapped, or was emptied since its stat
-                data = None
-        if data is not None:
-            with data:
-                spec = None if data.find(b"\\") >= 0 else _loads_with_arrays(data)
-            if spec is not None:
-                return spec
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_parse_int)
+    """The document at path, read once into bytes: past FAST_READ_BYTES, if
+    it holds no backslash, _loads_with_arrays's value, unless it declines;
+    otherwise json.load's, through a wrapper that decodes the bytes and
+    translates their newlines as a text-mode open does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) >= FAST_READ_BYTES and b"\\" not in data:
+        spec = _loads_with_arrays(data)
+        if spec is not None:
+            return spec
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), parse_int=_parse_int)
 
 
 def _loads_with_arrays(data):
-    """json's value of data, a document's bytes or its map, with an ndarray
+    """json's value of data, a document's bytes, with an ndarray
     in place of the nested lists of each array site that _site_array reads,
     and the rest parsed from slices of data, or None if there is no such site
     or any doubt.  Each site becomes a placeholder, "\\u0000<i>", which no
@@ -365,7 +361,7 @@ def _loads_with_arrays(data):
 
 def _array_sites(data) -> list:
     """(start, end, array) of each site of MIN_SITE_BYTES or more that
-    _site_array reads in data, a document's bytes or its map.  Such a site
+    _site_array reads in data, a document's bytes.  Such a site
     lies in a stretch of that many bytes or more between a key's closing
     quote and the next quote, so the candidate keys come from the offsets of
     the quotes (_quote_offsets).  A site ends at the first run of as many ']'
@@ -429,7 +425,7 @@ def _site_array(data, start: int, stop: int, depth: int):
     blanked and its ends set to '[' and ']', the text is a JSON list of the
     piece's numbers for orjson; numpy promotes the pieces' dtypes as it does
     the numbers'."""
-    import orjson  # here, not at import: 15 ms that a small input never repays
+    import orjson  # here, not at import: about 7 ms that a small input never repays
 
     close = b"]" * depth
     end, structure, pieces = -1, bytearray(), []
@@ -658,7 +654,7 @@ def cumulants_from_spec(spec: dict, order: int) -> Tuple[Tuple[multimap.MultiMap
 
 def dist_to_spec(d: ovdist.OVDistribution, cumulants: Sequence[multimap.MultiMap]) -> dict:
     """A distribution's output payload with its cumulants; its tensors stay
-    arrays until canonical_dumps."""
+    arrays until write_canonical."""
     return {
         "k": d.k,
         "order": d.order,

@@ -1087,49 +1087,53 @@ def test_refused_skeleton_sends_the_whole_file_to_json(tmp_path, monkeypatch, ta
     assert [len(sites) for sites in found] == [1]
 
 
-@pytest.mark.parametrize("error", [OSError, ValueError])
-def test_a_file_that_cannot_be_mapped_is_read_by_json(tmp_path, monkeypatch, error):
-    # a failed map declines to json.load: each cumulant reaches json_to_array
-    # as json's nested lists and reads the same, and the CLI's output, message
-    # and exit code are those of the mapped read
-    import mmap
+@pytest.mark.parametrize("route", ["small", "sites", "backslash"])
+def test_read_spec_opens_its_path_once(tmp_path, monkeypatch, route):
+    # one open and one read on every route: a small file, a large one whose
+    # sites are read from their text, and a large one that a backslash sends
+    # to json, which parses the bytes already read
+    spec = _cumulant_spec()
+    if route == "backslash":
+        spec["name"] = "caf\u00e9"
+    path = write(tmp_path, "in.json", spec if route != "small" else {"k": 1, "choi": [[[1, 0]]]})
+    if route != "small":
+        padded(path)
+    opened = []
+    monkeypatch.setattr(serialize, "open", lambda *args, **kwargs: opened.append(args) or open(*args, **kwargs), raising=False)
+    got = read_spec(path)
+    assert opened == [(path, "rb")]
+    if route != "small":
+        kinds = {type(c) for c in got["distribution"]["cumulants"]}
+        assert kinds == ({list, np.ndarray} if route == "sites" else {list})
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh, parse_int=serialize._parse_int)
+    assert _site_reads(got) == _site_reads(expected)
 
+
+def test_a_file_truncated_after_its_read_gives_the_whole_files_output(tmp_path):
+    # the file is read into memory before its sites are scanned, so cutting
+    # it to 4 KiB then changes nothing; a read over a map of it would die of
+    # SIGBUS, with nothing on stderr, which is why this runs in a subprocess
     path = write(tmp_path, "in.json", _cumulant_spec())
     padded(path)
-    with open(path, encoding="utf-8") as fh:
-        expected = [json_to_array(c) for c in json.load(fh)["distribution"]["cumulants"]]
-    mapped = read_spec(path)["distribution"]["cumulants"]
-    mapped_run = _run(["convolve-power", "--in", path])
-    tried = []
-
-    def refuse(*args, **kwargs):
-        tried.append(args)
-        raise error("cannot map")
-
-    monkeypatch.setattr(mmap, "mmap", refuse)
-    got = read_spec(path)["distribution"]["cumulants"]
-    assert len(tried) == 1 and all(isinstance(c, list) for c in got)
-    assert any(isinstance(c, np.ndarray) for c in mapped)  # the mapped read took the fast route
-    for a, b in zip([json_to_array(c) for c in got], expected, strict=True):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    assert _run(["convolve-power", "--in", path]) == mapped_run and mapped_run[0] == 0
-
-
-def test_read_spec_leaves_no_map_open(tmp_path, monkeypatch):
-    # the input is mapped while its sites are read and unmapped once read_spec
-    # returns: no array or view of the map outlives the read
-    path = os.path.realpath(write(tmp_path, "in.json", _cumulant_spec()))
-    padded(path)
-
-    def mapped():
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            return any(line.rstrip("\n").endswith(" " + path) for line in fh)
-
-    seen, loads = [], serialize._loads_with_arrays
-    monkeypatch.setattr(serialize, "_loads_with_arrays", lambda data: seen.append(mapped()) or loads(data))
-    spec = read_spec(path)
-    assert seen == [True] and not mapped()
-    assert any(isinstance(c, np.ndarray) for c in spec["distribution"]["cumulants"])
+    expected = _run(["convolve-power", "--in", path])
+    assert expected[0] == 0 and '"moments":' in expected[1]
+    code = (
+        "import os, sys\n"
+        "from ovfree import serialize\n"
+        "from ovfree.cli import main\n"
+        "scan = serialize._array_sites\n"
+        "def truncate_then_scan(data):\n"
+        f"    os.truncate({path!r}, 4096)\n"
+        "    return scan(data)\n"
+        "serialize._array_sites = truncate_then_scan\n"
+        f"sys.exit(main(['convolve-power', '--in', {path!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected[1].encode("utf-8") and os.path.getsize(path) == 4096
 
 
 OVERFLOW_INPUTS = {

@@ -1,7 +1,9 @@
 import json
+import operator
 import time
 import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -399,32 +401,45 @@ _EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), order=st.integers(1, 4), sep=st.sampled_from([",", ", "]),
-       ints=st.booleans(), edge_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-def test_site_reader_agrees_with_json(tmp_path, monkeypatch, seed, k, order, sep, ints, edge_share):
-    # each cumulant, read from its own text by read_spec and as nested lists
-    # by json, is the same array, before and after json_to_array, bit for bit
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), order=st.integers(1, 4), p=st.integers(1, 3),
+       rank=st.integers(1, 4), vector=st.booleans(), sep=st.sampled_from([",", ", "]), ints=st.booleans(),
+       edge_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_site=st.sampled_from([1, 256, 2048]))
+def test_site_reader_agrees_with_json(tmp_path, monkeypatch, seed, k, order, p, rank, vector, sep, ints, edge_share,
+                                      min_site):
+    # each array field of a map and a distribution spec in one document
+    # ("choi", "kraus", "cumulants", "X" and "state"), read from its own text
+    # by read_spec in pieces of 64 bytes and as nested lists by json, is the
+    # same array, before and after json_to_array, bit for bit; a field
+    # shorter than MIN_SITE_BYTES stays json's nested lists
     monkeypatch.setattr(serialize, "FAST_READ_BYTES", 1)
-    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", 1)
+    monkeypatch.setattr(serialize, "MIN_SITE_BYTES", min_site)
+    monkeypatch.setattr(serialize, "FLAT_PIECE_BYTES", 64)
     rng = np.random.default_rng(seed)
-    cumulants = []
-    for n in range(1, order + 1):
-        shape = (k * k,) * (n - 1) + (k, k, 2)
+    shapes = {("map", "choi"): (k * k, k * k, 2), **{("map", "kraus", i): (k, k, 2) for i in range(rank)},
+              **{("distribution", "cumulants", n): (k * k,) * n + (k, k, 2) for n in range(order)},
+              ("distribution", "realization", "X"): (k * p, k * p, 2),
+              ("distribution", "realization", "state"): (p, 2) if vector else (p, p, 2)}
+    document = {"k": k, "order": order, "map": {"k": k, "choi": None, "kraus": [None] * rank},
+                "distribution": {"k": k, "cumulants": [None] * order, "realization": {"p": p, "X": None, "state": None}}}
+    for where, shape in shapes.items():
         values = np.empty(int(np.prod(shape)), dtype=object)
         for i in range(values.size):
             if rng.random() < edge_share:
                 values[i] = _EDGE_NUMBERS[rng.integers(len(_EDGE_NUMBERS))]
             else:
                 values[i] = int(rng.integers(-3, 4)) if ints else float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8))
-        cumulants.append(values.reshape(shape).tolist())
+        reduce(operator.getitem, where[:-1], document)[where[-1]] = values.reshape(shape).tolist()
+    separators = (sep, sep.replace(",", ":"))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"k": k, "order": order, "cumulants": cumulants}, separators=(sep, sep.replace(",", ":"))))
+    path.write_text(json.dumps(document, separators=separators))
     got = serialize.read_spec(str(path))
     with open(path, encoding="utf-8") as fh:
         expected = json.load(fh, parse_int=serialize._parse_int)
-    assert all(isinstance(site, np.ndarray) for site in got["cumulants"])  # each was read from its own text
-    for site, nested in zip(got["cumulants"], expected["cumulants"], strict=True):
-        for a, b in ((site, np.array(nested)), (json_to_array(site), json_to_array(nested))):
+    for where in shapes:
+        site, nested = reduce(operator.getitem, where, got), reduce(operator.getitem, where, expected)
+        text = json.dumps(reduce(operator.getitem, where, document), separators=separators)
+        assert isinstance(site, np.ndarray) == (len(text) >= min_site), where
+        for a, b in ((np.array(site), np.array(nested)), (json_to_array(site), json_to_array(nested))):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -497,9 +512,10 @@ def test_piece_seams_read_as_json(tmp_path, monkeypatch, site):
 
 
 def test_site_reader_holds_no_copy_of_the_text(tmp_path):
-    # reading one long site holds its numbers twice at most, as the pieces'
-    # arrays and the joined array, and never the file's bytes or a copy of
-    # the site's text, which is over twice as long as its array
+    # reading one long site holds the file's bytes, read once, and besides
+    # them its numbers twice at most, as the pieces' arrays and the joined
+    # array, but never a copy of the site's text, which is over twice as long
+    # as its array
     rng = np.random.default_rng(29)
     array = rng.standard_normal((450, 450, 2))
     path = tmp_path / "in.json"
@@ -512,7 +528,7 @@ def test_site_reader_holds_no_copy_of_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert isinstance(choi, np.ndarray) and choi.tobytes() == array.tobytes()
-    assert peak < 2 * array.nbytes + 4 * serialize.FLAT_PIECE_BYTES
+    assert peak < path.stat().st_size + 2 * array.nbytes + 4 * serialize.FLAT_PIECE_BYTES
 
 
 def _tiny_sites_document(n):
