@@ -35,7 +35,9 @@ the number of listed cumulants for a cumulant spec.  It is refused above 8 for
 convolve-power and positivity and above 6 for verify-realization; the
 environment variable OVFREE_MAX_ORDER, a positive integer, replaces both caps
 (expert use only: runtimes grow exponentially).  positivity builds moments up
-to order 2L - 2, all that level L reads.
+to order 2L - 2, all that level L reads, and counterexample builds its
+certificate at that order, so its --level is refused where 2L - 2 is above 8
+or OVFREE_MAX_ORDER.
 
 An integer in the input outside [-2**63, 2**64) is read as the nearest
 double.  An input nested too deep to read exits 2.
@@ -164,6 +166,10 @@ def _cmd_verify_realization(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    order, cap = ovdist.level_order(args.level), _cap(ORDER_CAP)
+    if order > cap:  # the scaled-Bernoulli certificate is built at that order
+        raise ValueError(f"order {order} of --level {args.level} exceeds the hard guard {cap}; "
+                         "set OVFREE_MAX_ORDER to override")
     spec = serialize.read_spec(args.infile)
     eta = serialize.map_from_spec(spec.get("map", spec))
     try:
@@ -202,9 +208,8 @@ def _parts(spec: dict, *names: str) -> list:
     return [spec[name] for name in names]
 
 
-def _order(dist_spec: dict, args, cap: int) -> int:
-    """The one order rule: --order, else the spec's "order", else the spec's
-    own default; refused above cap, which OVFREE_MAX_ORDER replaces."""
+def _cap(cap: int) -> int:
+    """The hard guard in force: cap, which OVFREE_MAX_ORDER replaces."""
     value = os.environ.get("OVFREE_MAX_ORDER")
     if value:
         try:
@@ -213,6 +218,13 @@ def _order(dist_spec: dict, args, cap: int) -> int:
             cap = 0
         if cap < 1:
             raise ValueError(f"OVFREE_MAX_ORDER must be a positive integer, got {value!r}")
+    return cap
+
+
+def _order(dist_spec: dict, args, cap: int) -> int:
+    """The one order rule: --order, else the spec's "order", else the spec's
+    own default; refused above cap, which OVFREE_MAX_ORDER replaces."""
+    cap = _cap(cap)
     serialize.spec_k(dist_spec)
     default = DEFAULT_ORDER if "realization" in dist_spec else len(dist_spec["cumulants"])
     order = args.order if args.order is not None else serialize.int_field(dist_spec, "order", default)

@@ -16,10 +16,10 @@ left, so a letter is centered only while len(prefix) + 2 <= the letters
 left, the current one counted: no branch ends in a nonempty prefix.
 
 Coefficient arguments of a moment map enter the word as extra tensor axes
-("slots"): an A-atom may carry leading k^2 axes over the matrix-unit basis,
-and each becomes a slot of the returned map, in word order, so a single
-recursion pass evaluates the map on the whole basis at once instead of once
-per coefficient tuple.  Merges only ever join adjacent stretches of the word,
+("slots"): an array atom over A may carry leading k^2 axes over the
+matrix-unit basis, and each becomes a slot of the returned map, in word
+order, so a single recursion pass evaluates the map on the whole basis at
+once instead of once per coefficient tuple.  Merges only ever join adjacent stretches of the word,
 so every tensor of the recursion holds its S slots in one fixed order,
 reverse word order, flattened row-major into one slot axis of n = (k^2)^S
 entries: a B letter is (n, kp, kp), a slab (D, k, n, k) and an expectation
@@ -29,7 +29,7 @@ two slot axes.  The slots are reversed only where slotted atoms enter
 evaluate and where its result leaves.
 
 compressed_distribution runs one recursion for the compression words
-v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, a_t slotted A-atoms, of every
+v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, a_t slotted array atoms, of every
 order n <= N: the order-n word is the order-N word's first 2n letters and
 its last, v.  Where the order-N recursion reaches letter 2n < 2N with at
 most one centered letter, fusing v in ends the order-n word as its own
@@ -58,70 +58,18 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, check_array_size, dagger, matrix_units, read_only
+from .algebra import DEFAULT_TOL, check_array_size, dagger, matrix_units
 from .cpmaps import CPMap
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
 from .ovdist import OVDistribution, Realization
 
-Atom = Union[str, Tuple[str, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class MixedWord:
-    """A word in the atoms "X", "v", "v*" and ("A", a) for a in M_k.
-
-    "X" belongs to the realization algebra, "v"/"v*" to the Fock algebra and
-    A-atoms to the common subalgebra; in normal form, maximal runs merge into
-    strictly alternating tagged letters.  The empty word represents the unit.
-    from_atoms keeps read-only copies of the A-coefficients.
-    """
-
-    atoms: Tuple[Atom, ...]
-
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[Atom]) -> "MixedWord":
-        out: List[Atom] = []
-        for a in atoms:
-            if isinstance(a, str):
-                if a not in ("X", "v", "v*"):
-                    raise ValueError(f"unknown atom {a!r}")
-                out.append(a)
-            else:
-                tag, mat = a
-                if tag != "A":
-                    raise ValueError(f"unknown atom tag {tag!r}")
-                out.append(("A", read_only(mat)))
-        return cls(tuple(out))
-
-    def normal_form(self) -> List[Tuple[str, Tuple[Atom, ...]]]:
-        """Maximal same-algebra runs as (tag, atoms) pairs, tags alternating.
-
-        A-atoms attach to the preceding run when one is open, otherwise to
-        the first run that forms; a word with no X/v atoms, the empty word
-        too, normalizes to a single "A" run.
-        """
-        runs: List[Tuple[str, List[Atom]]] = []
-        leading: List[Atom] = []
-        for atom in self.atoms:
-            if not isinstance(atom, str):
-                (runs[-1][1] if runs else leading).append(atom)
-                continue
-            tag = "B" if atom == "X" else "C"
-            if runs and runs[-1][0] == tag:
-                runs[-1][1].append(atom)
-            else:
-                runs.append((tag, leading + [atom]))
-                leading = []
-        if leading or not runs:
-            runs.append(("A", leading))
-        return [(tag, tuple(items)) for tag, items in runs]
+Atom = Union[str, np.ndarray]
 
 
 def required_depth(atoms: Sequence[Atom]) -> int:
@@ -268,61 +216,93 @@ def _add(total: np.ndarray, e: np.ndarray) -> None:
     total += e
 
 
-def _check_letters(r: Realization, f: FockSpace, n_slots: int) -> None:
-    # with n_slots slots of k^2, a slab has D k^2 entries per slot tuple and a B letter (kp)^2
-    check_array_size(max(f.D, r.p**2) * r.k ** (2 * n_slots + 2),
-                     f"a letter with {n_slots} coefficient slots on a Fock module of {f.D} words and M_{r.d}")
+def _runs(atoms: Sequence[Atom]) -> List[Tuple[str, List[Atom]]]:
+    """A word's atoms checked, as maximal same-algebra runs: (tag, atoms)
+    pairs, tags alternating, array atoms made complex.  An array atom joins
+    the open run, else the first run to form; a word of array atoms alone,
+    the empty word too, is one "A" run."""
+    runs: List[Tuple[str, List[Atom]]] = []
+    leading: List[Atom] = []
+    for atom in atoms:
+        if isinstance(atom, np.ndarray) and atom.dtype.kind in "biufc":
+            (runs[-1][1] if runs else leading).append(atom.astype(complex, copy=False))
+            continue
+        if not isinstance(atom, str) or atom not in ("X", "v", "v*"):
+            what = repr(atom) if isinstance(atom, str) else f"of type {type(atom).__name__}"
+            raise ValueError(f"unknown atom {what}; expected 'X', 'v', 'v*' or a numeric array")
+        tag = "B" if atom == "X" else "C"
+        if runs and runs[-1][0] == tag:
+            runs[-1][1].append(atom)
+        else:
+            runs.append((tag, leading + [atom]))
+            leading = []
+    if leading or not runs:
+        runs.append(("A", leading))
+    return runs
 
 
-def _letters(word: MixedWord, env: _Env) -> Tuple[_Letter, ...]:
-    """A word's alternating letters, or the one "A" letter of a word of A-atoms."""
+def _letters(runs: List[Tuple[str, List[Atom]]], env: _Env) -> Tuple[Tuple[_Letter, ...], List[int]]:
+    """The runs' alternating letters, or the one "A" letter of a word of
+    array atoms, and the number of slots each letter carries."""
     k = env.k
-    letters: List[_Letter] = []
-    for tag, atoms in word.normal_form():
-        factors = [atom if isinstance(atom, str) else _flip_slots(atom[1], atom[1].ndim - 2).reshape(-1, k, k)
+    letters, slots = [], []
+    for tag, atoms in runs:
+        factors = [atom if isinstance(atom, str) else _flip_slots(atom, atom.ndim - 2).reshape(-1, k, k)
                    for atom in atoms]
+        slots.append(sum(atom.ndim - 2 for atom in atoms if not isinstance(atom, str)))
         if tag == "A":
-            return (_Letter("A", reduce(_b_mul, factors, np.eye(k, dtype=complex)[None])),)
-        if tag == "B":
+            letters.append(_Letter("A", reduce(_b_mul, factors, np.eye(k, dtype=complex)[None])))
+        elif tag == "B":
             mats = [env.r.X[None] if isinstance(fac, str) else env.r.embed(fac) for fac in factors]
             letters.append(_Letter("B", reduce(_b_mul, mats)))
         else:
             letters.append(env.c_letter(factors))
-    return tuple(letters)
+    return tuple(letters), slots
+
+
+def _expectations(word: Sequence[Atom], r: Realization, f: FockSpace, ends: Sequence[int] = ()) -> List[np.ndarray]:
+    """E of the word's first t letters followed by its last, for each t in
+    ends, or [E(word)] when ends is empty; slots in word order, as evaluate
+    returns them."""
+    runs = _runs(word)
+    need = required_depth(word)
+    if f.depth < need:
+        raise ValueError(f"Fock depth {f.depth} is too small for this word; need depth >= {need}")
+    env = _Env(r, f)
+    k = env.k
+    coefficients = [atom for _, atoms in runs for atom in atoms if not isinstance(atom, str)]
+    if any(a.shape[-2:] != (k, k) or any(s != k * k for s in a.shape[:-2]) for a in coefficients):
+        raise ValueError(f"A-coefficients must be {k}x{k}, after slot axes of length {k * k}")
+    n_slots = sum(a.ndim - 2 for a in coefficients)
+    # with n_slots slots of k^2, a slab has D k^2 entries per slot tuple and a B letter (kp)^2
+    check_array_size(max(f.D, r.p**2) * k ** (2 * n_slots + 2),
+                     f"a letter with {n_slots} coefficient slots on a Fock module of {f.D} words and M_{r.d}")
+    letters, slots = _letters(runs, env)
+    if letters[0].tag == "A":
+        return [_flip_slots(letters[0].tensor, n_slots)]
+    counts = {t: sum(slots[:t]) + (slots[-1] if t < len(letters) else 0) for t in ends or [len(letters)]}
+    totals = {t: np.zeros(((k * k) ** n, k, k), dtype=complex) for t, n in counts.items()}
+    _rec((), letters[0], 1, letters, env, totals)
+    return [_flip_slots(totals[t], n) for t, n in counts.items()]
 
 
 # -- public operations ---------------------------------------------------------
 
 
-def evaluate(word: MixedWord, r: Realization, f: FockSpace) -> np.ndarray:
+def evaluate(word: Sequence[Atom], r: Realization, f: FockSpace) -> np.ndarray:
     """Expectation of a mixed word onto A, using only the freeness axiom.
 
-    An A-atom may carry leading slot axes of length k^2 over the matrix-unit
-    basis, shape (k^2, ..., k^2, k, k), in B runs and C runs alike.  The
-    result then has shape (k^2,)*S + (k, k), one slot per such axis in word
-    order: the coordinate tensor of a multilinear map, as MultiMap holds it.
-    Letters above the array rule (algebra.check_array_size) are refused
-    before any is built.
+    A word is a sequence of the atoms "X", "v", "v*" and arrays over A: k x k,
+    or (k^2, ..., k^2, k, k) with leading slot axes over the matrix-unit
+    basis.  The result then has shape (k^2,)*S + (k, k), one slot per such
+    axis in word order: the coordinate tensor of a multilinear map, as
+    MultiMap holds it.  The empty word is the unit.  Letters above the array
+    rule (algebra.check_array_size) are refused before any is built.
 
-    Raises ValueError when f is shallower than required_depth(word.atoms),
-    where the truncated module would give wrong values.
+    Raises ValueError when f is shallower than required_depth(word), where
+    the truncated module would give wrong values.
     """
-    need = required_depth(word.atoms)
-    if f.depth < need:
-        raise ValueError(f"Fock depth {f.depth} is too small for this word; need depth >= {need}")
-    env = _Env(r, f)
-    k = env.k
-    coefficients = [atom[1] for atom in word.atoms if not isinstance(atom, str)]
-    if any(a.shape[-2:] != (k, k) or any(s != k * k for s in a.shape[:-2]) for a in coefficients):
-        raise ValueError(f"A-coefficients must be {k}x{k}, after slot axes of length {k * k}")
-    n_slots = sum(a.ndim - 2 for a in coefficients)
-    _check_letters(r, f, n_slots)
-    letters = _letters(word, env)
-    if letters[0].tag == "A":
-        return _flip_slots(letters[0].tensor, n_slots)
-    total = np.zeros(((k * k) ** n_slots, k, k), dtype=complex)
-    _rec((), letters[0], 1, letters, env, {len(letters): total})
-    return _flip_slots(total, n_slots)
+    return _expectations(word, r, f)[0]
 
 
 def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = DEFAULT_TOL) -> OVDistribution:
@@ -330,7 +310,7 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = DEF
 
     The n-th moment map is evaluate on the compression word
     v* X (v a_1 v*) X ... (v a_{n-1} v*) X v, each a_t the matrix units as
-    one slotted A-atom, on the Fock module of psi = eta - id at the depth
+    one slotted array atom, on the Fock module of psi = eta - id at the depth
     required_depth gives for that word, which is 2 at every order; one
     recursion on the order-N word computes every order.  Requires
     eta - id completely positive (otherwise the Fock model for psi does not
@@ -340,16 +320,9 @@ def compressed_distribution(r: Realization, eta: CPMap, N: int, tol: float = DEF
         raise ValueError(f"order must be at least 1, got {N}")
     if eta.k != r.k:
         raise ValueError("map and realization have different base algebras")
-    psi = eta.minus_id()
-    units = ("A", matrix_units(r.k))
-    word = MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (N - 1) + ["X", "v"])
-    f = build_fock(psi, required_depth(word.atoms), tol)
-    _check_letters(r, f, N - 1)
-    env, k = _Env(r, f), r.k
+    word = ["v*"] + ["X", "v", matrix_units(r.k), "v*"] * (N - 1) + ["X", "v"]
+    f = build_fock(eta.minus_id(), required_depth(word), tol)
     # order n < N ends at letter 2n, order N at 2N + 1 only: also at 2N counts it twice
     ends = [2 * n for n in range(1, N)] + [2 * N + 1]
-    totals = {end: np.zeros(((k * k) ** n, k, k), dtype=complex) for n, end in enumerate(ends)}
-    letters = _letters(word, env)
-    _rec((), letters[0], 1, letters, env, totals)
-    moments = tuple(MultiMap(k, _flip_slots(totals[end], n)) for n, end in enumerate(ends))
-    return OVDistribution(k=k, order=N, moments=moments, label="compressed")
+    moments = tuple(MultiMap(r.k, m) for m in _expectations(word, r, f, ends))
+    return OVDistribution(k=r.k, order=N, moments=moments, label="compressed")

@@ -9,7 +9,7 @@ from ovfree.algebra import MAX_ARRAY_BYTES, check_array_size, matrix_units, psd_
 from ovfree.cli import main
 from ovfree.cpmaps import CPMap
 from ovfree.fock import build_fock
-from ovfree.freeprod import MixedWord, compressed_distribution, evaluate
+from ovfree.freeprod import compressed_distribution, evaluate
 from ovfree.multimap import MultiMap
 from ovfree.ovdist import Realization
 from ovfree.serialize import array_to_json
@@ -187,7 +187,7 @@ def test_array_size_rule_counts_freeness_letters(monkeypatch, rng):
     with pytest.raises(ValueError, match="a letter with 4 coefficient slots on a Fock module of 7 words and M_40 would need 7 MB"):
         compressed_distribution(r, eta, 5)
     # evaluate with six slotted atoms in one C run: slabs of 7 * 2**14 entries (1.8 MB)
-    word = MixedWord.from_atoms(["v*"] + [("A", matrix_units(2))] * 6 + ["v"])
+    word = ["v*"] + [matrix_units(2)] * 6 + ["v"]
     r = Realization(k=2, p=1, X=random_hermitian(rng, 2), rho=np.eye(1))
     with pytest.raises(ValueError, match="a letter with 6 coefficient slots on a Fock module of 7 words and M_2 would need 2 MB"):
         evaluate(word, r, build_fock(psi, 2))

@@ -277,6 +277,19 @@ def test_counterexample_honours_level(tmp_path, monkeypatch):
     assert read(tmp_path / "out.json")["nonpositivity"]["level"] == 3
 
 
+def test_counterexample_level_obeys_the_order_cap(tmp_path, capsys, monkeypatch, built_orders):
+    # level L builds the Bernoulli certificate at order 2L - 2: level 6 needs
+    # order 10, above the cap of 8, unless OVFREE_MAX_ORDER lifts it
+    inp = write(tmp_path, "in.json", {"k": 1, "choi": [[[0.5, 0.0]]]})
+    monkeypatch.delenv("OVFREE_MAX_ORDER", raising=False)
+    assert_one_line_exit_2(capsys, ["counterexample", "--in", inp, "--level", "6"],
+                           "ovfree: order 10 of --level 6 exceeds the hard guard 8; set OVFREE_MAX_ORDER to override")
+    assert built_orders == []
+    monkeypatch.setenv("OVFREE_MAX_ORDER", "10")
+    assert main(["counterexample", "--in", inp, "--out", str(tmp_path / "out.json"), "--level", "6"]) == 0
+    assert max(built_orders) == 10 and read(tmp_path / "out.json")["nonpositivity"]["level"] == 3
+
+
 def test_counterexample_without_failing_level_prints_null(tmp_path, monkeypatch):
     # a certificate whose moment matrices are all positive up to its level
     # certifies nothing: the level-2 search for a Bernoulli lambda in (0, 1)
@@ -617,6 +630,27 @@ def test_invalid_utf8_names_its_path(tmp_path, capsys):
     assert main(["check-cp", "--in", str(path)]) == 2
     assert capsys.readouterr().err == (f"ovfree: cannot read JSON input {path}: 'utf-8' codec can't decode "
                                        "byte 0xff in position 7: invalid start byte\n")
+
+
+@pytest.mark.parametrize("pad", [False, True], ids=["small", "padded"])
+def test_an_input_that_shrinks_while_it_is_read_exit_2(tmp_path, capsys, monkeypatch, pad):
+    # the file ends inside its "choi" array by the time it is read; the
+    # padded copy is cut there too, not inside its trailing spaces
+    path = write(tmp_path, "in.json", map_spec_id_plus_transpose())
+    text = Path(path).read_bytes()
+    cut = len(text) // 2
+    assert text[:cut].count(b"[") > text[:cut].count(b"]") and text.index(b'"choi"') < cut
+    if pad:
+        padded(path)
+
+    def shrunk(name, mode="r", *args, **kwargs):
+        with open(name, mode, *args, **kwargs) as fh:
+            return io.BytesIO(fh.read()[:cut])
+
+    monkeypatch.setattr(serialize, "open", shrunk, raising=False)
+    assert main(["check-cp", "--in", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"ovfree: cannot read JSON input {path}: ")
 
 
 def test_main_writes_to_a_redirected_text_stdout(tmp_path):

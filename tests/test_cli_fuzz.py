@@ -1,6 +1,7 @@
 """Generated inputs, flags and OVFREE_MAX_ORDER for every CLI command: the
 exit code is 0, 2 or 3, no exception escapes main, and no run that exits 0
-builds a distribution above the order cap in force."""
+builds a distribution above the order cap in force, counterexample's
+certificate at level L (order 2L - 2) included."""
 
 import json
 import tempfile
@@ -95,6 +96,7 @@ FLAGS = {
 VALUES = {
     "order": st.integers(-1, 9).map(str),
     "level": st.integers(-2, 5).map(str),
+    "counterexample-level": st.integers(-2, 7).map(str),
     "tol": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e-3"]),
 }
 
@@ -105,7 +107,7 @@ def invocations(draw):
     argv = [command]
     for flag in FLAGS[command]:
         if draw(st.booleans()):
-            argv += [f"--{flag}", draw(VALUES[flag])]
+            argv += [f"--{flag}", draw(VALUES.get(f"{command}-{flag}", VALUES[flag]))]
     # verify-realization runs the freeness recursion, about 12x slower per
     # order above 6, so its draws never lift the cap above its default of 6
     envs = [None, "1", "4", "6", "x"] if command == "verify-realization" else [None, "1", "4", "7", "11", "x"]
@@ -123,6 +125,8 @@ def _cap_in_force(command, env):
 @example(invocation=(["convolve-power"], ORDERLESS[1], None))
 @example(invocation=(["positivity", "--level", "5"], ORDERLESS[1], "7"))
 @example(invocation=(["verify-realization"], ORDERLESS[0], "4"))
+@example(invocation=(["counterexample", "--level", "6"], BASES[1], "11"))
+@example(invocation=(["counterexample", "--level", "7"], BASES[1], "11"))
 def test_cli_exit_code_on_generated_input(capsys, monkeypatch, built_orders, invocation):
     argv, spec, env = invocation
     built_orders.clear()
@@ -135,8 +139,9 @@ def test_cli_exit_code_on_generated_input(capsys, monkeypatch, built_orders, inv
         code = main(argv[:1] + ["--in", str(path)] + argv[1:])
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, spec, err)
-    if code == 0 and "order" in FLAGS[argv[0]]:
-        assert max(built_orders) <= _cap_in_force(argv[0], env), (argv, env, built_orders)
+    if code == 0 and ("order" in FLAGS[argv[0]] or argv[0] == "counterexample"):
+        # counterexample on a map whose eta - id is CP builds no distribution
+        assert max(built_orders, default=0) <= _cap_in_force(argv[0], env), (argv, env, built_orders)
     assert "Traceback" not in err
     assert code == 0 or err.count("\n") == 1, (argv, spec, err)
     if code != 2:  # the printed result is strict JSON: no NaN or Infinity tokens

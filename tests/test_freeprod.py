@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ovfree.algebra import matrix_units
 from ovfree.cpmaps import CPMap, NotCompletelyPositiveError
 from ovfree.fock import build_fock, word_expectation
-from ovfree.freeprod import MixedWord, compressed_distribution, evaluate, required_depth
+from ovfree.freeprod import _runs, compressed_distribution, evaluate, required_depth
 from ovfree.multimap import MultiMap
 from ovfree.ovdist import cumulants_from_moments, eta_power, moments_from_realization
 
@@ -25,27 +25,27 @@ def make_env(rng, k=2, rank=1, depth=6):
 
 def test_single_b_letter_is_first_moment(rng):
     r, eta, f = make_env(rng)
-    got = evaluate(MixedWord.from_atoms(["X"]), r, f)
+    got = evaluate(["X"], r, f)
     assert np.max(np.abs(got - r.cond_exp(r.X))) < 1e-12
 
 
 def test_single_c_word_is_eta(rng):
     r, eta, f = make_env(rng)
     a = random_complex(rng, (2, 2))
-    got = evaluate(MixedWord.from_atoms(["v*", ("A", a), "v"]), r, f)
+    got = evaluate(["v*", a, "v"], r, f)
     assert np.max(np.abs(got - eta.apply(a))) < 1e-12
 
 
 def test_empty_word_is_unit(rng):
     r, eta, f = make_env(rng)
-    assert np.max(np.abs(evaluate(MixedWord.from_atoms([]), r, f) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(evaluate([], r, f) - np.eye(2))) < 1e-12
 
 
 def test_pure_scalar_word(rng):
     r, eta, f = make_env(rng)
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (2, 2))
-    got = evaluate(MixedWord.from_atoms([("A", a), ("A", b)]), r, f)
+    got = evaluate([a, b], r, f)
     assert np.max(np.abs(got - a @ b)) < 1e-12
 
 
@@ -53,16 +53,16 @@ def test_centered_alternating_pair_vanishes(rng):
     # E((X - E X) (vv* - E(vv*))) = 0 by freeness; build it atom by atom
     r, eta, f = make_env(rng)
     ex = r.cond_exp(r.X)
-    evv = evaluate(MixedWord.from_atoms(["v", "v*"]), r, f)
+    evv = evaluate(["v", "v*"], r, f)
     terms = [
         (["X", "v", "v*"], 1.0),
-        (["X", ("A", evv)], -1.0),
-        ([("A", ex), "v", "v*"], -1.0),
-        ([("A", ex), ("A", evv)], 1.0),
+        (["X", evv], -1.0),
+        ([ex, "v", "v*"], -1.0),
+        ([ex, evv], 1.0),
     ]
     total = np.zeros((2, 2), dtype=complex)
     for atoms, sign in terms:
-        total += sign * evaluate(MixedWord.from_atoms(atoms), r, f)
+        total += sign * evaluate(atoms, r, f)
     assert np.max(np.abs(total)) < 1e-11
 
 
@@ -71,14 +71,14 @@ def test_evaluate_is_a_bilinear(rng):
     a = random_complex(rng, (2, 2))
     b = random_complex(rng, (2, 2))
     inner = ["v*", "X", "v"]
-    plain = evaluate(MixedWord.from_atoms(inner), r, f)
-    framed = evaluate(MixedWord.from_atoms([("A", a)] + inner + [("A", b)]), r, f)
+    plain = evaluate(inner, r, f)
+    framed = evaluate([a] + inner + [b], r, f)
     assert np.max(np.abs(framed - a @ plain @ b)) < 1e-11
 
 
 def test_first_moment_formula(rng):
     r, eta, f = make_env(rng)
-    got = evaluate(MixedWord.from_atoms(["v*", "X", "v"]), r, f)
+    got = evaluate(["v*", "X", "v"], r, f)
     assert np.max(np.abs(got - eta.apply(r.cond_exp(r.X)))) < 1e-11
 
 
@@ -88,7 +88,7 @@ def test_second_moment_formula(rng):
     r, eta, f = make_env(rng)
     cums = cumulants_from_moments(moments_from_realization(r, 2))
     a = random_complex(rng, (2, 2))
-    got = evaluate(MixedWord.from_atoms(["v*", "X", "v", ("A", a), "v*", "X", "v"]), r, f)
+    got = evaluate(["v*", "X", "v", a, "v*", "X", "v"], r, f)
     ew1 = eta.apply(cums[0].tensor)
     expect = eta.apply(cums[1].apply([a])) + ew1 @ a @ ew1
     assert np.max(np.abs(got - expect)) < 1e-10
@@ -150,29 +150,21 @@ def test_compressed_order_at_least_one(rng):
     assert compressed_distribution(r, CPMap.identity(2), 1).order == 1
 
 
-def test_unknown_atom_rejected():
-    with pytest.raises(ValueError):
-        MixedWord.from_atoms(["Y"])
-
-
-def test_from_atoms_keeps_a_read_only_copy():
-    a = np.eye(2, dtype=complex)
-    w = MixedWord.from_atoms(["X", ("A", a)])
-    a[0, 0] = 5
-    coefficient = w.atoms[1][1]
-    assert coefficient[0, 0] == 1 and not coefficient.flags.writeable
+def test_unknown_atom_rejected(rng):
+    r, eta, f = make_env(rng)
+    for atom in ["Y", ("A", np.eye(2)), [[1.0, 0.0], [0.0, 1.0]], np.array(["v", "v*"])]:
+        with pytest.raises(ValueError, match=r"^unknown atom .*; expected 'X', 'v', 'v\*' or a numeric array$"):
+            evaluate(["X", atom, "v"], r, f)
 
 
 def test_normal_form_alternates(rng):
+    # _runs gives a word's alternating runs, array atoms attached
     a = random_complex(rng, (2, 2))
-    w = MixedWord.from_atoms([("A", a), "v*", "X", "X", ("A", a), "v", ("A", a), "v*", ("A", a)])
-    nf = w.normal_form()
-    tags = [tag for tag, _ in nf]
+    runs = _runs([a, "v*", "X", "X", a, "v", a, "v*", a])
+    tags = [tag for tag, _ in runs]
     assert tags == ["C", "B", "C"]
-    assert all(t1 != t2 for t1, t2 in zip(tags, tags[1:]))
-    assert len(nf[1][1]) == 3  # X X and the attached coefficient
-    nf_scalar = MixedWord.from_atoms([("A", a)]).normal_form()
-    assert len(nf_scalar) == 1 and nf_scalar[0][0] == "A"
+    assert len(runs[1][1]) == 3  # X X and the attached coefficient
+    assert [tag for tag, _ in _runs([a])] == ["A"] and _runs([]) == [("A", [])]
 
 
 @pytest.mark.parametrize("atoms, depth", [
@@ -181,10 +173,10 @@ def test_normal_form_alternates(rng):
     (["v", "X", "v*"], 2),
     (["v*", "v*", "v", "v"], 3),
     (["v", "X", "v"], 3),  # X does not break the run: E(v E(X) v) is formed
-    (["v", ("A", np.eye(2)), "v", "v*", "v", "v"], 4),
+    (["v", np.eye(2), "v", "v*", "v", "v"], 4),
 ] + [
     # the compression words v* X (v a v*) X ... X v of every order up to 8
-    (["v*"] + ["X", "v", ("A", np.eye(2)), "v*"] * (N - 1) + ["X", "v"], 2) for N in range(1, 9)
+    (["v*"] + ["X", "v", np.eye(2), "v*"] * (N - 1) + ["X", "v"], 2) for N in range(1, 9)
 ])
 def test_required_depth(atoms, depth):
     assert required_depth(atoms) == depth
@@ -193,7 +185,7 @@ def test_required_depth(atoms, depth):
 def test_evaluate_rejects_shallow_module(rng):
     r = random_realization(rng)
     psi = random_cp(rng, 2, rank=1)
-    word = MixedWord.from_atoms(["v*", "v*", "v", "v"])
+    word = ["v*", "v*", "v", "v"]
     with pytest.raises(ValueError, match="need depth >= 3"):
         evaluate(word, r, build_fock(psi, 2))
     deep = evaluate(word, r, build_fock(psi, 6))
@@ -213,10 +205,10 @@ def test_one_recursion_is_evaluate_at_every_order_bit_for_bit(k, rank):
     eta = CPMap.identity(k) if rank is None else CPMap(k, random_cp(rng, k, rank=rank).choi + CPMap.identity(k).choi)
     N = 6 if k <= 2 else 5
     dist = compressed_distribution(r, eta, N, tol=1e-9)
-    units = ("A", matrix_units(k))
+    units = matrix_units(k)
     for n in range(1, N + 1):
-        word = MixedWord.from_atoms(["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"])
-        want = evaluate(word, r, build_fock(eta.minus_id(), required_depth(word.atoms), 1e-9))
+        word = ["v*"] + ["X", "v", units, "v*"] * (n - 1) + ["X", "v"]
+        want = evaluate(word, r, build_fock(eta.minus_id(), required_depth(word), 1e-9))
         got = dist.moment(n).tensor
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"order {n}"
@@ -237,8 +229,8 @@ def test_compressed_matches_eta_power(k, rank, N, seed):
         assert np.max(np.abs(comp.moment(n).tensor - want)) <= 1e-10 * scale
         # the n-th moment map on concrete arguments is the compression word with them
         args = [random_complex(rng, (k, k)) for _ in range(n - 1)]
-        atoms = ["v*"] + [a for arg in args for a in ("X", "v", ("A", arg), "v*")] + ["X", "v"]
-        word = evaluate(MixedWord.from_atoms(atoms), r, f)
+        atoms = ["v*"] + [a for arg in args for a in ("X", "v", arg, "v*")] + ["X", "v"]
+        word = evaluate(atoms, r, f)
         assert np.max(np.abs(comp.moment(n).apply(args) - word)) <= 1e-12 * max(1.0, np.max(np.abs(word)))
 
 
@@ -260,18 +252,18 @@ def test_slotted_atoms_are_map_arguments(rng, k, names):
     for name in names:
         if name in slotted_atom:
             new = [random_complex(rng, (k, k)) for _ in range(slotted_atom[name].ndim - 2)]
-            slotted.append(("A", slotted_atom[name]))
-            concrete.append(("A", reduce(np.matmul, new)))
+            slotted.append(slotted_atom[name])
+            concrete.append(reduce(np.matmul, new))
             args += new
         else:
-            atom = ("A", b) if name == "b" else name
+            atom = b if name == "b" else name
             slotted.append(atom)
             concrete.append(atom)
     r = random_realization(rng, k=k)
     f = build_fock(random_cp(rng, k, rank=2), required_depth(concrete))
-    tensor = evaluate(MixedWord.from_atoms(slotted), r, f)
+    tensor = evaluate(slotted, r, f)
     assert tensor.shape == (k * k,) * len(args) + (k, k)
-    want = evaluate(MixedWord.from_atoms(concrete), r, f)
+    want = evaluate(concrete, r, f)
     assert np.max(np.abs(MultiMap(k, tensor).apply(args) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -282,13 +274,13 @@ def test_words_with_more_than_26_slots(rng, run, n_slots):
     # alphabet of einsum subscripts bounds their number
     args = [np.exp(2j * np.pi * rng.random((1, 1))) for _ in range(n_slots)]
     lead = ["X"] if run == "B" else []
-    slotted = lead + [atom for _ in args for atom in [("A", matrix_units(1))] + lead]
-    concrete = lead + [atom for a in args for atom in [("A", a)] + lead]
+    slotted = lead + [atom for _ in args for atom in [matrix_units(1)] + lead]
+    concrete = lead + [atom for a in args for atom in [a] + lead]
     r = random_realization(rng, k=1)
     f = build_fock(random_cp(rng, 1, rank=1), 2)
-    tensor = evaluate(MixedWord.from_atoms(slotted), r, f)
+    tensor = evaluate(slotted, r, f)
     assert tensor.shape == (1,) * n_slots + (1, 1)
-    want = evaluate(MixedWord.from_atoms(concrete), r, f)
+    want = evaluate(concrete, r, f)
     assert np.max(np.abs(MultiMap(1, tensor).apply(args) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -296,7 +288,7 @@ def _random_atoms(rng, alphabet, length, k):
     atoms = []
     for _ in range(length):
         atom = alphabet[rng.integers(len(alphabet))]
-        atoms.append(("A", random_complex(rng, (k, k))) if atom == "A" else atom)
+        atoms.append(random_complex(rng, (k, k)) if atom == "A" else atom)
     return atoms
 
 
@@ -308,8 +300,8 @@ def test_pure_fock_words_match_sparse_product(k, rank, length, seed):
     rng = np.random.default_rng(seed)
     atoms = _random_atoms(rng, ["v", "v*", "A"], length, k)
     f = build_fock(random_cp(rng, k, rank=rank), length + 1)
-    want = word_expectation(f, [a if isinstance(a, str) else a[1] for a in atoms])
-    got = evaluate(MixedWord.from_atoms(atoms), random_realization(rng, k=k), f)
+    want = word_expectation(f, atoms)
+    got = evaluate(atoms, random_realization(rng, k=k), f)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -325,9 +317,8 @@ def test_mixed_words_exact_at_required_depth(k, rank, pairs, seed):
         atoms.insert(rng.integers(len(atoms) + 1), extra)
     r = random_realization(rng, k=k)
     psi = random_cp(rng, k, rank=rank)
-    word = MixedWord.from_atoms(atoms)
-    got = evaluate(word, r, build_fock(psi, required_depth(atoms)))
-    want = evaluate(word, r, build_fock(psi, len(atoms) + 2))
+    got = evaluate(atoms, r, build_fock(psi, required_depth(atoms)))
+    want = evaluate(atoms, r, build_fock(psi, len(atoms) + 2))
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -336,7 +327,6 @@ def test_runs_of_v_atoms_cross_b_letters(rng):
     atoms = ["v*", "X", "v*", "X", "v", "X", "v"]
     r = random_realization(rng)
     psi = random_cp(rng, 2, rank=1)
-    word = MixedWord.from_atoms(atoms)
-    got = evaluate(word, r, build_fock(psi, required_depth(atoms)))
-    want = evaluate(word, r, build_fock(psi, 6))
+    got = evaluate(atoms, r, build_fock(psi, required_depth(atoms)))
+    want = evaluate(atoms, r, build_fock(psi, 6))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -116,19 +116,28 @@ def test_threads_share_a_module_on_its_first_use():
         assert _fresh(code) == f"{['counterexample_report'] * 4} True\n"
 
 
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    deviation, verdict = _fresh(code).splitlines()
+    lam, level = verdict.split()
+    assert float(deviation) < 1e-12
+    assert float(lam) < 1 and level == "3"
+
+
 def test_every_public_value_type_is_immutable():
-    from ovfree import algebra, converse, cpmaps, fock, freeprod, multimap, ncpart, ovdist
+    from ovfree import algebra, converse, cpmaps, fock, multimap, ncpart, ovdist
 
     report = converse.counterexample_report(cpmaps.CPMap.scaled_identity(1, 0.9))
     f = fock.build_fock(cpmaps.CPMap.identity(2), 2)
     values = [
         cpmaps.CPMap.identity(2), multimap.MultiMap(1, np.ones((1, 1))), ovdist.bernoulli(2),
         random_realization(np.random.default_rng(0)), algebra.psd_check(np.eye(2)), f, f.v_op(),
-        freeprod.MixedWord.from_atoms(["X", ("A", np.eye(2)), "v"]), report.witness, converse.build_gns(report.witness),
+        report.witness, converse.build_gns(report.witness),
         report.nonpositivity, report, converse.unpack_tuple(ovdist.bernoulli(2), 1, 1), ncpart.enumerate_nc(3)[0],
     ]
     assert sorted(type(value).__name__ for value in values) == sorted([
-        "CPMap", "MultiMap", "OVDistribution", "Realization", "PSDReport", "FockSpace", "FockOp", "MixedWord",
+        "CPMap", "MultiMap", "OVDistribution", "Realization", "PSDReport", "FockSpace", "FockOp",
         "Witness", "GNSModel", "NonpositivityCertificate", "CounterexampleReport", "TupleDistribution", "NCPartition",
     ])
     accepted = []
