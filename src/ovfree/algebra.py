@@ -46,9 +46,11 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def read_only(a) -> np.ndarray:
-    """A private read-only complex copy of a, as every value object stores
-    its arrays: a caller mutating its own array cannot change the value."""
-    return freeze(np.array(a, dtype=complex))
+    """A private read-only C-contiguous complex copy of a, as every value
+    object stores its arrays: a caller mutating its own array cannot change
+    the value, and no result computed from it depends on a's strides (an
+    einsum reduction sums in stride order)."""
+    return freeze(np.array(a, dtype=complex, order="C"))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -149,42 +150,81 @@ def moments_from_realization(r: Realization, N: int) -> OVDistribution:
 # positions u < v filled by a_u M_{w[g]} a_{v-1}.  The moment map of a gap is
 # itself an earlier entry of the recursion, so no partition is enumerated.
 #
-# Internally an arity-n tensor is viewed with every slot split into its
-# matrix-unit (row, col) pair, shape (k,) * (2n + 2).  Label 2t / 2t + 1 is
-# the row / column of slot t of the result and 2L - 2, 2L - 1 its output.
-# Every term is then an outer product whose operands carry a subset of the
-# result's labels (e_pq M e_uv = M[q, u] e_pv), so one einsum per term
-# accumulates into the result with no contraction and no padded
-# intermediates.
+# Inside the kernel a word's tensor is held in the chain layout
+# (i, r_0, c_0, ..., r_{L-2}, c_{L-2}, j): MultiMap's (slots..., i, j) with
+# every slot split into its matrix-unit (row, col) pair and the output row
+# moved to the front, shape (k,) * 2L.  Position p of the word owns the labels
+# (2p, 2p + 1) = (c_{p-1}, r_p), with c_{-1} = i and r_{L-1} = j, so every
+# term is an outer product of contiguous runs (e_pq M e_uv = M[q, u] e_pv).
+# A join Node(w[:e]) a_e M_{w[e:]} is the flat prefix by the flat suffix.  In
+# a node term kappa_V owns its positions' pairs and the gap u+1..v-1 of the
+# block owns labels 2u + 2 .. 2v - 1; the term is built left to right, kappa_V
+# times its first gap, that times the next, each product over only the runs
+# seen so far, so only the last product is as large as the result.  Where the
+# result is small, the calls cost more than that saves, and one einsum takes
+# every run.
+#
+# Either way every entry goes through the same complex operations, in the
+# same order, as in one einsum per term over interleaved labels: np.einsum
+# multiplies its operands left to right as (a_r b_r - a_i b_i,
+# a_r b_i + a_i b_r) and adds the product to 0, and a partial product's 0 + can
+# only flip the sign of a zero, which the next product and 0 + undo.  numpy's
+# multiply ufunc rounds differently, so the products stay einsums.
 
 Word = Tuple[int, ...]
-Labels = Tuple[int, ...]
-MAX_TRANSFORM_ORDER = 26  # einsum takes 52 labels, two per position
-
-
-def _slot_labels(lo: int, hi: int) -> Labels:
-    return tuple(lab for t in range(lo, hi) for lab in (2 * t, 2 * t + 1))
+# The top order alone has 2^24 node terms per word, and that, not einsum's 52
+# labels, makes higher orders impractical: a one-einsum term has 2g + 1 runs
+# for g <= (L - 1) / 2 gaps.
+MAX_TRANSFORM_ORDER = 26
+_CHAIN_MIN_ENTRIES = 256  # results this large build their node terms run by run
+_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 @lru_cache(maxsize=None)
-def _node_plan(L: int) -> Tuple[Tuple[Word, Labels, Tuple[Tuple[int, int, Labels], ...]], ...]:
-    """(V, labels of kappa_V, (start, stop, labels) per non-empty gap) for
-    every block V of positions of a length-L word holding both ends; the
-    one-block term comes first."""
-    if L == 1:
-        return (((0,), (0, 1), ()),)
+def _gap_plan(k: int, L: int) -> Tuple[Tuple[Word, Tuple[int, ...], str, Tuple[Tuple[int, int, int, int], ...]], ...]:
+    """(V, sizes of kappa_V's runs, one-einsum subscripts, (start, stop,
+    prefix, rest) per gap) for every block V of positions of a length-L word
+    that holds both ends and leaves a gap, in the recursion's term order.  A
+    gap's prefix and rest are the sizes of the runs before and after it."""
     plan = []
-    for size in range(L - 2, -1, -1):
+    for size in range(L - 3, -1, -1):
         for inner in combinations(range(1, L - 1), size):
             V = (0,) + inner + (L - 1,)
-            kappa_labels: Labels = ()
-            gaps = []
+            runs, fills, n = [], [], 1
             for u, v in zip(V, V[1:]):
-                kappa_labels += (2 * u, 2 * v - 1)
-                if v > u + 1:
-                    gaps.append((u + 1, v, _slot_labels(u + 1, v - 1) + (2 * u + 1, 2 * v - 2)))
-            plan.append((V, kappa_labels + (2 * L - 2, 2 * L - 1), tuple(gaps)))
+                if v == u + 1:
+                    n += 1
+                else:
+                    runs.append(k ** (2 * n))
+                    fills.append((u + 1, v))
+                    n = 1
+            runs.append(k ** (2 * n))
+            gaps, prefix = [], 1
+            for g, (start, stop) in enumerate(fills):
+                prefix *= runs[g]
+                gaps.append((start, stop, prefix, prod(runs[g + 1 :])))
+                prefix *= k ** (2 * (stop - start))
+            letters = _LABELS[: 2 * len(fills) + 1]
+            spec = letters[::2] + "," + ",".join(letters[1::2]) + "->" + letters
+            plan.append((V, tuple(runs), spec, tuple(gaps)))
     return tuple(plan)
+
+
+def _total(acc, terms, op):
+    """acc op t_1 op t_2 ..., left to right, None standing for +0.  An array
+    acc is only read: the first op writes a new array, which later terms
+    update in place.  A term that lands on None, an einsum output
+    (0 + product), starts the total as it is."""
+    own = False
+    for t in terms:
+        if acc is None:
+            acc, own = t, True
+        elif own:
+            op(acc, t, out=acc)
+        else:
+            acc, own = op(acc, t, order="C"), True
+        del t  # freed before the next term is built
+    return acc
 
 
 def _interval_dp(
@@ -197,48 +237,68 @@ def _interval_dp(
     <= order is returned.  Inverse: known holds every moment tensor and the
     cumulants are returned; kappa_w enters M_w only as the one-block term, so
     it is M_w minus every other term of the recursion.  Above the inputs and
-    outputs, memory holds one einsum temporary and Node(w) of the words
-    shorter than order, which later joins need.
+    outputs, memory holds the known tensors shorter than order in the chain
+    layout, the term being built and Node(w) of the words shorter than order,
+    which later joins need.  The outputs are views of the kernel's tensors,
+    which MultiMap copies into its own C-contiguous layout.
     """
     if order > MAX_TRANSFORM_ORDER:
         raise ValueError(f"transform order {order} exceeds the supported {MAX_TRANSFORM_ORDER}")
-    expanded = {w: np.asarray(t).reshape((k,) * (2 * len(w))) for w, t in known.items()}
-    cums, moms = ({}, expanded) if inverse else (expanded, {})
-    add = np.subtract if inverse else np.add
+    given = {}
+    for w, t in known.items():
+        view = np.moveaxis(np.asarray(t).reshape((k,) * (2 * len(w))), -2, 0)
+        # later terms flatten every known tensor shorter than order; the top order is only read
+        given[w] = view if len(w) == order else np.ascontiguousarray(view)
+    cums, moms = ({}, given) if inverse else (given, {})
     nodes: Dict[Word, np.ndarray] = {}
-    out: Dict[Word, np.ndarray] = {}
     for L in range(1, order + 1):
         check_array_size(k ** (2 * L), f"a map of arity {L - 1} over M_{k}")
         shape = (k,) * (2 * L)
-        labels = tuple(range(2 * L))
         keep = L < order
-        node_plan = _node_plan(L)[1:] if inverse else _node_plan(L)
-        # Node(w[:e]) e_xy M_{w[e:]} has output entries Node[.., i, x] M[.., y, j]
-        join_plan = [
-            (e, _slot_labels(0, e - 1) + (2 * L - 2, 2 * e - 2), _slot_labels(e, L - 1) + (2 * e - 1, 2 * L - 1))
-            for e in range(1, L)
-        ]
+        plan = _gap_plan(k, L)
+        chained = k ** (2 * L) >= _CHAIN_MIN_ENTRIES
+
+        def gap_term(w, kappa, runs, spec, gaps):
+            fills = [moms[w[start:stop]].reshape(-1) for start, stop, _, _ in gaps]
+            if not chained:
+                return np.einsum(spec, kappa.reshape(runs), *fills).reshape(shape)
+            term = kappa
+            for (_, _, prefix, rest), fill in zip(gaps, fills):
+                term = np.einsum("ab,c->acb", term.reshape(prefix, rest), fill)
+            return term.reshape(shape)
+
         for w in product(range(s), repeat=L):
-            acc = moms[w].copy() if inverse else np.zeros(shape, dtype=complex)
-            for e, head_labels, tail_labels in join_plan:
-                add(acc, np.einsum(nodes[w[:e]], head_labels, moms[w[e:]], tail_labels, labels), out=acc)
-            if inverse and keep:
-                nodes[w] = acc.copy()  # M_w minus the joins
-            node = np.zeros(shape, dtype=complex) if keep and not inverse else acc
-            for V, kappa_labels, gaps in node_plan:
-                kappa = cums.get(tuple(w[p] for p in V))
-                if kappa is None:
-                    continue
-                operands: List[object] = [kappa, kappa_labels]
-                for start, stop, gap_labels in gaps:
-                    operands += [moms[w[start:stop]], gap_labels]
-                add(node, np.einsum(*operands, labels), out=node)
-            if keep and not inverse:
+            # Node(w[:e]) e_xy M_{w[e:]}: the flat Node[i, .., x] by the flat M[y, .., j]
+            joins = (
+                np.einsum("a,b->ab", nodes[w[:e]].reshape(-1), moms[w[e:]].reshape(-1)).reshape(shape)
+                for e in range(1, L)
+            )
+            terms = (
+                gap_term(w, kappa, runs, spec, gaps)
+                for V, runs, spec, gaps in plan
+                if (kappa := cums.get(tuple(w[p] for p in V))) is not None
+            )
+            if inverse:
+                if keep:
+                    node = _total(moms[w], joins, np.subtract)  # M_w minus the joins
+                    acc = _total(node, terms, np.subtract)
+                else:
+                    acc = _total(moms[w], chain(joins, terms), np.subtract)
+            else:
+                start = np.zeros(shape, dtype=complex) if L == 1 else None  # no join starts the total
+                kappa = cums.get(w)
+                if keep:
+                    node = _total(kappa, terms, np.add)
+                    if node is None:
+                        node = np.zeros(shape, dtype=complex)
+                    acc = _total(start, chain(joins, (node,)), np.add)
+                else:
+                    acc = _total(start, chain(joins, () if kappa is None else (kappa,), terms), np.add)
+            if keep:
                 nodes[w] = node
-                acc += node
             (cums if inverse else moms)[w] = acc
-            out[w] = acc.reshape((k * k,) * (L - 1) + (k, k))
-    return out
+    done = cums if inverse else moms
+    return {w: np.moveaxis(t, 0, -2).reshape((k * k,) * (len(w) - 1) + (k, k)) for w, t in done.items()}
 
 
 def cumulants_from_moments(dist: OVDistribution) -> Tuple[MultiMap, ...]:

@@ -76,6 +76,20 @@ def test_compose_equals_the_einsum_it_reorders(k, arity):
         assert np.array_equal(MultiMap(k, t).compose(eta).tensor, np.einsum("...pq,piqj->...ij", t, eta.choi4))
 
 
+def test_compose_does_not_depend_on_the_layout_it_was_given(rng):
+    # the transform hands back strided views; an einsum reduction over a
+    # strided tensor would sum in another order
+    k, arity = 2, 3
+    split = random_complex(rng, (k,) * (2 * arity + 2))
+    chain = np.ascontiguousarray(np.moveaxis(split, -2, 0))  # the output row first
+    strided = np.moveaxis(chain, 0, -2).reshape((k * k,) * arity + (k, k))
+    assert not strided.flags.c_contiguous
+    eta = CPMap(k, random_complex(rng, (k * k, k * k)))
+    f = MultiMap(k, strided)
+    assert f.tensor.flags.c_contiguous
+    assert np.array_equal(f.compose(eta).tensor, MultiMap(k, split.reshape(strided.shape)).compose(eta).tensor)
+
+
 def test_herm_reflect_involution(rng):
     f = random_map(rng, 2, 3)
     assert f.herm_reflect().herm_reflect().max_deviation(f) < 1e-12

@@ -1,9 +1,12 @@
-"""The interval-recursion transform against the partition-enumeration oracle.
+"""The interval-recursion transform against the partition-enumeration oracle
+and against the per-term kernel it replaced.
 
 ovfree.multimap.kappa_map / moment_map over ovfree.ncpart.enumerate_nc sum
 the nested evaluations one non-crossing partition at a time; the library's
 transforms must agree with them, beat them on peak memory, and keep working
-above the oracle's ground-set bound.
+above the oracle's ground-set bound.  nc_oracle._interval_dp runs one einsum
+per term over interleaved labels; the library's kernel must give the same
+bits and stay within its peak memory.
 """
 
 import tracemalloc
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovfree import ovdist
 from ovfree.converse import TupleDistribution
 from ovfree.multimap import MultiMap, kappa_map, moment_map
 from ovfree.ncpart import MAX_GROUND_SET, enumerate_nc
@@ -27,6 +31,7 @@ from ovfree.ovdist import (
 )
 
 from conftest import random_complex, random_symmetric_cumulants
+import nc_oracle
 from nc_oracle import catalan
 
 REL_TOL = 1e-12
@@ -115,6 +120,54 @@ def test_tuple_distribution_matches_oracle(k, s, order, seed):
         assert_close(got_cums[w].tensor, want_cums[w].tensor, td.moments[w].tensor)
         expected = cums[w].tensor if w in cums else np.zeros_like(want_cums[w].tensor)
         assert np.max(np.abs(got_cums[w].tensor - expected)) < 1e-9
+
+
+# -- the same bits as the per-term kernel ------------------------------------------
+
+
+def random_known(rng, k, words, keep=1.0):
+    """Random tensors for a random share of the words, a tenth of their real
+    and of their imaginary parts exact zeros of either sign."""
+    known = {}
+    for w in words:
+        if rng.random() < keep:
+            t = random_complex(rng, (k * k,) * (len(w) - 1) + (k, k))
+            for part in (t.real, t.imag):
+                part[rng.random(t.shape) < 0.1] = rng.choice([0.0, -0.0])
+            known[w] = t
+    return known
+
+
+# order 5 is the first at which a node term has two gaps, so tuple words go one order further
+BIT_CASES = [(k, 1, n) for k, top in [(1, 8), (2, 6), (3, 4)] for n in range(1, top + 1)]
+BIT_CASES += [(2, 2, n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("chain_min", [1, ovdist._CHAIN_MIN_ENTRIES, 2**62])  # all chained, as chosen, none
+@pytest.mark.parametrize("case", BIT_CASES)
+@settings(max_examples=4, deadline=None)
+@given(inverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_is_the_per_term_kernel_bit_for_bit(case, chain_min, inverse, seed):
+    k, s, order = case
+    words = [w for n in range(1, order + 1) for w in product(range(s), repeat=n)]
+    # the forward direction reads a missing word as the zero map; the inverse needs every moment
+    known = random_known(np.random.default_rng(seed), k, words, keep=1.0 if inverse or s == 1 else 0.75)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ovdist, "_CHAIN_MIN_ENTRIES", chain_min)
+        got = ovdist._interval_dp(k, s, order, known, inverse)
+    want = nc_oracle._interval_dp(k, s, order, known, inverse)
+    assert set(got) == set(want) == set(words)
+    for w in words:  # bytes, so that the sign of a zero counts too
+        assert got[w].shape == want[w].shape and got[w].tobytes() == want[w].tobytes(), w
+
+
+def test_kernel_peak_memory_within_the_per_term_kernel():
+    k, order = 3, 6
+    words = [(0,) * n for n in range(1, order + 1)]
+    known = random_known(np.random.default_rng(9), k, words)
+    for inverse in (False, True):
+        peak = traced_peak(lambda: ovdist._interval_dp(k, 1, order, known, inverse))
+        assert peak <= 1.1 * traced_peak(lambda: nc_oracle._interval_dp(k, 1, order, known, inverse)), inverse
 
 
 # -- beyond the oracle's ground set ------------------------------------------------
