@@ -28,6 +28,15 @@ def negligible(x, against, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(x), initial=0.0) <= tol * max(1.0, np.max(np.abs(against), initial=0.0)))
 
 
+class PreconditionError(ValueError):
+    """A refused precondition, which carries the PSDReport that certifies it,
+    or None: the CLI exits 3 and prints both."""
+
+    def __init__(self, message: str, report: Optional[PSDReport] = None):
+        super().__init__(message)
+        self.report = report
+
+
 def check_array_size(entries: int, what: str) -> None:
     """The one array-size rule: refuse, before allocating it, a complex array
     of more than MAX_ARRAY_BYTES."""

@@ -172,10 +172,7 @@ def _cmd_counterexample(args) -> int:
                          "set OVFREE_MAX_ORDER to override")
     spec = serialize.read_spec(args.infile)
     eta = serialize.map_from_spec(spec.get("map", spec))
-    try:
-        report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
-    except converse.NoWitnessError as exc:  # caught here: naming it anywhere else would load converse
-        return _refuse(exc, args.out)
+    report = converse.counterexample_report(eta, level=args.level, tol=args.tol)
     payload = {
         "eta_minus_id_cp": report.preserved,
         "eta_minus_id": serialize.psd_report_to_json(report.eta_minus_id),
@@ -280,7 +277,7 @@ def main(argv=None) -> int:
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # write_canonical refuses what overflowed
                 return args.handler(args)
-        except cpmaps.NotCompletelyPositiveError as exc:
+        except algebra.PreconditionError as exc:
             return _refuse(exc, args.out)
     except ValueError as exc:
         print(f"ovfree: {exc}", file=sys.stderr)

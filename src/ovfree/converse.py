@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, dagger, matrix_units, negligible, read_only
+from .algebra import DEFAULT_TOL, PSDReport, PreconditionError, dagger, matrix_units, negligible, read_only
 from .cpmaps import CPMap, eta_minus_id_cp
 from .multimap import MultiMap
 from .ovdist import (
@@ -44,12 +44,8 @@ from .ovdist import (
 MAX_TUPLE_WORDS = 20_000  # one dict entry per index word, which the byte rule cannot see
 
 
-class NoWitnessError(ValueError):
+class NoWitnessError(PreconditionError):
     """Raised when no witness exists or the map is degenerate."""
-
-    def __init__(self, message: str, report: Optional[PSDReport] = None):
-        super().__init__(message)
-        self.report = report
 
 
 # -- joint distributions of tuples and the packing equivalence ----------------

@@ -16,18 +16,12 @@ from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PSDReport, check_array_size, hermitian_spectrum, matrix_units, negligible, psd_check, read_only
+from .algebra import DEFAULT_TOL, PSDReport, PreconditionError, check_array_size, hermitian_spectrum, matrix_units, negligible, psd_check, read_only
 
 
-class NotCompletelyPositiveError(ValueError):
-    """Raised when a Kraus decomposition of a non-CP map is requested.
-
-    Carries the PSD report whose witness exhibits the negative Choi direction.
-    """
-
-    def __init__(self, message: str, report: PSDReport):
-        super().__init__(message)
-        self.report = report
+class NotCompletelyPositiveError(PreconditionError):
+    """Raised when a Kraus decomposition of a non-CP map is requested; its
+    report's witness exhibits the negative Choi direction."""
 
 
 def _vec(K: np.ndarray) -> np.ndarray:

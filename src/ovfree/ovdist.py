@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -159,54 +158,32 @@ def moments_from_realization(r: Realization, N: int) -> OVDistribution:
 # A join Node(w[:e]) a_e M_{w[e:]} is the flat prefix by the flat suffix.  In
 # a node term kappa_V owns its positions' pairs and the gap u+1..v-1 of the
 # block owns labels 2u + 2 .. 2v - 1; the term is built left to right, kappa_V
-# times its first gap, that times the next, each product over only the runs
-# seen so far, so only the last product is as large as the result.  Where the
-# result is small, the calls cost more than that saves, and one einsum takes
-# every run.
+# times its first gap, that times the next, each an outer product that puts
+# the gap's flat moment between the runs before it and those after it, so
+# only the last product is as large as the result.
 #
-# Either way every entry goes through the same complex operations, in the
-# same order, as in one einsum per term over interleaved labels: np.einsum
-# multiplies its operands left to right as (a_r b_r - a_i b_i,
-# a_r b_i + a_i b_r) and adds the product to 0, and a partial product's 0 + can
-# only flip the sign of a zero, which the next product and 0 + undo.  numpy's
-# multiply ufunc rounds differently, so the products stay einsums.
+# Every entry goes through the same complex operations, in the same order, as
+# in one einsum per term over interleaved labels: np.einsum multiplies its
+# operands left to right as (a_r b_r - a_i b_i, a_r b_i + a_i b_r) and adds the
+# product to 0, and a partial product's 0 + can only flip the sign of a zero,
+# which the next product and 0 + undo.  numpy's multiply ufunc rounds
+# differently, so the products stay einsums.
 
 Word = Tuple[int, ...]
-# The top order alone has 2^24 node terms per word, and that, not einsum's 52
-# labels, makes higher orders impractical: a one-einsum term has 2g + 1 runs
-# for g <= (L - 1) / 2 gaps.
-MAX_TRANSFORM_ORDER = 26
-_CHAIN_MIN_ENTRIES = 256  # results this large build their node terms run by run
-_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+MAX_TRANSFORM_ORDER = 26  # a time bound: the top order alone has 2^24 node terms per word
 
 
 @lru_cache(maxsize=None)
-def _gap_plan(k: int, L: int) -> Tuple[Tuple[Word, Tuple[int, ...], str, Tuple[Tuple[int, int, int, int], ...]], ...]:
-    """(V, sizes of kappa_V's runs, one-einsum subscripts, (start, stop,
-    prefix, rest) per gap) for every block V of positions of a length-L word
-    that holds both ends and leaves a gap, in the recursion's term order.  A
-    gap's prefix and rest are the sizes of the runs before and after it."""
+def _gap_plan(k: int, L: int) -> Tuple[Tuple[Word, Tuple[Tuple[int, int, int], ...]], ...]:
+    """(V, (start, stop, prefix) per gap) for every block V of positions of a
+    length-L word that holds both ends and leaves a gap, in the recursion's
+    term order.  A gap's prefix is the size of the runs before it, those of
+    positions 0 .. start - 1."""
     plan = []
     for size in range(L - 3, -1, -1):
         for inner in combinations(range(1, L - 1), size):
             V = (0,) + inner + (L - 1,)
-            runs, fills, n = [], [], 1
-            for u, v in zip(V, V[1:]):
-                if v == u + 1:
-                    n += 1
-                else:
-                    runs.append(k ** (2 * n))
-                    fills.append((u + 1, v))
-                    n = 1
-            runs.append(k ** (2 * n))
-            gaps, prefix = [], 1
-            for g, (start, stop) in enumerate(fills):
-                prefix *= runs[g]
-                gaps.append((start, stop, prefix, prod(runs[g + 1 :])))
-                prefix *= k ** (2 * (stop - start))
-            letters = _LABELS[: 2 * len(fills) + 1]
-            spec = letters[::2] + "," + ",".join(letters[1::2]) + "->" + letters
-            plan.append((V, tuple(runs), spec, tuple(gaps)))
+            plan.append((V, tuple((u + 1, v, k ** (2 * u + 2)) for u, v in zip(V, V[1:]) if v > u + 1)))
     return tuple(plan)
 
 
@@ -256,15 +233,11 @@ def _interval_dp(
         shape = (k,) * (2 * L)
         keep = L < order
         plan = _gap_plan(k, L)
-        chained = k ** (2 * L) >= _CHAIN_MIN_ENTRIES
 
-        def gap_term(w, kappa, runs, spec, gaps):
-            fills = [moms[w[start:stop]].reshape(-1) for start, stop, _, _ in gaps]
-            if not chained:
-                return np.einsum(spec, kappa.reshape(runs), *fills).reshape(shape)
+        def gap_term(w, kappa, gaps):
             term = kappa
-            for (_, _, prefix, rest), fill in zip(gaps, fills):
-                term = np.einsum("ab,c->acb", term.reshape(prefix, rest), fill)
+            for start, stop, prefix in gaps:
+                term = np.einsum("ab,c->acb", term.reshape(prefix, -1), moms[w[start:stop]].reshape(-1))
             return term.reshape(shape)
 
         for w in product(range(s), repeat=L):
@@ -274,8 +247,8 @@ def _interval_dp(
                 for e in range(1, L)
             )
             terms = (
-                gap_term(w, kappa, runs, spec, gaps)
-                for V, runs, spec, gaps in plan
+                gap_term(w, kappa, gaps)
+                for V, gaps in plan
                 if (kappa := cums.get(tuple(w[p] for p in V))) is not None
             )
             if inverse:

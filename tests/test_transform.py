@@ -138,23 +138,22 @@ def random_known(rng, k, words, keep=1.0):
     return known
 
 
-# order 5 is the first at which a node term has two gaps, so tuple words go one order further
+# order 5 is the first at which a node term has two gaps, so tuple words go one order further;
+# scalar orders 10 and 12 build node terms of up to four and five gaps
 BIT_CASES = [(k, 1, n) for k, top in [(1, 8), (2, 6), (3, 4)] for n in range(1, top + 1)]
 BIT_CASES += [(2, 2, n) for n in range(1, 6)]
+BIT_CASES += [(1, 1, 10), (1, 1, 12)]
 
 
-@pytest.mark.parametrize("chain_min", [1, ovdist._CHAIN_MIN_ENTRIES, 2**62])  # all chained, as chosen, none
 @pytest.mark.parametrize("case", BIT_CASES)
 @settings(max_examples=4, deadline=None)
 @given(inverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_kernel_is_the_per_term_kernel_bit_for_bit(case, chain_min, inverse, seed):
+def test_kernel_is_the_per_term_kernel_bit_for_bit(case, inverse, seed):
     k, s, order = case
     words = [w for n in range(1, order + 1) for w in product(range(s), repeat=n)]
     # the forward direction reads a missing word as the zero map; the inverse needs every moment
     known = random_known(np.random.default_rng(seed), k, words, keep=1.0 if inverse or s == 1 else 0.75)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ovdist, "_CHAIN_MIN_ENTRIES", chain_min)
-        got = ovdist._interval_dp(k, s, order, known, inverse)
+    got = ovdist._interval_dp(k, s, order, known, inverse)
     want = nc_oracle._interval_dp(k, s, order, known, inverse)
     assert set(got) == set(want) == set(words)
     for w in words:  # bytes, so that the sign of a zero counts too
