@@ -89,7 +89,8 @@ class PSDReport:
     exactly when no witness is attached (psd_check's rule).  A witness is a
     unit vector with <witness, M witness> = min_eigenvalue < 0, up to
     rounding; min_eigenvalue is then M's smallest eigenvalue, or, where the
-    verdict was read at the rows' own scale, an upper bound on it."""
+    verdict was read at the rows' own scale (against the row-scaled matrix's
+    largest eigenvalue), an upper bound on it."""
 
     min_eigenvalue: float
     witness: Optional[np.ndarray]
@@ -112,11 +113,13 @@ def psd_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> PSDReport:
     It is symmetrized before the eigensolve, so the reported spectrum is that
     of H = (m + m^dagger)/2.  A smallest eigenvalue of H not negligible
     against m decides alone.  Otherwise H is PSD unless, with D =
-    diag(max(1, |h_ii|)), the smallest eigenvalue of D^-1/2 H D^-1/2 (whose
-    entries are at most 1 in size where H is PSD) is below -tol.  The
-    congruence keeps the signs of the eigenvalues and brings every row to its
-    own scale, so a graded matrix, as a moment matrix is, cannot hide a
-    negative block under the rounding of its largest entries.
+    diag(max(1, |h_ii|)), the smallest eigenvalue of S = D^-1/2 H D^-1/2
+    (whose entries are at most 1 in size where H is PSD) is negative and not
+    negligible against S's largest eigenvalue, whose rounding grows with the
+    size of the matrix.  The congruence keeps the signs of the eigenvalues
+    and brings every row to its own scale, so a graded matrix, as a moment
+    matrix is, cannot hide a negative block under the rounding of its
+    largest entries.
     """
     return hermitian_spectrum(m, tol)[0]
 
@@ -139,7 +142,7 @@ def hermitian_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[PSDRepo
         r = 1.0 / np.sqrt(np.maximum(1.0, np.abs(np.diag(herm))))
         svals, svecs = np.linalg.eigh(herm * np.outer(r, r))
         witness = r * svecs[:, 0]  # <witness, H witness> = svals[0]
-        if svals[0] >= 0 or negligible(svals[0], 1.0, tol):
+        if svals[0] >= 0 or negligible(svals[0], svals[-1], tol):
             witness = None
         else:
             lam = float(svals[0]) / float(np.vdot(witness, witness).real)

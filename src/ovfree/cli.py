@@ -17,8 +17,9 @@ converse.certify_nonpositive.
 One tolerance rule decides every verdict: x is zero against a matrix of
 largest absolute entry s when |x| <= tol * max(1, s).  A matrix H is PSD
 unless its smallest eigenvalue is negative and not zero against it, read at
-each row's own scale: that of D^-1/2 H D^-1/2, D = diag(max(1, |h_ii|)), so
-that a graded moment matrix hides no negative block under its largest entries.
+each row's own scale: that of S = D^-1/2 H D^-1/2, D = diag(max(1, |h_ii|)),
+against S's largest eigenvalue, so that a graded moment matrix hides no
+negative block under its largest entries.
 verify-realization passes when each order's deviation is zero against that
 order's moments.
 

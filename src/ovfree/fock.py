@@ -10,8 +10,11 @@ family of psi then satisfies <xi, a xi> = psi(a).  The truncated Fock module
 is a free right A-module whose basis is indexed by words over r + 1 letters
 (letter r is the unit direction of the A-summand), ordered by degree.
 Operators are right A-linear, i.e. matrices over A acting by left
-multiplication on coordinates, and a vector is a slab of shape (D, k, ...):
-one k-row coordinate per basis word, with any number of trailing axes.
+multiplication on coordinates, and a vector has one k-row coordinate per
+basis word, with any number of trailing axes.  It is held as a slab
+(lo, block): the block, of shape (h, k, ...), holds the coordinates of the
+consecutive words lo .. lo + h - 1, and every other coordinate is zero; a
+full vector is (0, its (D, k, ...) array).
 
 The compression operator v prepends xi (+) 1, raising the degree by one, and
 maps the top degree to zero; v^* lowers the degree and lambda(a) keeps it.
@@ -22,8 +25,11 @@ Kraus operators and the identity (letter_coords).  The words are ordered so
 that l.w has index width * index(w) + 1 + l, which makes prepend_index the
 range 1..D-1 in rows of width = r + 1: push_v and push_vstar apply v and
 v^* to a slab with one batched matmul each on contiguous views of the slab,
-with no gather or scatter.  The freeness recursion in freeprod uses nothing
-else of the module.
+with no gather or scatter.  v maps the block's words w to the one run of
+words l.w from width * lo + 1 on, and v^* maps each run of words l.w that
+meets the block to its w, so the slabs the freeness recursion in freeprod
+builds from 0 (+) 1 hold one or a few words, not D.  That recursion uses
+nothing else of the module.
 
 FockOp is the operator-product view: scipy sparse matrices on the flattened
 coordinates (word, row), with v_op built from the same tables, composed by @
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,25 +104,38 @@ class FockSpace:
     def dim(self) -> int:
         return self.D * self.k
 
-    def push_v(self, slab: np.ndarray) -> np.ndarray:
-        """v applied to a slab of shape (D, k, ...): (v s)[l.w] = C_l s[w] for
-        every word w below the top degree; nothing reaches the vacuum."""
+    def push_v(self, slab: Tuple[int, np.ndarray]) -> Tuple[int, np.ndarray]:
+        """v applied to a slab (lo, block): (v s)[l.w] = C_l s[w] for every
+        word w below the top degree; nothing reaches the vacuum.  The words
+        l.w of the block's words w are the run from width * lo + 1 on."""
+        lo, block = slab
         low, width = self.prepend_index.shape
-        flat = slab.reshape(self.D, self.k, -1)
-        out = np.empty(flat.shape, dtype=complex)
-        out[0] = 0
-        np.matmul(self._stacked, flat[:low], out=out[1:].reshape(low, width * self.k, flat.shape[-1]))
-        return out.reshape(slab.shape)
+        m = min(len(block), max(0, low - lo))  # the block's words below the top degree
+        if m == 0:
+            return 0, block[:0]
+        out = np.matmul(self._stacked, block[:m].reshape(m, self.k, -1))
+        return 1 + width * lo, out.reshape((m * width,) + block.shape[1:])
 
-    def push_vstar(self, slab: np.ndarray) -> np.ndarray:
-        """v^* applied to a slab of shape (D, k, ...):
-        (v^* s)[w] = sum_l C_l^* s[l.w] below the top degree, zero on it."""
+    def push_vstar(self, slab: Tuple[int, np.ndarray]) -> Tuple[int, np.ndarray]:
+        """v^* applied to a slab (lo, block): (v^* s)[w] = sum_l C_l^* s[l.w]
+        below the top degree, zero on it.  The words w returned are those
+        whose run l.w, l = 0..r, meets the block; each is read whole, its
+        words outside the block as the zeros they are."""
+        lo, block = slab
         low, width = self.prepend_index.shape
-        flat = slab.reshape(self.D, self.k, -1)
-        out = np.empty(flat.shape, dtype=complex)
-        out[low:] = 0
-        np.matmul(self._stacked_h, flat[1:].reshape(low, width * self.k, flat.shape[-1]), out=out[:low])
-        return out.reshape(slab.shape)
+        hi = lo + len(block)
+        # the run of w is the words 1 + width * w .. width * (w + 1)
+        w0, w1 = max(0, (lo - 1) // width), min(low, (hi - 2) // width + 1)
+        if w1 <= w0:  # an empty block, or the vacuum alone
+            return 0, block[:0]
+        a, b = 1 + width * w0, 1 + width * w1
+        if lo <= a and b <= hi:
+            runs = block[a - lo:b - lo]
+        else:
+            runs = np.zeros((b - a,) + block.shape[1:], dtype=complex)
+            runs[max(a, lo) - a:min(b, hi) - a] = block[max(a, lo) - lo:min(b, hi) - lo]
+        out = np.matmul(self._stacked_h, runs.reshape(w1 - w0, width * self.k, -1))
+        return w0, out.reshape((w1 - w0,) + block.shape[1:])
 
     def lambda_op(self, a: np.ndarray) -> "FockOp":
         import scipy.sparse as sp
@@ -155,11 +174,10 @@ class FockSpace:
         s = self.state_index * self.k
         return np.asarray(mat[s:s + self.k, s:s + self.k].todense())
 
-    def unit_slab(self) -> np.ndarray:
-        """0 (+) 1 as the (D, k, 1, k) slab the freeness recursion starts from."""
-        slab = np.zeros((self.D, self.k, 1, self.k), dtype=complex)
-        slab[self.state_index, :, 0] = np.eye(self.k)
-        return slab
+    def unit_slab(self) -> Tuple[int, np.ndarray]:
+        """0 (+) 1 as the slab the freeness recursion starts from: the
+        (1, k, 1, k) block of the word state_index."""
+        return self.state_index, np.eye(self.k, dtype=complex).reshape(1, self.k, 1, self.k)
 
 
 @dataclass(frozen=True)

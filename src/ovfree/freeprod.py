@@ -22,8 +22,8 @@ order, so a single recursion pass evaluates the map on the whole basis at
 once instead of once per coefficient tuple.  Merges only ever join adjacent stretches of the word,
 so every tensor of the recursion holds its S slots in one fixed order,
 reverse word order, flattened row-major into one slot axis of n = (k^2)^S
-entries: a B letter is (n, kp, kp), a slab (D, k, n, k) and an expectation
-(n, k, k), whatever the order.  A push, and a product of two B tensors, puts
+entries: a B letter is (n, kp, kp), a slab's block (h, k, n, k) and an
+expectation (n, k, k), whatever the order.  A push, and a product of two B tensors, puts
 the slots of the right (later) operand in front, as the outer product of the
 two slot axes.  The slots are reversed only where slotted atoms enter
 evaluate and where its result leaves.
@@ -37,10 +37,15 @@ recursion would, in the same order, so every moment is bit-identical.
 
 A C-letter T is held as its bra slab T* Omega, where Omega = 0 (+) 1 is the
 state vector; the recursion reads nothing else from it.  E(T) = <T* Omega,
-Omega> is the conjugate transpose of the slab's Omega coordinate, centering
-zeroes that coordinate, and a fused letter L e R has the slab
-R* e* (L* Omega), so it costs the pushes of the one input letter R.  No
-operator product on the Fock module is ever formed.
+Omega> is the conjugate transpose of the slab's Omega coordinate (zero when
+the slab's block does not hold Omega's word), centering zeroes that
+coordinate, and a fused letter L e R has the slab R* e* (L* Omega), so it
+costs the pushes of the one input letter R.  No operator product on the
+Fock module is ever formed.  A slab keeps only the run of words its pushes
+reach from Omega (fock), and a B letter on M_d = M_k (x) M_p is multiplied
+by and centered against e (x) 1_p block by block (Realization.embed_times
+and minus_embed); both skip only exact zeros, so every value is that of
+the dense forms.
 
 Depth.  v raises the Fock degree by one, v* lowers it and A-scalars keep it;
 Omega has degree 1, and E(P) = <Omega, P Omega> vanishes unless the degrees
@@ -63,7 +68,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, check_array_size, dagger, matrix_units
+from .algebra import DEFAULT_TOL, check_array_size, matrix_units
 from .cpmaps import CPMap
 from .fock import FockSpace, build_fock
 from .multimap import MultiMap
@@ -94,18 +99,20 @@ class _Letter:
     """One letter of an alternating word; n is the length of its slot axis.
 
     Tag "B": tensor is a stack of matrices on the realization space, shape
-    (n, kp, kp).  Tag "C": tensor is the bra slab T* Omega of a Fock
-    operator T, shape (D, k, n, k); on input letters, ops lists the
-    adjoints of T's factors in the order they act on a slab.
+    (n, kp, kp).  Tag "C": the bra slab T* Omega of a Fock operator T is
+    (lo, tensor), tensor its block of shape (h, k, n, k) (see fock); on
+    input letters, ops lists the adjoints of T's factors in the order they
+    act on a slab, each as _Env.push takes it.
     """
 
-    __slots__ = ("tag", "tensor", "ops", "is_zero", "_e")
+    __slots__ = ("tag", "tensor", "lo", "ops", "is_zero", "_e")
 
-    def __init__(self, tag: str, tensor: np.ndarray, ops: tuple = ()):
+    def __init__(self, tag: str, tensor: np.ndarray, ops: tuple = (), lo: int = 0):
         self.tag = tag
         self.tensor = tensor
+        self.lo = lo
         self.ops = ops
-        self.is_zero = not np.any(tensor)
+        self.is_zero = not tensor.any()
         self._e: Optional[np.ndarray] = None
 
 
@@ -119,26 +126,34 @@ class _Env:
         self.f = f
         self.k = r.k
 
-    def push(self, op, slab: np.ndarray) -> np.ndarray:
+    def push(self, op, slab: Tuple[int, np.ndarray]) -> Tuple[int, np.ndarray]:
         """Apply a Fock push (FockSpace.push_v or push_vstar), or left
-        multiplication by an A-valued (n, k, k) stack, to a (D, k, m, k)
-        slab; the op's slots go in front of the slab's: (D, k, n * m, k)."""
+        multiplication by an A-valued (n, k, k) stack given as its operator
+        rows (_adjoint_rows), to a slab whose block is (h, k, m, k); the
+        op's slots go in front of the slab's: (h', k, n * m, k)."""
         if callable(op):
             return op(slab)
-        k = self.k
-        rows = op.transpose(1, 0, 2).reshape(-1, k)
-        out = rows @ slab.reshape(self.f.D, k, -1)
-        return out.reshape(self.f.D, k, -1, k)
+        lo, block = slab
+        h, k, m = len(block), self.k, block.shape[2]
+        out = op @ block.reshape(h, k, m * k)
+        return lo, out.reshape(h, k, len(op) // k * m, k)
 
     def c_letter(self, factors: Sequence) -> _Letter:
         """Input C-letter for the product of factors, each "v", "v*" or an
         A-valued tensor, held as its bra slab."""
         push = {"v": self.f.push_vstar, "v*": self.f.push_v}
-        ops = tuple(push[fac] if isinstance(fac, str) else dagger(fac) for fac in factors)
+        ops = tuple(push[fac] if isinstance(fac, str) else _adjoint_rows(fac) for fac in factors)
         slab = self.f.unit_slab()
         for op in ops:
             slab = self.push(op, slab)
-        return _Letter("C", slab, ops)
+        lo, block = slab
+        return _Letter("C", block, ops, lo)
+
+
+def _adjoint_rows(a: np.ndarray) -> np.ndarray:
+    """The operator rows of the adjoint stack of an (n, k, k) stack a, as
+    _Env.push takes them: row i * n + c is row i of a_c^dagger, (k * n, k)."""
+    return a.transpose(2, 0, 1).conj().reshape(-1, a.shape[-1])
 
 
 def _expect(letter: _Letter, env: _Env) -> np.ndarray:
@@ -146,19 +161,25 @@ def _expect(letter: _Letter, env: _Env) -> np.ndarray:
     if letter._e is None:
         if letter.tag == "B":
             letter._e = env.r.cond_exp(letter.tensor)
-        else:
+        elif 0 <= env.f.state_index - letter.lo < len(letter.tensor):
             # <T* Omega, Omega>: the adjoint of the Omega coordinate
-            letter._e = np.moveaxis(letter.tensor[env.f.state_index], 0, -1).conj()
+            letter._e = letter.tensor[env.f.state_index - letter.lo].transpose(1, 2, 0).conj()
+        else:  # the slab is zero at Omega
+            n = letter.tensor.shape[2]
+            letter._e = np.zeros((n, env.k, env.k), dtype=complex)
     return letter._e
 
 
 def _center(letter: _Letter, e: np.ndarray, env: _Env) -> _Letter:
     if letter.tag == "B":
-        return _Letter("B", letter.tensor - env.r.embed(e))
+        return _Letter("B", env.r.minus_embed(letter.tensor, e))
     # (T - E(T))* Omega = T* Omega - E(T)* Omega
-    slab = letter.tensor.copy()
-    slab[env.f.state_index] = 0
-    return _Letter("C", slab)
+    i = env.f.state_index - letter.lo
+    if not 0 <= i < len(letter.tensor):  # E(T) = 0: the slab is shared, never written
+        return _Letter("C", letter.tensor, lo=letter.lo)
+    block = letter.tensor.copy()
+    block[i] = 0
+    return _Letter("C", block, lo=letter.lo)
 
 
 def _b_mul(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -179,13 +200,14 @@ def _flip_slots(t: np.ndarray, n_slots: int) -> np.ndarray:
 def _merge(left: Optional[_Letter], e: np.ndarray, right: _Letter, env: _Env) -> _Letter:
     """left * scalar * right fused into one letter (left may be absent)."""
     if right.tag == "B":
-        t = _b_mul(env.r.embed(e), right.tensor)
+        t = env.r.embed_times(e, right.tensor)
         return _Letter("B", t if left is None else _b_mul(left.tensor, t))
     # (L e R)* Omega = R* e* (L* Omega)
-    slab = env.push(dagger(e), env.f.unit_slab() if left is None else left.tensor)
+    slab = env.push(_adjoint_rows(e), env.f.unit_slab() if left is None else (left.lo, left.tensor))
     for op in right.ops:
         slab = env.push(op, slab)
-    return _Letter("C", slab)
+    lo, block = slab
+    return _Letter("C", block, lo=lo)
 
 
 def _rec(stack: Tuple[_Letter, ...], m: _Letter, t: int, word: Tuple[_Letter, ...], env: _Env, totals: dict) -> None:
@@ -274,7 +296,7 @@ def _expectations(word: Sequence[Atom], r: Realization, f: FockSpace, ends: Sequ
     if any(a.shape[-2:] != (k, k) or any(s != k * k for s in a.shape[:-2]) for a in coefficients):
         raise ValueError(f"A-coefficients must be {k}x{k}, after slot axes of length {k * k}")
     n_slots = sum(a.ndim - 2 for a in coefficients)
-    # with n_slots slots of k^2, a slab has D k^2 entries per slot tuple and a B letter (kp)^2
+    # with n_slots slots of k^2, a slab has at most D k^2 entries per slot tuple and a B letter (kp)^2
     check_array_size(max(f.D, r.p**2) * k ** (2 * n_slots + 2),
                      f"a letter with {n_slots} coefficient slots on a Fock module of {f.D} words and M_{r.d}")
     letters, slots = _letters(runs, env)

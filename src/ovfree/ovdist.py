@@ -68,6 +68,24 @@ class Realization:
         a = np.asarray(a, dtype=complex)
         return np.einsum("...ij,st->...isjt", a, np.eye(self.p)).reshape(a.shape[:-2] + (self.d, self.d))
 
+    def embed_times(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(e_c (x) 1_p) t_b for every c of an (n, k, k) stack e and every b of
+        an (m, d, d) stack t, t's index in front: shape (m * n, d, d).  Block
+        row s of the product is e_c times block row s of t, so the products by
+        the zeros of 1_p are skipped; every value is that of the einsum of
+        embed(e) and t, whose skipped terms add exact zeros."""
+        out = np.einsum("nij,mjsc->mnisc", e, t.reshape(t.shape[0], self.k, self.p, self.d))
+        return out.reshape(-1, self.d, self.d)
+
+    def minus_embed(self, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """t - e (x) 1_p for an (n, d, d) stack t and an (n, k, k) stack e:
+        e is subtracted on the p diagonal blocks of a copy of t."""
+        out = t.copy()
+        blocks = out.reshape(-1, self.k, self.p, self.k, self.p)
+        for s in range(self.p):
+            blocks[:, :, s, :, s] -= e
+        return out
+
     def cond_exp(self, x: np.ndarray) -> np.ndarray:
         """E(x) for x in M_d, or for each d x d matrix along leading batch axes."""
         x = np.asarray(x, dtype=complex)

@@ -1,13 +1,14 @@
 """An exact third route to the eta-convolution power, used only by the tests.
 
-Everything runs in fractions.Fraction on tuples of tuples, with no numpy and
-no ovfree code.  The distribution over A = M_k is that of a real symmetric
-rational X in M_{kp}, with A embedded as a -> a (x) 1_p and the conditional
-expectation id (x) phi for a diagonal rational state phi on M_p.  Its moments
-are exact matrix products; its free cumulants follow by the first-block
-moment-cumulant recursion; eta = id + sum_i K_i^* . K_i is applied to the
-output of every cumulant; the same recursion, run forward, then gives the
-eta-power's moments.
+Everything runs in exact rationals on tuples of tuples, with no numpy and no
+ovfree code: fractions.Fraction, and Gaussian, a pair of Fractions, for
+complex entries.  The distribution over A = M_k is that of a Hermitian
+Gaussian-rational X in M_{kp}, with A embedded as a -> a (x) 1_p and the
+conditional expectation id (x) phi for a diagonal rational state phi on M_p.
+Its moments are exact matrix products; its free cumulants follow by the
+first-block moment-cumulant recursion; eta = id + sum_i K_i^* . K_i is
+applied to the output of every cumulant; the same recursion, run forward,
+then gives the eta-power's moments.
 
 A map of n occurrences of X is a dict from each word (c_1, .., c_{n-1}) of
 matrix units to a k x k matrix, c = p k + q standing for e_pq, as in the axes
@@ -17,6 +18,49 @@ of MultiMap's tensor; one dict holds every order, keyed by the words.
 import random
 from fractions import Fraction
 from itertools import combinations, product
+
+
+class Gaussian:
+    """The Gaussian rational re + i im, re and im Fractions; an int or a
+    Fraction combines with it as a real number."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def parts(x):
+        return (x.re, x.im) if isinstance(x, Gaussian) else (x, 0)
+
+    def __add__(self, other):
+        re, im = Gaussian.parts(other)
+        return Gaussian(self.re + re, self.im + im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        re, im = Gaussian.parts(other)
+        return Gaussian(self.re - re, self.im - im)
+
+    def __rsub__(self, other):
+        re, im = Gaussian.parts(other)
+        return Gaussian(re - self.re, im - self.im)
+
+    def __mul__(self, other):
+        re, im = Gaussian.parts(other)
+        return Gaussian(self.re * re - self.im * im, self.re * im + self.im * re)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def conjugate(self):
+        return Gaussian(self.re, -self.im)
 
 
 def zeros(n):
@@ -44,26 +88,33 @@ def transpose(x):
     return tuple(zip(*x))
 
 
+def adjoint(x):
+    return tuple(tuple(a.conjugate() for a in col) for col in zip(*x))
+
+
 def unit(k, c):
     """The matrix unit e_pq, c = p k + q."""
     p, q = divmod(c, k)
     return tuple(tuple(Fraction(int(i == p and j == q)) for j in range(k)) for i in range(k))
 
 
-def rational_case(seed, k, p):
-    """(X, state, kraus): a real symmetric kp x kp X and two real k x k Kraus
-    operators with entries a / b, |a|, b <= 9, and a positive diagonal state
-    on M_p, seeded."""
+def rational_case(seed, k, p, imaginary=False):
+    """(X, state, kraus): a Hermitian kp x kp X and two k x k Kraus operators
+    with entries a / b, |a|, b <= 9, and a positive diagonal state on M_p,
+    seeded.  X and the Kraus operators are real symmetric and real, or with
+    imaginary, Gaussian with both parts so drawn (X's diagonal real)."""
     rng = random.Random(seed)
 
-    def entry():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    def entry(off_diagonal=True):
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Gaussian(re, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) if imaginary and off_diagonal else re
 
     d = k * p
     X = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            X[i][j] = X[j][i] = entry()
+            X[i][j] = entry(i != j)
+            X[j][i] = X[i][j].conjugate()
     weights = [rng.randint(1, 9) for _ in range(p)]
     state = tuple(Fraction(w, sum(weights)) for w in weights)
     kraus = tuple(tuple(tuple(entry() for _ in range(k)) for _ in range(k)) for _ in range(2))
@@ -156,10 +207,10 @@ def moments_from_cumulants(kappa, k, order):
 
 
 def apply_eta(kraus, b):
-    """eta(b) = b + sum_i K_i^* b K_i, for real K_i."""
+    """eta(b) = b + sum_i K_i^* b K_i."""
     out = b
     for K in kraus:
-        out = add(out, mul(mul(transpose(K), b), K))
+        out = add(out, mul(mul(adjoint(K), b), K))
     return out
 
 

@@ -22,7 +22,7 @@ CASES = [(1, 4, 6, seed) for seed in (1, 2)] + [(2, 2, 4, seed) for seed in (1, 
 
 
 def as_array(x):
-    return np.array([[float(a) for a in row] for row in x], dtype=complex)
+    return np.array([[complex(a) for a in row] for row in x], dtype=complex)
 
 
 def route_inputs(X, state, kraus, k, p):
@@ -46,15 +46,25 @@ def relative_errors(dist, exact):
     return [float(np.max(np.abs(m.tensor - e)) / np.max(np.abs(e))) for m, e in zip(dist.moments, exact)]
 
 
-@pytest.mark.parametrize("k, p, order, seed", CASES)
-def test_both_routes_meet_the_exact_eta_power(k, p, order, seed):
-    X, state, kraus = exact_oracle.rational_case(seed, k, p)
+def assert_routes_meet_the_exact_eta_power(k, p, order, seed, imaginary=False):
+    X, state, kraus = exact_oracle.rational_case(seed, k, p, imaginary)
     exact = exact_tensors(exact_oracle.eta_power_moments(X, state, kraus, k, p, order), k, order)
     r, eta = route_inputs(X, state, kraus, k, p)
     transform = eta_power(moments_from_realization(r, order), eta)
     freeness = compressed_distribution(r, eta, order)
     assert max(relative_errors(transform, exact)) <= REL_TOL
     assert max(relative_errors(freeness, exact)) <= REL_TOL
+
+
+@pytest.mark.parametrize("k, p, order, seed", CASES)
+def test_both_routes_meet_the_exact_eta_power(k, p, order, seed):
+    assert_routes_meet_the_exact_eta_power(k, p, order, seed)
+
+
+def test_both_routes_meet_the_exact_eta_power_of_complex_operators():
+    # for a real K, a -> K* a K commutes with the transpose; complex X and
+    # Kraus operators tell eta from a -> eta(a^T)^T, and X from its conjugate
+    assert_routes_meet_the_exact_eta_power(2, 2, 4, 1, imaginary=True)
 
 
 def test_the_oracle_applies_kraus_operators_as_from_kraus_means():

@@ -196,11 +196,21 @@ def test_word_expectation_depth_invariance(rng):
     assert np.max(np.abs(word_expectation(f1, word) - word_expectation(f2, word))) < 1e-12
 
 
+def _dense(f, slab):
+    """The (D, k, ...) array of a slab (lo, block)."""
+    lo, block = slab
+    out = np.zeros((f.D,) + block.shape[1:], dtype=complex)
+    out[lo:lo + len(block)] = block
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.sampled_from([1, 2, 3]), rank=st.sampled_from([0, 1, 2]), depth=st.integers(2, 4),
        slots=st.lists(st.integers(1, 3), max_size=2), support=st.sampled_from(["all", "top", "below"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_slab_pushes_match_sparse_v(k, rank, depth, slots, support, seed):
+       run=st.tuples(st.integers(0, 200), st.integers(0, 200)), seed=st.integers(0, 2**32 - 1))
+def test_slab_pushes_match_sparse_v(k, rank, depth, slots, support, run, seed):
+    # a full slab against the sparse v and v*, and the block of the words
+    # lo..hi-1 of a slab zero elsewhere against the full slab, value for value
     rng = np.random.default_rng(seed)
     psi = CPMap.zero(k) if rank == 0 else random_cp(rng, k, rank=rank)
     f = build_fock(psi, depth)
@@ -210,13 +220,16 @@ def test_slab_pushes_match_sparse_v(k, rank, depth, slots, support, seed):
         slab[~top] = 0
     elif support == "below":
         slab[top] = 0
+    lo, hi = sorted(x % (f.D + 1) for x in run)
+    slab[:lo] = slab[hi:] = 0
     v = f.v_op()
     flat = slab.reshape(f.dim, -1)
-    for got, oracle in ((f.push_v(slab), v.mat @ flat), (f.push_vstar(slab), v.adjoint().mat @ flat)):
-        assert got.shape == slab.shape
-        assert np.max(np.abs(got.reshape(f.dim, -1) - oracle), initial=0.0) < 1e-13
+    for push, oracle in ((f.push_v, v.mat @ flat), (f.push_vstar, v.adjoint().mat @ flat)):
+        whole = _dense(f, push((0, slab)))
+        assert np.max(np.abs(whole.reshape(f.dim, -1) - oracle), initial=0.0) < 1e-13
+        assert np.array_equal(_dense(f, push((lo, slab[lo:hi]))), whole)
     if support == "top":
-        assert not np.any(f.push_v(slab))
+        assert not np.any(f.push_v((0, slab))[1])
 
 
 def test_index_maps_are_read_only(rng):

@@ -1,10 +1,12 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ovfree import ovdist
 from ovfree.cpmaps import CPMap
+from ovfree.freeprod import _b_mul
 from ovfree.multimap import MultiMap
 from ovfree.ovdist import (
     Realization,
@@ -139,6 +141,26 @@ def test_realization_maps_a_stack_as_each_matrix(rng, k, p, batch):
     assert np.allclose(expected[(0,) * len(batch)],
                        [[np.trace(r.rho @ x[(0,) * len(batch)][i * p:(i + 1) * p, j * p:(j + 1) * p]) for j in range(k)]
                         for i in range(k)])
+
+
+def _graded(rng, shape):
+    """Complex entries of scales 1e-8 to 1e8, with about one row in five all zero."""
+    a = random_complex(rng, shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    a[rng.random(shape[:-1]) < 0.2] = 0
+    return a
+
+
+@pytest.mark.parametrize("k, p", list(product((1, 2, 3), repeat=2)))
+def test_block_products_equal_the_dense_ones(rng, k, p):
+    # embed_times and minus_embed skip the zeros of e (x) 1_p, so every value
+    # is that of the dense product and difference (a matmul contraction is not)
+    r = random_realization(rng, k=k, p=p)
+    for _ in range(40):
+        n, m = (int(x) for x in rng.integers(1, 10, size=2))
+        e, t = _graded(rng, (n, k, k)), _graded(rng, (m, r.d, r.d))
+        assert np.array_equal(r.embed_times(e, t), _b_mul(r.embed(e), t))
+        t = _graded(rng, (n, r.d, r.d))
+        assert np.array_equal(r.minus_embed(t, e), t - r.embed(e))
 
 
 def test_realization_rejects_bad_inputs(rng):

@@ -51,6 +51,30 @@ def test_job_peak_alternates_with_a_baseline():
     assert won in {f"won {n} of 2 on cpu_s" for n in range(3)}
 
 
+def test_ab_pairs_alternates_one_job_against_a_revision():
+    # two pairs of a tiny freeness job against HEAD: a line per pair, both
+    # sides' medians and quartiles, then the paired ratios and the wins
+    if not shutil.which("git") or subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                                                 capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    argv = [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), "HEAD", "freeness", "verify-k2-N3-r1",
+            "--pairs", "2", "--tiny"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "freeness seed 1 verify-k2-N3-r1 pair 1", "freeness seed 1 verify-k2-N3-r1 pair 2", "this", "other", "this/other"]
+    this, other = lines[0].split(": ", 1)[1].split(" | ")
+    assert this.split()[:3:2] == ["this", "0"] and other.split()[1:6:2] == ["exit", "wall_s", "cpu_s"]
+    assert all(0 < float(x) < 60 for x in this.split()[4::2])
+    for side, line in zip(["this:", "other:"], lines[2:4]):
+        words = [w for w in line.split() if not w[0].isdigit()]
+        assert words == [side, "wall_s", "median", "q1", "q3", "|", "cpu_s", "median", "q1", "q3"]
+    wall, cpu = lines[4].split(": ", 1)[1].split(" | ")
+    assert wall.startswith("wall_s median ratio ") and cpu.startswith("cpu_s median ratio ")
+    assert wall.endswith((", won 0 of 2", ", won 1 of 2", ", won 2 of 2"))
+
+
 def _same_bytes(monkeypatch):
     monkeypatch.setattr(sys, "path", [*sys.path])  # same_bytes puts bench/ on it
     spec = importlib.util.spec_from_file_location("same_bytes", ROOT / "tools" / "same_bytes.py")

@@ -42,12 +42,21 @@ FIELDS = ("stdout", "stderr", "exit code")
 _MISSING = object()
 
 
-def run(checkout: str, job: Job, cwd: str) -> tuple:
-    """(stdout, stderr, exit code) of job on the ovfree under checkout/src."""
+def job_argv(job: Job) -> list:
+    """The command line of job as a fresh ovfree CLI process."""
+    return [sys.executable, "-c", CLI, job.command, "--in", job.infile, *job.args]
+
+
+def child_env(checkout: str) -> dict:
+    """The environment of a job run on the ovfree under checkout/src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update(dict.fromkeys(THREAD_VARS, "1"))
-    argv = [sys.executable, "-c", CLI, job.command, "--in", job.infile, *job.args]
-    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True)
+    return env
+
+
+def run(checkout: str, job: Job, cwd: str) -> tuple:
+    """(stdout, stderr, exit code) of job on the ovfree under checkout/src."""
+    proc = subprocess.run(job_argv(job), env=child_env(checkout), cwd=cwd, capture_output=True)
     return proc.stdout, proc.stderr, proc.returncode
 
 
@@ -63,6 +72,21 @@ def export(revision: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def resolve(other: str, workdir: str) -> str:
+    """The checkout other names: its directory, or the export of the
+    revision other into workdir; ValueError if it is neither or holds no
+    src/ovfree."""
+    checkout = os.path.abspath(other)
+    if not os.path.isdir(checkout):
+        try:
+            checkout = export(other, os.path.join(workdir, "other"))
+        except ValueError as exc:
+            raise ValueError(f"{other} is neither a directory nor a revision: {exc}") from None
+    if not os.path.isdir(os.path.join(checkout, "src", "ovfree")):
+        raise ValueError(f"{checkout} has no src/ovfree")
+    return checkout
 
 
 def _text(value) -> str:
@@ -109,14 +133,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     count = differ = 0
     with tempfile.TemporaryDirectory() as workdir:
-        other = os.path.abspath(args.other)
-        if not os.path.isdir(other):
-            try:
-                other = export(args.other, os.path.join(workdir, "other"))
-            except ValueError as exc:
-                parser.error(f"{args.other} is neither a directory nor a revision: {exc}")
-        if not os.path.isdir(os.path.join(other, "src", "ovfree")):
-            parser.error(f"{other} has no src/ovfree")
+        try:
+            other = resolve(args.other, workdir)
+        except ValueError as exc:
+            parser.error(str(exc))
         for seed in args.seeds:
             for workload in WORKLOADS:
                 jobdir = os.path.join(workdir, f"{workload}-s{seed}")
